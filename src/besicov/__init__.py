@@ -18,14 +18,12 @@ from .cf import (
 )
 from .cocycle import (
     CocycleSpec,
-    PiecewisePeriodic,
     birkhoff,
     eval_level,
     level_max,
     make_cocycle,
     phi,
     phi_m,
-    shape,
     term,
 )
 from .levels import (

@@ -289,7 +289,8 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
     else:
         status = "pass"
 
-    assert total == phi_m(cspec.truncated(L), x, m)
+    if total != phi_m(cspec.truncated(L), x, m):
+        raise AssertionError(f"audited terms do not sum to phi_m at m={m}")
     return DivergenceReport(
         family=fam,
         kind="aligned",
@@ -377,7 +378,8 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     else:
         status = "indeterminate"
 
-    assert total == phi_m(cspec.truncated(L), x, m)
+    if total != phi_m(cspec.truncated(L), x, m):
+        raise AssertionError(f"audited terms do not sum to phi_m at m={m}")
     return DivergenceReport(
         family=fam,
         kind="mixed",

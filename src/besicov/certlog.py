@@ -125,5 +125,6 @@ def log_enclosure(x: Union[int, Fraction], rel_bits: int = DEFAULT_REL_BITS) -> 
     z = (m - 1) / (m + 1)
     enc = (_atanh_enclosure(z, work + 16).scale(2) + _LN2.scale(e)).outward(work)
     limit = Fraction(1, 1 << rel_bits) * max(abs(enc.lo), abs(enc.hi), Fraction(1, 1 << 20))
-    assert enc.width <= limit, "log enclosure wider than requested tolerance"
+    if enc.width > limit:
+        raise AssertionError("log enclosure wider than requested tolerance")
     return enc

@@ -12,7 +12,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Optional, TypeVar
 
 from .errors import IndecisiveBracket
@@ -166,15 +165,6 @@ def refine_bracket(
     )
 
 
-def alpha_minus_enclosure(
-    spec: IrrationalSpec, n: int, depth: int
-) -> tuple[Fraction, Fraction]:
-    """Exact enclosure (d_lo, d_hi) of alpha - p_n/q_n from a depth-``depth`` bracket."""
-    br = alpha_bracket(spec, max(depth, n + 1))
-    v = convergent(spec, n).value
-    return br.lo - v, br.hi - v
-
-
 @dataclass(frozen=True)
 class GapCertificate:
     """Exact verdict on the two-sided convergent gap law at index n.
@@ -251,6 +241,3 @@ def gap_bounds_check(spec: IrrationalSpec, n: int) -> GapCertificate:
         depth_used=used,
     )
 
-
-def coprime(p: int, q: int) -> bool:
-    return gcd(p, q) == 1

@@ -67,8 +67,12 @@ def parse_alpha(text: str) -> IrrationalSpec:
     raise ValueError(f"cannot parse --alpha {text!r}")
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+def parse_rational(text: str, flag: str) -> Fraction:
+    """A rational flag value such as 3/7; ``flag`` names it in the error."""
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError(f"{flag} expects a rational like 3/7, got {text!r}") from None
 
 
 @dataclass
@@ -112,6 +116,8 @@ class RunConfig:
         return select_levels(self.spec(), self.strategy, self.variant, n or self.n)
 
     def cocycle(self) -> CocycleSpec:
+        if self.trunc is not None and self.trunc < 1:
+            raise UsageError("--trunc must be >= 1")
         return make_cocycle(
             self.spec(),
             self.strategy,
@@ -124,7 +130,15 @@ class RunConfig:
     def m_values(self) -> list[int]:
         if self.m_range:
             lo_s, _, hi_s = self.m_range.partition(":")
-            lo, hi = int(lo_s), int(hi_s)
+            bad = UsageError(
+                f"--m-range expects lo:hi integers with lo <= hi, got {self.m_range!r}"
+            )
+            try:
+                lo, hi = int(lo_s), int(hi_s)
+            except ValueError:
+                raise bad from None
+            if lo > hi:
+                raise bad
             return list(range(lo, hi + 1))
         if self.m is None:
             raise ValueError("provide --m or --m-range lo:hi")
@@ -152,6 +166,8 @@ def _emit(cfg: RunConfig, rows: list[dict], payload: dict, stream) -> None:
 
 
 def cmd_cf(cfg: RunConfig, stream) -> int:
+    if cfg.upto < 0:
+        raise UsageError("--upto must be >= 0")
     spec = cfg.spec()
     rows = []
     for n in range(cfg.upto + 1):
@@ -192,7 +208,7 @@ def cmd_eval(cfg: RunConfig, stream) -> int:
     if cfg.x is None:
         raise ValueError("--x is required")
     cspec = cfg.cocycle()
-    x = parse_rational(cfg.x) % 1
+    x = parse_rational(cfg.x, "--x") % 1
     rows = []
     for lv in cspec.levels:
         value = eval_level(lv, cspec.variant, x)
@@ -215,7 +231,7 @@ def cmd_sum(cfg: RunConfig, stream) -> int:
     if cfg.x is None:
         raise ValueError("--x is required")
     cspec = cfg.cocycle()
-    x = parse_rational(cfg.x) % 1
+    x = parse_rational(cfg.x, "--x") % 1
     rows = []
     ok = True
     for m in cfg.m_values():
@@ -310,13 +326,15 @@ def cmd_dimension(cfg: RunConfig, stream) -> int:
 def cmd_orbit(cfg: RunConfig, stream) -> int:
     if cfg.x is None:
         raise ValueError("--x is required")
+    if cfg.store_every < 1:
+        raise UsageError("--store-every must be >= 1")
     cspec = cfg.cocycle()
-    x = parse_rational(cfg.x)
+    x = parse_rational(cfg.x, "--x")
     marks = range(0, cfg.steps + 1, cfg.store_every)
     rec = dyn_mod.orbit(
         cspec,
         x,
-        parse_rational(cfg.t0),
+        parse_rational(cfg.t0, "--t0"),
         steps=cfg.steps,
         precision_bits=cfg.precision_bits,
         store_every=cfg.store_every,
@@ -344,13 +362,13 @@ def cmd_orbit(cfg: RunConfig, stream) -> int:
 
 def cmd_probe(cfg: RunConfig, stream) -> int:
     cspec = cfg.cocycle()
-    x = parse_rational(cfg.x) if cfg.x else Fraction(1, 4)
+    x = parse_rational(cfg.x, "--x") if cfg.x else Fraction(1, 4)
     if cfg.kind == "sensitivity":
         res = dyn_mod.sensitivity_probe(
             cspec,
             x,
-            parse_rational(cfg.delta),
-            parse_rational(cfg.eps),
+            parse_rational(cfg.delta, "--delta"),
+            parse_rational(cfg.eps, "--eps"),
             cfg.horizon,
             samples=cfg.samples,
             seed=cfg.seed,
@@ -360,17 +378,17 @@ def cmd_probe(cfg: RunConfig, stream) -> int:
         res = dyn_mod.nonrecurrence_test(
             cspec,
             x,
-            parse_rational(cfg.t0),
-            parse_rational(cfg.eps),
+            parse_rational(cfg.t0, "--t0"),
+            parse_rational(cfg.eps, "--eps"),
             cfg.horizon,
             precision_bits=cfg.precision_bits,
         )
     elif cfg.kind == "coverage":
         rec = dyn_mod.orbit(
-            cspec, x, parse_rational(cfg.t0), steps=cfg.horizon,
+            cspec, x, parse_rational(cfg.t0, "--t0"), steps=cfg.horizon,
             precision_bits=cfg.precision_bits,
         )
-        frac = dyn_mod.coverage(rec, float(parse_rational(cfg.height)), cfg.grid)
+        frac = dyn_mod.coverage(rec, float(parse_rational(cfg.height, "--height")), cfg.grid)
         res = dyn_mod.ProbeResult(
             kind="coverage",
             params={"horizon": cfg.horizon, "grid": cfg.grid, "height": cfg.height,

@@ -9,6 +9,12 @@ and Lipschitz constant Lambda_n:
   tent:  a plain tent, Lambda_n * x up to P/2 and back down (A_n = 1 here,
          so P = 1/q_{k_n} and the peak is q_{k_n+1}/(2 n^2)).
 
+Both are written once, on a unit period: :func:`unit_position` folds x onto
+[0, 1) with one exact integer ``%``, and :func:`bump` applies the shape in the
+arithmetic of its argument.  The certificates here call it with Fractions and
+the orbit lane in :mod:`besicov.dynamics` with mpf values, so both lanes
+evaluate the same bump.
+
 The cocycle itself is the series of coboundary-like differences
 f_l(x + alpha) - f_l(x).  The library replaces alpha by one deep convergent
 alpha_hat = p_N/q_N *everywhere*, which turns every audited statement into an
@@ -22,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import floor
 from typing import Optional
 
 from .cf import IrrationalSpec, convergent
@@ -34,66 +38,52 @@ from .levels import LevelParams, Profile, select_levels
 DEFAULT_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class PiecewisePeriodic:
-    """A continuous piecewise-linear periodic function given by breakpoints
-    on one period [0, P]; first and last values must agree (continuity)."""
-
-    period: Fraction
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    slope: Fraction  # Lipschitz constant
-
-    def value(self, x: Fraction) -> Fraction:
-        y = x - floor(x / self.period) * self.period
-        pts = self.breakpoints
-        for (x0, v0), (x1, v1) in zip(pts, pts[1:]):
-            if y <= x1:
-                if v0 == v1:
-                    return v0
-                return v0 + (v1 - v0) * (y - x0) / (x1 - x0)
-        return pts[-1][1]
-
-    @property
-    def maximum(self) -> Fraction:
-        return max(v for _, v in self.breakpoints)
+def unit_position(level: LevelParams, x: Fraction) -> Fraction:
+    """x / P mod 1 = x A_n q_{k_n} mod 1, exact: where x sits in its period."""
+    den = x.denominator
+    return Fraction(x.numerator * level.cell_count % den, den)
 
 
-@lru_cache(maxsize=None)
-def shape(level: LevelParams, variant: str) -> PiecewisePeriodic:
-    p = level.period
-    lam = level.lam
+def bump(u, variant: str, peak):
+    """The level bump at unit position u in [0, 1), scaled to ``peak``.
+
+    Computed in the arithmetic of ``u`` and ``peak``: ``Fraction`` for the
+    certificates, ``mpf`` for the orbits.  The tent rises as 2 peak u; the main
+    bump is 3 peak (u - 1/12) clamped to [0, peak].  Both are folded onto
+    [0, 1/2] first, since each is even about 0 and about 1/2.  In mpf each
+    operation rounds, and the orbit and probe digits depend on exactly this
+    sequence: 1 - u, 1/12, 5/12, then peak * ((u - 1/12) * 3).
+    """
+    if u * 2 > 1:
+        u = 1 - u
     if variant == "tent":
-        pts = (
-            (Fraction(0), Fraction(0)),
-            (p / 2, lam * p / 2),
-            (p, Fraction(0)),
-        )
-    else:
-        top = level.plateau
-        pts = (
-            (Fraction(0), Fraction(0)),
-            (p / 12, Fraction(0)),
-            (5 * p / 12, top),
-            (7 * p / 12, top),
-            (11 * p / 12, Fraction(0)),
-            (p, Fraction(0)),
-        )
-    return PiecewisePeriodic(period=p, breakpoints=pts, slope=lam)
+        return peak * (u * 2)
+    twelfth = type(u)(1) / 12
+    if u <= twelfth:
+        return type(u)(0)
+    if u >= type(u)(5) / 12:
+        return peak
+    return peak * ((u - twelfth) * 3)
+
+
+def level_max(level: LevelParams, variant: str) -> Fraction:
+    """Peak of f_n: the plateau for main, q_{k_n+1} / (2 A_n n^2) for tent."""
+    if variant == "tent":
+        return Fraction(level.q_next, 2 * level.a * level.n * level.n)
+    return level.plateau
 
 
 def eval_level(level: LevelParams, variant: str, x: Fraction) -> Fraction:
     """f_n(x), exact; x is reduced mod the period internally."""
-    return shape(level, variant).value(x)
-
-
-def level_max(level: LevelParams, variant: str) -> Fraction:
-    return shape(level, variant).maximum
+    return bump(unit_position(level, x), variant, level_max(level, variant))
 
 
 def term(level: LevelParams, variant: str, x: Fraction, shift: Fraction) -> Fraction:
     """f_n(x + shift) - f_n(x), exact."""
-    s = shape(level, variant)
-    return s.value(x + shift) - s.value(x)
+    peak = level_max(level, variant)
+    return bump(unit_position(level, x + shift), variant, peak) - bump(
+        unit_position(level, x), variant, peak
+    )
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 The cylinder map sends (x, t) to (x + alpha_hat mod 1, t + phi(x)).  The base
 coordinate is advanced *exactly* (alpha_hat is rational, so x never leaves a
 fixed denominator lattice); only the fiber coordinate t is floating point, at
-a configurable binary precision with per-step error accounting.  Distances
-use the taxicab metric: circle distance in x plus |difference| in t.
+a configurable binary precision with per-step error accounting.  The levels
+are evaluated by the same :func:`besicov.cocycle.bump` as the certificates,
+called with mpf values instead of Fractions.  Distances use the taxicab
+metric: circle distance in x plus |difference| in t.
 
 Probes are diagnostics, not certificates: each one carries its accumulated
 error bound and refuses to assert anything the bound could explain away.
@@ -21,50 +23,12 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .cocycle import CocycleSpec, level_max
+from .cocycle import CocycleSpec, bump, level_max, unit_position
 from .errors import ErrorBudgetBlown
-from .levels import LevelParams
-from .targets import sample_point
 
 
 def _frac_to_mpf(x: Fraction) -> mpf:
     return mpf(x.numerator) / mpf(x.denominator)
-
-
-def _eval_level_float(level: LevelParams, variant: str, x: Fraction) -> mpf:
-    """f_l(x) at working precision.
-
-    The fold onto one period is done exactly in integer arithmetic (u = x/P
-    mod 1 as a Fraction), so the only float error is the final conversion and
-    a handful of arithmetic ops; with the unit-slope normalization that stays
-    below peak * 2^(4 - prec).
-    """
-    aq = level.cell_count
-    num, den = x.numerator * aq, x.denominator
-    u = Fraction(num % den, den)  # x/P mod 1, exact
-    uf = _frac_to_mpf(u)
-    if uf > 0.5:
-        uf = 1 - uf
-    if variant == "tent":
-        peak = _frac_to_mpf(level.lam * level.period / 2)
-        return peak * (uf * 2)
-    peak = _frac_to_mpf(level.plateau)
-    twelfth = mpf(1) / 12
-    if uf <= twelfth:
-        return mpf(0)
-    if uf >= mpf(5) / 12:
-        return peak
-    return peak * ((uf - twelfth) * 3)
-
-
-def _phi_float(cspec: CocycleSpec, x: Fraction) -> mpf:
-    a = cspec.alpha_hat
-    total = mpf(0)
-    for lv in cspec.levels:
-        total += _eval_level_float(lv, cspec.variant, x + a) - _eval_level_float(
-            lv, cspec.variant, x
-        )
-    return total
 
 
 def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
@@ -72,22 +36,27 @@ def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
 
     Because x advances exactly, the ergodic sum telescopes per level to
     f_l(x_i) - f_l(x_0); each t_i is assembled fresh from one evaluation per
-    level, so the float error never accumulates across steps.
+    level, so the float error never accumulates across steps.  Each level is
+    the cocycle's own :func:`bump`, fed the exact unit position converted to
+    mpf; with the unit-slope normalization its error stays below
+    peak * 2^(4 - prec).
     """
     a = cspec.alpha_hat
-    levels = cspec.levels
     variant = cspec.variant
+    peaks = [(lv, _frac_to_mpf(level_max(lv, variant))) for lv in cspec.levels]
+
+    def fiber(x: Fraction) -> mpf:
+        total = mpf(0)
+        for lv, peak in peaks:
+            total += bump(_frac_to_mpf(unit_position(lv, x)), variant, peak)
+        return total
+
     x = x0 % 1
-    base = mpf(0)
-    for lv in levels:
-        base += _eval_level_float(lv, variant, x)
+    base = fiber(x)
     yield 0, x, mpf(0)
     for i in range(1, steps + 1):
         x = (x + a) % 1
-        total = mpf(0)
-        for lv in levels:
-            total += _eval_level_float(lv, variant, x)
-        yield i, x, total - base
+        yield i, x, fiber(x) - base
 
 
 def orbit_error_bound(cspec: CocycleSpec, steps: int, precision_bits: int) -> Fraction:
@@ -286,7 +255,7 @@ def _target_candidate(
 ) -> Optional[Fraction]:
     """A certified target-set point within delta of x, if the profile has a
     level fine enough; mixed family for tent cocycles, aligned for main."""
-    from .targets import _children_lifted, interval
+    from .targets import children, interval
 
     profile = cspec.profile
     fam = "-+" if cspec.variant == "tent" else "++"
@@ -299,11 +268,10 @@ def _target_candidate(
         j = round(x / lv.period) % lv.cell_count
         cur = interval(profile, fam, n, j)
         for _ in range(n + 1, depth + 1):
-            kids = _children_lifted(profile, fam, cur)
+            kids = children(profile, fam, cur)
             if not kids:
                 return None
-            pick = kids[len(kids) // 2]
-            cur = interval(profile, fam, cur.n + 1, pick[0])
+            cur = interval(profile, fam, cur.n + 1, kids[len(kids) // 2])
         y = cur.center % 1
         return y if _circle_dist(y, x) <= delta else None
     return None
@@ -438,10 +406,3 @@ def classify_orbit(
         return "oscillating"
     return "undetermined"
 
-
-def classify_target_sample(
-    cspec: CocycleSpec, family: str, depth: int, horizon: int, **kw
-) -> str:
-    """Convenience: classify the center sample of a target family."""
-    x, _ = sample_point(cspec.profile, family, "center", depth)
-    return classify_orbit(cspec, x, horizon, **kw)

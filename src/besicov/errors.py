@@ -37,14 +37,6 @@ class WindowBeyondProfile(BesicovError):
     """|m| falls past the last window the profile's levels can certify."""
 
 
-class MarginTooThin(BesicovError):
-    """An inequality margin does not exceed the accumulated error budget.
-
-    Audits normally report this state instead of raising; the exception
-    exists for callers that demand a decided certificate.
-    """
-
-
 class EnumerationCapExceeded(BesicovError):
     """A measured scan would enumerate more intervals than the configured cap."""
 

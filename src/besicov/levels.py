@@ -150,7 +150,8 @@ def select_levels(
                     if cq >= 5 * pq and cq1 >= 5 * pq1:
                         break
                 k += 2
-            assert k % 2 == parity
+            if k % 2 != parity:
+                raise AssertionError(f"greedy level {len(ks) + 1} broke the parity of k_1")
             ks.append(k)
 
     levels = tuple(_level(spec, n, k, variant) for n, k in enumerate(ks, start=1))

@@ -155,16 +155,18 @@ def _circle_contained(child: TargetInterval, parent: TargetInterval) -> bool:
     return ceil(lo) <= floor(hi)
 
 
-def _children_lifted(
-    profile: Profile, family: str, parent: TargetInterval
-) -> list[tuple[int, Fraction]]:
-    """Child indices at level n+1 with their lifted centers, in circle order
-    along the parent.
+def children(profile: Profile, family: str, parent: TargetInterval) -> list[int]:
+    """Indices j of the level-(n+1) intervals wholly inside ``parent``, in
+    circle order along the parent.
 
-    The offset pattern tiles the real line with period P', so one lifted
-    index range (j + lo) P' >= a, (j + hi) P' <= b already enumerates every
-    circle child; each candidate is re-verified by the containment predicate.
+    Containment is closed (boundary touching counts), matching the counting
+    convention the dimension bounds rely on.  The offset pattern tiles the
+    real line with period P', so one lifted index range (j + lo) P' >= a,
+    (j + hi) P' <= b already enumerates every circle child; each candidate is
+    re-verified by the containment predicate.
     """
+    if parent.n >= profile.n_max:
+        raise DepthExceedsProfile(f"no level {parent.n + 1} in profile")
     fam = canonical_family(family)
     n_child = parent.n + 1
     lv = profile.level(n_child)
@@ -173,25 +175,17 @@ def _children_lifted(
     count = lv.cell_count
     jmin = ceil(parent.a / p - lo)
     jmax = floor(parent.b / p - hi)
-    out: list[tuple[int, Fraction]] = []
+    out: list[int] = []
     for j in range(jmin, jmax + 1):
         child = TargetInterval(
             family=fam, n=n_child, j=j % count, a=(j + lo) * p, b=(j + hi) * p
         )
-        assert _circle_contained(child, parent)
-        out.append((child.j, child.center))
+        if not _circle_contained(child, parent):
+            raise AssertionError(
+                f"level {n_child} child j={child.j} escapes its level {parent.n} parent"
+            )
+        out.append(child.j)
     return out
-
-
-def children(profile: Profile, family: str, parent: TargetInterval) -> list[int]:
-    """Indices j of the level-(n+1) intervals wholly inside ``parent``.
-
-    Containment is closed (boundary touching counts), matching the counting
-    convention the dimension bounds rely on.
-    """
-    if parent.n >= profile.n_max:
-        raise DepthExceedsProfile(f"no level {parent.n + 1} in profile")
-    return [j for j, _ in _children_lifted(profile, family, parent)]
 
 
 @dataclass(frozen=True)
@@ -224,7 +218,8 @@ def _path_from_indices(
         if prev is not None and not _circle_contained(cur, prev):
             raise InvalidDigitPath(f"level {n} interval j={j} not inside level {n - 1}")
         prev = cur
-    assert prev is not None
+    if prev is None:
+        raise AssertionError("a digit path needs at least one index")
     x = prev.center % 1
     res = member(profile, fam, x, len(idx))
     if not res.ok:
@@ -263,14 +258,14 @@ def sample_point(
     indices = [0]
     cur = interval(profile, fam, 1, 0)
     for _ in range(2, depth + 1):
-        kids = _children_lifted(profile, fam, cur)
+        kids = children(profile, fam, cur)
         if not kids:
             raise InvalidDigitPath(
                 f"no children inside level-{cur.n} interval (invalid profile?)"
             )
         pick = kids[0] if policy == "leftmost" else kids[len(kids) // 2]
-        indices.append(pick[0])
-        cur = interval(profile, fam, cur.n + 1, pick[0])
+        indices.append(pick)
+        cur = interval(profile, fam, cur.n + 1, pick)
     path = _path_from_indices(profile, fam, indices)
     return path.point, path
 

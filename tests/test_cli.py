@@ -190,3 +190,25 @@ def test_orbit_json_error_bound(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["steps"] == 4 and float(data["error_bound"]) < 1e-20
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--x", ("eval", "--x", "1/0")),
+        ("--eps", ("probe", "--kind", "nonrecurrence", "--x", "1/7", "--eps", "1/0")),
+        ("--delta", ("probe", "--kind", "sensitivity", "--delta", "1/0")),
+        ("--t0", ("orbit", "--x", "1/7", "--t0", "1/0")),
+        ("--height", ("probe", "--kind", "coverage", "--horizon", "10", "--height", "1/0")),
+        ("--trunc", ("eval", "--x", "3/7", "--trunc", "0")),
+        ("--upto", ("cf", "--upto", "-1")),
+        ("--m-range", ("sum", "--x", "1/7", "--m-range", "5")),
+        ("--m-range", ("sum", "--x", "1/7", "--m-range", "5:3")),
+        ("--store-every", ("orbit", "--x", "1/7", "--store-every", "0")),
+    ],
+)
+def test_bad_flag_values_are_usage_errors(capsys, flag, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err and "Traceback" not in err

@@ -14,7 +14,6 @@ from besicov import (
     make_cocycle,
     phi,
     phi_m,
-    shape,
     term,
 )
 
@@ -51,15 +50,18 @@ def test_lipschitz(golden, variant, x, y):
     assert abs(fx - fy) <= lv.lam * abs(x - y)
 
 
-def test_shape_breakpoints_continuous(greedy_cocycle, tent_cocycle):
+def test_bump_nodes(greedy_cocycle, tent_cocycle):
+    nodes = {
+        "main": ((0, 0), (Fraction(1, 12), 0), (Fraction(5, 12), 1), (Fraction(1, 2), 1),
+                 (Fraction(7, 12), 1), (Fraction(11, 12), 0), (1, 0)),
+        "tent": ((0, 0), (Fraction(1, 2), 1), (1, 0)),
+    }
     for cs, variant in ((greedy_cocycle, "main"), (tent_cocycle, "tent")):
         for lv in cs.levels:
-            s = shape(lv, variant)
-            assert s.breakpoints[0][1] == s.breakpoints[-1][1] == 0
-            assert s.maximum == level_max(lv, variant)
-            # value at each breakpoint matches the polyline node exactly
-            for bx, bv in s.breakpoints[:-1]:
-                assert s.value(bx) == bv
+            peak = level_max(lv, variant)
+            assert peak == (lv.plateau if variant == "main" else lv.lam * lv.period / 2)
+            for at, height in nodes[variant]:
+                assert eval_level(lv, variant, at * lv.period) == height * peak
 
 
 def test_term_zero_shift(greedy_cocycle):
