@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from mpmath import mp
 
@@ -498,7 +498,19 @@ def build_parser() -> _Parser:
     return p
 
 
-_EXTRA_KEYS = ("check", "level", "max_rows", "box", "box_level")
+#: Keys that are flags of some subcommands only, kept in ``RunConfig.extra``.
+_EXTRA_KEYS = {"check": bool, "level": int, "max_rows": int, "box": bool, "box_level": int}
+_JSON_NAMES = {bool: "true/false", int: "an integer", str: "a string", type(None): "null"}
+
+
+def _config_types() -> dict:
+    """Allowed Python types of every --config key, from RunConfig's fields
+    (Optional[int] allows int and None) and the extra flags."""
+    hints = get_type_hints(RunConfig)
+    del hints["extra"]
+    types = {key: get_args(hint) or (hint,) for key, hint in hints.items()}
+    types.update((key, (t,)) for key, t in _EXTRA_KEYS.items())
+    return types
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -507,13 +519,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_vals = json.load(fh)
+        if not isinstance(file_vals, dict):
+            raise UsageError("--config expects a JSON object of flag names")
+    types = _config_types()
     for key, value in file_vals.items():
+        if key not in types:
+            raise UsageError(f"unknown --config key {key!r}")
+        if type(value) not in types[key]:  # bool is not taken for int
+            expected = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in types[key])
+            raise UsageError(f"--config key {key!r} expects {expected}, got {value!r}")
         if key in _EXTRA_KEYS:
             cfg.extra[key] = value
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
         else:
-            raise ValueError(f"unknown config key {key!r}")
+            setattr(cfg, key, value)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None or value is False:
             continue

@@ -9,7 +9,12 @@ between m_n and mbar_n level-n intervals, where in closed form
     m_n    >= A_n q_{k_n} / (12 A_{n-1} q_{k_{n-1}}),
     mbar_n <= A_n q_{k_n} / ( 6 A_{n-1} q_{k_{n-1}}),
 
-and measured counts come from the exact containment scan.  The nested-family
+and measured counts come from the exact containment scan: the children of
+each parent form one lifted index range (``targets.child_span``), so a count
+is an integer ceil and floor per parent, never a list of children.  Box
+counting is integer arithmetic as well: with interval j = [(12j + L)/(12C),
+(12j + H)/(12C)], its grid cells are floor((12j + L) g / 12C) ..
+floor((12j + H) g / 12C), merged in one pass in j.  The nested-family
 criterion then sandwiches the Hausdorff dimension between
 
     log(m_2 ... m_n) / -log(m_{n+1} eps_{n+1})   and
@@ -25,13 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, log
+from math import log
 from typing import Optional
 
 from .certlog import DEFAULT_REL_BITS, Enclosure, log_enclosure
 from .errors import EnumerationCapExceeded
 from .levels import Profile
-from .targets import canonical_family, children, interval
+from .targets import TWELFTHS, canonical_family, child_span
 
 DEFAULT_ENUM_CAP = 500_000
 
@@ -109,11 +114,14 @@ def nesting_stats(
                 raise EnumerationCapExceeded(
                     f"level {n - 1} has {prev.cell_count} intervals > cap {cap}"
                 )
-            counts = [
-                len(children(profile, fam, interval(profile, fam, n - 1, j)))
-                for j in range(prev.cell_count)
-            ]
-            m_meas, mbar_meas = min(counts), max(counts)
+            m_meas, mbar_meas = cells, 0
+            for j in range(prev.cell_count):
+                jmin, jmax = child_span(profile, fam, n - 1, j)
+                count = jmax - jmin + 1
+                if count < m_meas:
+                    m_meas = count
+                if count > mbar_meas:
+                    mbar_meas = count
             if not (m_f <= m_meas and m_meas <= mbar_meas <= mbar_f + 1):
                 raise AssertionError(
                     f"measured counts [{m_meas}, {mbar_meas}] escape the "
@@ -211,32 +219,27 @@ class BoxCountResult:
 def _occupied_cells(profile: Profile, family: str, n: int, grid: int) -> int:
     """Exact number of width-1/grid cells meeting the level-n union.
 
-    Cell i is the half-open [i/g, (i+1)/g); it meets a closed [a, b] exactly
-    when floor(a g) <= i <= floor(b g).  Runs are merged on Z/grid.
+    Cell i is the half-open [i/g, (i+1)/g); it meets the closed interval
+    [(12j + L)/(12C), (12j + H)/(12C)] exactly when
+    floor((12j + L) g / 12C) <= i <= floor((12j + H) g / 12C).  Both ends are
+    nondecreasing in j, so one pass in j merges the runs, counting only the
+    cells above the highest one counted so far.  Only the "++" interval
+    j = 0 reaches below cell 0; those cells fold onto the top of the circle,
+    where they start no lower than any other run, so they merge last.
     """
-    lv = profile.level(n)
-    segments: list[tuple[int, int]] = []  # half-open [start, stop) within [0, grid)
-    for j in range(lv.cell_count):
-        iv = interval(profile, family, n, j)
-        i_min = floor(iv.a * grid)
-        i_max = floor(iv.b * grid)
-        start = i_min % grid
-        stop = start + (i_max - i_min) + 1
-        if stop <= grid:
-            segments.append((start, stop))
-        else:  # wrapped run
-            segments.append((start, grid))
-            segments.append((0, stop - grid))
-    segments.sort()
-    total = 0
-    cur_start, cur_stop = segments[0]
-    for s, t in segments[1:]:
-        if s <= cur_stop:
-            cur_stop = max(cur_stop, t)
-        else:
-            total += cur_stop - cur_start
-            cur_start, cur_stop = s, t
-    total += cur_stop - cur_start
+    lo, hi = TWELFTHS[family]
+    cells = profile.level(n).cell_count
+    den = 12 * cells
+    total, top = 0, -1
+    for j in range(cells):
+        start = (12 * j + lo) * grid // den
+        stop = (12 * j + hi) * grid // den
+        if stop > top:
+            total += stop - max(start, top + 1) + 1
+            top = stop
+    below = lo * grid // den  # < 0 only when the j = 0 interval straddles 0
+    if below < 0 and grid - 1 > top:
+        total += grid - max(grid + below, top + 1)
     return total
 
 

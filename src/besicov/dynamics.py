@@ -255,7 +255,7 @@ def _target_candidate(
 ) -> Optional[Fraction]:
     """A certified target-set point within delta of x, if the profile has a
     level fine enough; mixed family for tent cocycles, aligned for main."""
-    from .targets import children, interval
+    from .targets import interval, pick_child
 
     profile = cspec.profile
     fam = "-+" if cspec.variant == "tent" else "++"
@@ -266,13 +266,11 @@ def _target_candidate(
             continue
         depth = min(n + 2, cspec.n_levels)
         j = round(x / lv.period) % lv.cell_count
-        cur = interval(profile, fam, n, j)
-        for _ in range(n + 1, depth + 1):
-            kids = children(profile, fam, cur)
-            if not kids:
+        for level in range(n, depth):
+            j = pick_child(profile, fam, level, j)
+            if j is None:
                 return None
-            cur = interval(profile, fam, cur.n + 1, kids[len(kids) // 2])
-        y = cur.center % 1
+        y = interval(profile, fam, depth, j).center % 1
         return y if _circle_dist(y, x) <= delta else None
     return None
 

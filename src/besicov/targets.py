@@ -1,13 +1,19 @@
 """The four nested interval families and their Cantor-set machinery.
 
-At level n the circle is tiled by A_n q_{k_n} periods of length
-P = 1/(A_n q_{k_n}); each family places one closed subinterval of length P/6
-per period, at a family-specific offset pattern (in units of P):
+At level n the circle is tiled by C_n = A_n q_{k_n} periods of length
+P = 1/C_n; each family places one closed subinterval of length P/6 per
+period, at a family-specific offset pattern (L, H) in twelfths of P:
 
-    "++" : [-1/12, 1/12]      centred on the bump zeros
-    "-+" : [ 1/6,  1/3 ]      inside the rising ramp
-    "--" : [ 5/12, 7/12]      centred on the plateau, "++" shifted by P/2
-    "+-" : [ 2/3,  5/6 ]      inside the falling ramp, "-+" shifted by P/2
+    "++" : (-1,  1)      centred on the bump zeros
+    "-+" : ( 2,  4)      inside the rising ramp
+    "--" : ( 5,  7)      centred on the plateau, "++" shifted by P/2
+    "+-" : ( 8, 10)      inside the falling ramp, "-+" shifted by P/2
+
+so interval j is [(12j + L)/(12 C_n), (12j + H)/(12 C_n)].  Every count,
+containment and grid cell over these intervals is therefore an integer floor
+or ceil: ``child_span`` gives the level-(n+1) children of one interval as a
+lifted index range, and the counting paths (child picks, measured nesting,
+box counting) never build a ``Fraction`` per interval.
 
 The j = 0 interval of "++" straddles 0 and is kept as a single wrapped
 interval on the circle, so counting and membership treat the circle metric
@@ -31,12 +37,8 @@ FAMILIES = ("++", "--", "+-", "-+")
 #: CLI-safe aliases.
 FAMILY_CODES = {"pp": "++", "mm": "--", "pm": "+-", "mp": "-+"}
 
-_OFFSETS = {
-    "++": (Fraction(-1, 12), Fraction(1, 12)),
-    "-+": (Fraction(1, 6), Fraction(1, 3)),
-    "--": (Fraction(5, 12), Fraction(7, 12)),
-    "+-": (Fraction(2, 3), Fraction(5, 6)),
-}
+#: Offsets (L, H) of each family's interval inside its period, in twelfths.
+TWELFTHS = {"++": (-1, 1), "-+": (2, 4), "--": (5, 7), "+-": (8, 10)}
 
 
 def canonical_family(family: str) -> str:
@@ -101,9 +103,11 @@ def interval(profile: Profile, family: str, n: int, j: int) -> TargetInterval:
     count = lv.cell_count
     if not 0 <= j < count:
         raise IndexOutOfRange(f"j={j} outside 0..{count - 1} at level {n}")
-    lo, hi = _OFFSETS[fam]
-    p = lv.period
-    return TargetInterval(family=fam, n=n, j=j, a=(j + lo) * p, b=(j + hi) * p)
+    lo, hi = TWELFTHS[fam]
+    den = 12 * count
+    return TargetInterval(
+        family=fam, n=n, j=j, a=Fraction(12 * j + lo, den), b=Fraction(12 * j + hi, den)
+    )
 
 
 def member_level(
@@ -118,10 +122,10 @@ def member_level(
     """
     fam = canonical_family(family)
     lv = profile.level(n)
-    lo, hi = _OFFSETS[fam]
-    u = x / lv.period
-    j_lift = floor(u - lo)
-    if u - j_lift > hi:
+    lo, hi = TWELFTHS[fam]
+    t = 12 * lv.cell_count * x  # x in twelfths of a period
+    j_lift = (floor(t) - lo) // 12
+    if t - 12 * j_lift > hi:
         return None
     return j_lift % lv.cell_count, x - j_lift * lv.period
 
@@ -155,37 +159,52 @@ def _circle_contained(child: TargetInterval, parent: TargetInterval) -> bool:
     return ceil(lo) <= floor(hi)
 
 
-def children(profile: Profile, family: str, parent: TargetInterval) -> list[int]:
-    """Indices j of the level-(n+1) intervals wholly inside ``parent``, in
-    circle order along the parent.
+def child_span(profile: Profile, family: str, n: int, j: int) -> tuple[int, int]:
+    """Lifted index range ``(jmin, jmax)`` of the level-(n+1) intervals wholly
+    inside level-n interval j; empty when jmin > jmax.
 
     Containment is closed (boundary touching counts), matching the counting
-    convention the dimension bounds rely on.  The offset pattern tiles the
-    real line with period P', so one lifted index range (j + lo) P' >= a,
-    (j + hi) P' <= b already enumerates every circle child; each candidate is
-    re-verified by the containment predicate.
+    convention the dimension bounds rely on.  With C = C_n and C' = C_{n+1},
+    child k lies in parent j exactly when (12k + L) C >= (12j + L) C' and
+    (12k + H) C <= (12j + H) C', one integer ceil and one integer floor.  The
+    indices are lifted (the "++" interval j = 0 has children k < 0) and reduce
+    mod C'.  Every child has the same length, so checking the two extreme
+    children covers every child between them.
     """
-    if parent.n >= profile.n_max:
-        raise DepthExceedsProfile(f"no level {parent.n + 1} in profile")
-    fam = canonical_family(family)
-    n_child = parent.n + 1
-    lv = profile.level(n_child)
-    lo, hi = _OFFSETS[fam]
-    p = lv.period
-    count = lv.cell_count
-    jmin = ceil(parent.a / p - lo)
-    jmax = floor(parent.b / p - hi)
-    out: list[int] = []
-    for j in range(jmin, jmax + 1):
-        child = TargetInterval(
-            family=fam, n=n_child, j=j % count, a=(j + lo) * p, b=(j + hi) * p
-        )
-        if not _circle_contained(child, parent):
-            raise AssertionError(
-                f"level {n_child} child j={child.j} escapes its level {parent.n} parent"
-            )
-        out.append(child.j)
-    return out
+    if n >= profile.n_max:
+        raise DepthExceedsProfile(f"no level {n + 1} in profile")
+    lo, hi = TWELFTHS[canonical_family(family)]
+    c = profile.level(n).cell_count
+    if not 0 <= j < c:
+        raise IndexOutOfRange(f"j={j} outside 0..{c - 1} at level {n}")
+    c1 = profile.level(n + 1).cell_count
+    a, b = (12 * j + lo) * c1, (12 * j + hi) * c1  # 12 C C' times the parent ends
+    jmin = -((lo * c - a) // (12 * c))
+    jmax = (b - hi * c) // (12 * c)
+    if jmin <= jmax and not ((12 * jmin + lo) * c >= a and (12 * jmax + hi) * c <= b):
+        raise AssertionError(f"level {n + 1} children of j={j} escape their level {n} parent")
+    return jmin, jmax
+
+
+def children(profile: Profile, family: str, parent: TargetInterval) -> list[int]:
+    """Indices j of the level-(n+1) intervals wholly inside ``parent``, in
+    circle order along the parent (see ``child_span``)."""
+    jmin, jmax = child_span(profile, family, parent.n, parent.j)
+    count = profile.level(parent.n + 1).cell_count
+    return [j % count for j in range(jmin, jmax + 1)]
+
+
+def pick_child(
+    profile: Profile, family: str, n: int, j: int, policy: str = "center"
+) -> Optional[int]:
+    """The level-(n+1) child of level-n interval j that ``policy`` descends
+    through: "leftmost" is the first in circle order, "center" the middle one
+    (``children(...)[len // 2]``).  None when j has no children."""
+    jmin, jmax = child_span(profile, family, n, j)
+    if jmin > jmax:
+        return None
+    pick = jmin if policy == "leftmost" else jmin + (jmax - jmin + 1) // 2
+    return pick % profile.level(n + 1).cell_count
 
 
 @dataclass(frozen=True)
@@ -212,14 +231,14 @@ def _path_from_indices(
 ) -> DigitPath:
     fam = canonical_family(family)
     idx = tuple(indices)
+    if not idx:
+        raise InvalidDigitPath("a digit path needs at least one index")
     prev: Optional[TargetInterval] = None
     for n, j in enumerate(idx, start=1):
         cur = interval(profile, fam, n, j)
         if prev is not None and not _circle_contained(cur, prev):
             raise InvalidDigitPath(f"level {n} interval j={j} not inside level {n - 1}")
         prev = cur
-    if prev is None:
-        raise AssertionError("a digit path needs at least one index")
     x = prev.center % 1
     res = member(profile, fam, x, len(idx))
     if not res.ok:
@@ -256,16 +275,13 @@ def sample_point(
         raise DepthExceedsProfile(f"depth {depth} outside 1..{profile.n_max}")
 
     indices = [0]
-    cur = interval(profile, fam, 1, 0)
-    for _ in range(2, depth + 1):
-        kids = children(profile, fam, cur)
-        if not kids:
+    for n in range(1, depth):
+        pick = pick_child(profile, fam, n, indices[-1], policy)
+        if pick is None:
             raise InvalidDigitPath(
-                f"no children inside level-{cur.n} interval (invalid profile?)"
+                f"no children inside level-{n} interval (invalid profile?)"
             )
-        pick = kids[0] if policy == "leftmost" else kids[len(kids) // 2]
         indices.append(pick)
-        cur = interval(profile, fam, cur.n + 1, pick)
     path = _path_from_indices(profile, fam, indices)
     return path.point, path
 

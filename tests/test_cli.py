@@ -212,3 +212,33 @@ def test_bad_flag_values_are_usage_errors(capsys, flag, argv):
     assert code == 1
     assert out == ""
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, body, command",
+    [
+        ("upto", {"upto": "3"}, "cf"),
+        ("upto", {"upto": True}, "cf"),
+        ("n", {"n": 2.5}, "levels"),
+        ("n", {"n": None}, "levels"),
+        ("x", {"x": 0.5}, "eval"),
+        ("box", {"box": 1}, "dimension"),
+        ("bogus", {"bogus": 1}, "cf"),
+        ("--config", [1, 2], "cf"),
+    ],
+)
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, key, body, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(body))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert key in err and "Traceback" not in err
+
+
+def test_config_takes_null_for_optional_keys(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"upto": 3, "depth": None, "check": True}))
+    code, out, _ = run(capsys, "cf", "--config", str(cfg))
+    assert code == 0
+    assert len(out.strip().splitlines()) == 5

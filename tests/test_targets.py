@@ -155,6 +155,12 @@ def test_invalid_path_rejected(greedy_profile):
         sample_point(greedy_profile, "++", bogus)
 
 
+def test_empty_path_is_an_input_error(greedy_profile):
+    empty = DigitPath(family="++", indices=(), point=Fraction(0), reductions=())
+    with pytest.raises(InvalidDigitPath, match="at least one index"):
+        sample_point(greedy_profile, "++", empty)
+
+
 def test_depth_guard(greedy_profile):
     with pytest.raises(DepthExceedsProfile):
         sample_point(greedy_profile, "++", "center", greedy_profile.n_max + 1)
