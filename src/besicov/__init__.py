@@ -5,7 +5,18 @@ whose cylinder maps combine dense orbits with closed discrete ones, certifies
 the divergence of ergodic sums on the nested Cantor-type target sets with
 exact rational arithmetic, and computes nested-interval bounds on the
 Hausdorff dimension of those sets.
+
+The exact certificate core (``cf``, ``cocycle``, ``levels``, ``targets``,
+``audit``) is imported with the package.  The dimension lane (``dimension``,
+``certlog``) and the float lane (``dynamics``, which needs ``mpmath``) load on
+first use: the names in ``_LAZY`` (``BoxCountResult``, ``DimensionBounds``,
+``NestingStats``, ``box_count``, ``falconer_bounds``, ``nesting_stats``,
+``OrbitRecord``, ``ProbeResult``, ``classify_orbit``, ``coverage``,
+``nonrecurrence_test``, ``orbit``, ``sensitivity_probe`` and the three
+submodules) import their module when first looked up.
 """
+
+from importlib import import_module as _import_module
 
 from .cf import (
     Convergent,
@@ -47,7 +58,7 @@ from .targets import (
     member,
     sample_point,
 )
-from .audit import (
+from .audit import (  # eager: a lazy ``audit`` would be shadowed by the submodule
     DivergenceReport,
     WindowIndex,
     audit,
@@ -56,24 +67,39 @@ from .audit import (
     discreteness_scan,
     window,
 )
-from .dimension import (
-    BoxCountResult,
-    DimensionBounds,
-    NestingStats,
-    box_count,
-    falconer_bounds,
-    nesting_stats,
-)
-from .dynamics import (
-    OrbitRecord,
-    ProbeResult,
-    classify_orbit,
-    coverage,
-    nonrecurrence_test,
-    orbit,
-    sensitivity_probe,
-)
+
+#: Exported name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "certlog": "certlog",
+    "dimension": "dimension",
+    "dynamics": "dynamics",
+    **dict.fromkeys(
+        ("BoxCountResult", "DimensionBounds", "NestingStats", "box_count",
+         "falconer_bounds", "nesting_stats"),
+        "dimension",
+    ),
+    **dict.fromkeys(
+        ("OrbitRecord", "ProbeResult", "classify_orbit", "coverage",
+         "nonrecurrence_test", "orbit", "sensitivity_probe"),
+        "dynamics",
+    ),
+}
+
+
+def __getattr__(name):
+    owner = _LAZY.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{owner}", __name__)
+    value = module if name == owner else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -210,9 +210,10 @@ def gap_bounds_check(spec: IrrationalSpec, n: int) -> GapCertificate:
     upper = Fraction(1, cn.q * cn1.q)
     expected_sign = cn.sign
 
-    state: dict = {}
+    state: dict = {"calls": 0}
 
     def decide(br: RationalBracket) -> Optional[bool]:
+        state["calls"] += 1
         d_lo = br.lo - cn.value
         d_hi = br.hi - cn.value
         if d_lo <= 0 <= d_hi:
@@ -221,15 +222,13 @@ def gap_bounds_check(spec: IrrationalSpec, n: int) -> GapCertificate:
         abs_lo, abs_hi = (d_lo, d_hi) if sign > 0 else (-d_hi, -d_lo)
         if abs_lo <= lower < abs_hi or abs_lo < upper <= abs_hi:
             return None  # a bound falls inside the enclosure
-        state.update(sign=sign, abs_lo=abs_lo, abs_hi=abs_hi, width=br.width)
+        state.update(sign=sign, abs_lo=abs_lo, abs_hi=abs_hi)
         return sign == expected_sign and lower < abs_lo and abs_hi < upper
 
     depth = max(8, n + 3)
     passed = refine_bracket(spec, decide, start_depth=depth)
-    # recover the depth actually used (width = 1/(q_N q_{N+1}) decreases by depth)
-    used = depth
-    while alpha_bracket(spec, used).width != state["width"]:
-        used *= 2
+    # refine_bracket doubles the depth after every undecided call
+    used = depth * 2 ** (state["calls"] - 1)
     return GapCertificate(
         n=n,
         passed=passed,

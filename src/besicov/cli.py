@@ -5,6 +5,9 @@ keys are flag names; explicit flags win).  Rationals are printed as
 "numerator/denominator" strings, big integers as decimal strings; outputs are
 byte-identical for identical configurations.  Exit codes: 0 success, 1 usage
 error, 2 certificate failure.
+
+The dimension and orbit/probe subcommands import their modules (and ``mpmath``)
+inside their handlers, so the certificate subcommands never load them.
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, get_args, get_type_hints
 
-from mpmath import mp
-
-from . import dimension as dim_mod
-from . import dynamics as dyn_mod
 from .audit import audit as run_audit
 from .audit import window as window_of
 from .cf import IrrationalSpec, convergent, gap_bounds_check
@@ -55,16 +54,16 @@ def parse_alpha(text: str) -> IrrationalSpec:
     """--alpha accepts golden | sqrt2m1 | quotients=a1,a2,... | periodic=head;tail."""
     if text in ("golden", "sqrt2m1"):
         return IrrationalSpec.from_preset(text)
-    if text.startswith("quotients="):
-        tail = tuple(int(v) for v in text[len("quotients="):].split(",") if v)
-        return IrrationalSpec(head=(0,), tail=tail)
-    if text.startswith("periodic="):
-        body = text[len("periodic="):]
-        head_s, _, tail_s = body.partition(";")
-        head = (0,) + tuple(int(v) for v in head_s.split(",") if v)
+    kind, eq, body = text.partition("=")
+    if not eq or kind not in ("quotients", "periodic"):
+        raise ValueError(f"cannot parse --alpha {text!r}")
+    head_s, _, tail_s = body.partition(";") if kind == "periodic" else ("", "", body)
+    try:
+        head = tuple(int(v) for v in head_s.split(",") if v)
         tail = tuple(int(v) for v in tail_s.split(",") if v)
-        return IrrationalSpec(head=head, tail=tail)
-    raise ValueError(f"cannot parse --alpha {text!r}")
+        return IrrationalSpec(head=(0,) + head, tail=tail)
+    except ValueError as e:
+        raise ValueError(f"--alpha {text!r}: {e}") from None
 
 
 def parse_rational(text: str, flag: str) -> Fraction:
@@ -258,7 +257,9 @@ def cmd_target(cfg: RunConfig, stream) -> int:
                  "indices": " ".join(map(str, path.indices))}]
         _emit(cfg, rows, payload, stream)
         return 0
-    n = cfg.extra.get("level") or 1
+    n = cfg.extra.get("level", 1)
+    if not 1 <= n <= profile.n_max:
+        raise UsageError(f"--level must be in 1..{profile.n_max}, got {n}")
     if cfg.j is not None:
         iv = interval(profile, fam, n, cfg.j)
         rows = [{
@@ -299,6 +300,8 @@ def cmd_audit(cfg: RunConfig, stream) -> int:
 
 
 def cmd_dimension(cfg: RunConfig, stream) -> int:
+    from . import dimension as dim_mod
+
     profile = cfg.profile()
     fam = canonical_family(cfg.family)
     stats = dim_mod.nesting_stats(profile, mode=cfg.mode, family=fam)
@@ -324,6 +327,10 @@ def cmd_dimension(cfg: RunConfig, stream) -> int:
 
 
 def cmd_orbit(cfg: RunConfig, stream) -> int:
+    from mpmath import mp
+
+    from . import dynamics as dyn_mod
+
     if cfg.x is None:
         raise ValueError("--x is required")
     if cfg.store_every < 1:
@@ -361,6 +368,8 @@ def cmd_orbit(cfg: RunConfig, stream) -> int:
 
 
 def cmd_probe(cfg: RunConfig, stream) -> int:
+    from . import dynamics as dyn_mod
+
     cspec = cfg.cocycle()
     x = parse_rational(cfg.x, "--x") if cfg.x else Fraction(1, 4)
     if cfg.kind == "sensitivity":

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from besicov import IrrationalSpec, alpha_bracket, convergent, gap_bounds_check
-from besicov.cf import refine_bracket
+from besicov import cf
+from besicov.cf import RationalBracket, refine_bracket
 from besicov.errors import IndecisiveBracket
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
@@ -101,6 +102,38 @@ def test_gap_witnesses_are_ordered(golden):
     cert = gap_bounds_check(golden, 5)
     assert cert.lower_bound < cert.distance_lo <= cert.distance_hi < cert.upper_bound
     assert cert.sign == -1
+
+
+def rewalked_depth(spec, cert):
+    """depth_used by bracket widths: the first of start, 2 start, 4 start, ...
+    whose bracket is as wide as the deciding one (distance_hi - distance_lo)."""
+    width = cert.distance_hi - cert.distance_lo
+    used = max(8, cert.n + 3)
+    while alpha_bracket(spec, used).width != width:
+        used *= 2
+    return used
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [IrrationalSpec.from_preset("golden"), IrrationalSpec(head=(0,), tail=(1, 2))],
+    ids=["golden", "quotients=1,2"],
+)
+def test_depth_used_matches_bracket_widths(spec):
+    for n in range(1, 61):
+        cert = gap_bounds_check(spec, n)
+        assert cert.depth_used == rewalked_depth(spec, cert), n
+
+
+def test_depth_used_counts_escalations(golden, monkeypatch):
+    real = cf.alpha_bracket
+    undecidable = RationalBracket(Fraction(0), Fraction(1))
+    monkeypatch.setattr(
+        cf, "alpha_bracket", lambda spec, depth: real(spec, depth) if depth >= 32 else undecidable
+    )
+    cert = gap_bounds_check(golden, 5)  # depths 8 and 16 undecided, 32 decides
+    assert cert.passed
+    assert cert.depth_used == 32 == rewalked_depth(golden, cert)
 
 
 def test_refine_bracket_gives_up():

@@ -151,6 +151,9 @@ def test_parse_alpha_forms():
     assert spec.head == (0, 4) and spec.tail == (1, 2)
     with pytest.raises(ValueError):
         parse_alpha("0.618")
+    for bad in ("quotients=a", "quotients=1,,x", "periodic=1,x;2"):
+        with pytest.raises(ValueError, match=f"--alpha '{bad}'"):
+            parse_alpha(bad)
 
 
 def test_eval_csv_totals(capsys):
@@ -159,6 +162,12 @@ def test_eval_csv_totals(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "l,f_l,term"
     assert lines[-1].startswith("phi,,")
+
+
+def test_target_level_defaults_to_one(capsys):
+    _, default, _ = run(capsys, "target", "--alpha", "golden", "--n", "3")
+    _, first, _ = run(capsys, "target", "--alpha", "golden", "--n", "3", "--level", "1")
+    assert default == first and default.splitlines()[1].startswith("1,0,")
 
 
 def test_target_single_interval(capsys):
@@ -205,6 +214,12 @@ def test_orbit_json_error_bound(capsys):
         ("--m-range", ("sum", "--x", "1/7", "--m-range", "5")),
         ("--m-range", ("sum", "--x", "1/7", "--m-range", "5:3")),
         ("--store-every", ("orbit", "--x", "1/7", "--store-every", "0")),
+        ("--level", ("target", "--level", "0")),
+        ("--level", ("target", "--level", "0", "--j", "0")),
+        ("--level", ("target", "--n", "3", "--level", "4")),
+        ("--alpha", ("cf", "--alpha", "quotients=a")),
+        ("--alpha", ("cf", "--alpha", "quotients=1,,x")),
+        ("--alpha", ("cf", "--alpha", "periodic=1,x;2")),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, flag, argv):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,41 @@ def test_audits_raise_when_master_identity_breaks(greedy_cocycle, tent_cocycle, 
     _, mixed = sample_point(tent_cocycle.profile, "-+", "center", 6)
     with pytest.raises(AssertionError):
         audit_mixed(tent_cocycle, mixed, 83)
+
+
+#: Run with ``python -O``: exits 0 only if both audits still raise when the
+#: master identity is broken, i.e. the check is not an ``assert``.
+OPTIMIZED_SCRIPT = """
+import importlib, sys
+from besicov import audit_aligned, audit_mixed, make_cocycle, sample_point, IrrationalSpec
+
+if __debug__:
+    sys.exit("not running under python -O")
+audit_mod = importlib.import_module("besicov.audit")
+real = audit_mod.phi_m
+audit_mod.phi_m = lambda cspec, x, m: real(cspec, x, m) + 1
+golden = IrrationalSpec.from_preset("golden")
+main = make_cocycle(golden, "greedy", "main", 5, n_levels=5)
+tent = make_cocycle(golden, "greedy", "tent", 6, n_levels=6)
+cases = [
+    (audit_aligned, main, sample_point(main.profile, "++", "center", 5)[1], 1),
+    (audit_mixed, tent, sample_point(tent.profile, "-+", "center", 6)[1], 83),
+]
+for check, cspec, path, m in cases:
+    try:
+        check(cspec, path, m)
+    except AssertionError as e:
+        if "phi_m" not in str(e):
+            sys.exit(f"{check.__name__} raised the wrong error: {e}")
+    else:
+        sys.exit(f"{check.__name__} accepted a wrong phi_m")
+"""
+
+
+def test_master_identity_checks_survive_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
