@@ -260,7 +260,10 @@ def cmd_target(cfg: RunConfig, stream) -> int:
     n = cfg.extra.get("level", 1)
     if not 1 <= n <= profile.n_max:
         raise UsageError(f"--level must be in 1..{profile.n_max}, got {n}")
+    lv = profile.level(n)
     if cfg.j is not None:
+        if not 0 <= cfg.j < lv.cell_count:
+            raise UsageError(f"--j must be in 0..{lv.cell_count - 1} at level {n}, got {cfg.j}")
         iv = interval(profile, fam, n, cfg.j)
         rows = [{
             "n": n, "j": cfg.j, "family": fam,
@@ -268,7 +271,6 @@ def cmd_target(cfg: RunConfig, stream) -> int:
             "b_num": str(iv.b.numerator), "b_den": str(iv.b.denominator),
         }]
     else:
-        lv = profile.level(n)
         if lv.cell_count > cfg.extra.get("max_rows", 100000):
             raise ValueError(
                 f"level {n} has {lv.cell_count} intervals; pass --j or raise --max-rows"
@@ -304,6 +306,12 @@ def cmd_dimension(cfg: RunConfig, stream) -> int:
 
     profile = cfg.profile()
     fam = canonical_family(cfg.family)
+    box_level = cfg.extra.get("box_level", 1)
+    if cfg.extra.get("box"):
+        if not 1 <= box_level <= profile.n_max:
+            raise UsageError(f"--box-level must be in 1..{profile.n_max}, got {box_level}")
+        if cfg.grid < 3:
+            raise UsageError(f"--grid must be >= 3 for --box (two distinct grids), got {cfg.grid}")
     stats = dim_mod.nesting_stats(profile, mode=cfg.mode, family=fam)
     bounds = dim_mod.falconer_bounds(stats)
     rows = dim_mod.nesting_rows_csv(stats, bounds)
@@ -317,7 +325,7 @@ def cmd_dimension(cfg: RunConfig, stream) -> int:
         best = finite[-1]
         payload["product_set_dimension"] = f"{1 + float(best.lower.mid):.12g}"
     if cfg.extra.get("box"):
-        res = dim_mod.box_count(profile, fam, cfg.extra.get("box_level", 1), cfg.grid)
+        res = dim_mod.box_count(profile, fam, box_level, cfg.grid)
         payload["box"] = {
             "counts": [[g, c] for g, c in res.counts],
             "slope": f"{res.slope:.12g}",

@@ -15,6 +15,14 @@ arithmetic of its argument.  The certificates here call it with Fractions and
 the orbit lane in :mod:`besicov.dynamics` with mpf values, so both lanes
 evaluate the same bump.
 
+:func:`birkhoff` walks the orbit on the integer lattice instead: with
+alpha_hat = p_N/q_N and x = a/b, every orbit point is u/D with
+D = lcm(b, q_N), so each level's position in its period is an integer
+r = u A_n q_{k_n} mod D, each bump an integer numerator (:func:`_bump_num`),
+and each level's sum one Python int, turned into a Fraction once at the end.
+:func:`phi_m` stays on :func:`unit_position`/:func:`bump`, so the identity
+phi_m == birkhoff compares two different evaluations of the same sum.
+
 The cocycle itself is the series of coboundary-like differences
 f_l(x + alpha) - f_l(x).  The library replaces alpha by one deep convergent
 alpha_hat = p_N/q_N *everywhere*, which turns every audited statement into an
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .cf import IrrationalSpec, convergent
@@ -64,6 +73,21 @@ def bump(u, variant: str, peak):
     if u >= type(u)(5) / 12:
         return peak
     return peak * ((u - twelfth) * 3)
+
+
+def _bump_num(r: int, d: int, variant: str) -> int:
+    """:func:`bump` at u = r/d in integer numerators, for 0 <= r < d.
+
+    The value is peak * _bump_num / (4d): the same fold (2r > d stands for
+    u*2 > 1), then clamp(12s - d, 0, 4d) for main and 8s (2u over 4d) for tent.
+    """
+    s = d - r if 2 * r > d else r
+    if variant == "tent":
+        return 8 * s
+    t = 12 * s - d
+    if t <= 0:
+        return 0
+    return t if t < 4 * d else 4 * d
 
 
 def level_max(level: LevelParams, variant: str) -> Fraction:
@@ -207,21 +231,37 @@ def phi_m(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
 
 
 def birkhoff(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
-    """m-th ergodic sum by direct orbit summation.
+    """m-th ergodic sum by direct orbit summation, on the integer lattice.
 
-    Agrees with :func:`phi_m` bit for bit because the same alpha_hat is used
-    throughout and each f_l has period dividing 1; this equality is the
-    module's master correctness check.
+    Every orbit point x + j alpha_hat mod 1 is u_j/D with D = lcm(den x, q_N),
+    and u steps by p_N D/q_N mod D (backward for m < 0).  Per level, the
+    position r = u A_n q_{k_n} mod D steps by a fixed integer, and the bump
+    differences f_l(y_{j+1}) - f_l(y_j) along the orbit add up as one integer
+    numerator; one Fraction per level is built at the end.  Agrees with
+    :func:`phi_m` bit for bit because the same alpha_hat is used throughout and
+    each f_l has period dividing 1; since phi_m evaluates through
+    :func:`unit_position`/:func:`bump`, this equality is the module's master
+    correctness check.
     """
     a = cspec.alpha_hat
+    b, q = x.denominator, a.denominator
+    d = lcm(b, q)
+    u = x.numerator * (d // b) % d
+    step = a.numerator * (d // q) * (1 if m >= 0 else -1)
+    v = cspec.variant
     total = Fraction(0)
-    y = x
-    if m >= 0:
-        for _ in range(m):
-            total += phi(cspec, y)
-            y = (y + a) % 1
-    else:
-        for _ in range(-m):
-            y = (y - a) % 1
-            total -= phi(cspec, y)
+    for lv in cspec.levels:
+        c = lv.cell_count
+        dr = step * c % d
+        r = u * c % d
+        g = _bump_num(r, d, v)
+        acc = 0
+        for _ in range(abs(m)):
+            r += dr
+            if r >= d:
+                r -= d
+            g_next = _bump_num(r, d, v)
+            acc += g_next - g
+            g = g_next
+        total += level_max(lv, v) * Fraction(acc, 4 * d)
     return total

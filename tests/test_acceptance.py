@@ -62,7 +62,7 @@ def test_c02_telescoping_identity():
                 assert phi_m(cs, x, m) == birkhoff(cs, x, m), (variant, x, m)
                 checked += 1
     elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0, elapsed
+    assert elapsed < 5.0, elapsed
     report(2, f"phi_m == birkhoff bit-exact on {checked} cases in {elapsed:.1f}s")
 
 

@@ -220,6 +220,9 @@ def test_orbit_json_error_bound(capsys):
         ("--alpha", ("cf", "--alpha", "quotients=a")),
         ("--alpha", ("cf", "--alpha", "quotients=1,,x")),
         ("--alpha", ("cf", "--alpha", "periodic=1,x;2")),
+        ("--j", ("target", "--level", "2", "--j", "-1")),
+        ("--box-level", ("dimension", "--box", "--box-level", "9")),
+        ("--grid", ("dimension", "--box", "--grid", "0")),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, flag, argv):

@@ -1,18 +1,28 @@
 """Dual-route cross-checks: independent re-derivations of certified values.
 
 Each check here recomputes a quantity through a second, structurally
-different route (closed-form piecewise arithmetic, or high-precision floats
-of the underlying quadratic irrational) and compares against the library's
-exact machinery.
+different route (closed-form piecewise arithmetic, a Fraction walk along the
+orbit, or high-precision floats of the underlying quadratic irrational) and
+compares against the library's exact machinery.
 """
 
 import random
 from fractions import Fraction
 from math import floor
 
+import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from besicov import IrrationalSpec, convergent, eval_level, make_cocycle, phi_m
+from besicov import (
+    IrrationalSpec,
+    birkhoff,
+    convergent,
+    eval_level,
+    make_cocycle,
+    phi,
+    phi_m,
+)
 from besicov.audit import _certify_shift_window
 from besicov.levels import LevelParams
 
@@ -62,6 +72,66 @@ def test_phi_m_against_closed_form_sum(golden):
             for lv in cs.levels
         )
         assert phi_m(cs, x, m) == expected
+
+
+def birkhoff_fraction_orbit(cs, x: Fraction, m: int) -> Fraction:
+    """The m-th ergodic sum as a Fraction walk: phi at every orbit point."""
+    a = cs.alpha_hat
+    total = Fraction(0)
+    y = x
+    if m >= 0:
+        for _ in range(m):
+            total += phi(cs, y)
+            y = (y + a) % 1
+    else:
+        for _ in range(-m):
+            y = (y - a) % 1
+            total -= phi(cs, y)
+    return total
+
+
+ORBIT_XS = (
+    Fraction(3, 7),
+    Fraction(-22, 7),
+    Fraction(-(10**40) // 3, 10**40 + 7),
+    Fraction(10**40 // 7, 10**40 + 7),
+)
+
+
+# fixed profiles cut at n levels: q_N is 42 / 69 / 107 bits at n = 2 / 3 / 4
+@pytest.mark.parametrize("variant", ["main", "tent"])
+@pytest.mark.parametrize(
+    "strategy, n, n_levels", [("greedy", 5, None), ("fixed", 2, 2), ("fixed", 3, 3), ("fixed", 4, 4)]
+)
+def test_birkhoff_against_fraction_orbit(golden, variant, strategy, n, n_levels):
+    cs = make_cocycle(golden, strategy, variant, n, n_levels=n_levels)
+    for x in ORBIT_XS:
+        for m in (0, 1, -1, 2, -2, 113, -113):
+            assert birkhoff(cs, x, m) == birkhoff_fraction_orbit(cs, x, m), (x, m)
+
+
+@given(
+    num=st.integers(-(10**40), 10**40),
+    den=st.integers(1, 10**40),
+    m=st.integers(-200, 200),
+    tent=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_birkhoff_property(greedy_cocycle, tent_cocycle, num, den, m, tent):
+    cs = tent_cocycle if tent else greedy_cocycle
+    x = Fraction(num, den)
+    assert birkhoff(cs, x, m) == birkhoff_fraction_orbit(cs, x, m)
+
+
+# the Fraction walk is too slow this far out; phi_m telescopes instead
+@pytest.mark.parametrize(
+    "fixture, m",
+    [("greedy_cocycle", 10**5), ("tent_cocycle", -(10**5)), ("greedy_cocycle", -(10**6))],
+)
+def test_birkhoff_large_m_against_phi_m(fixture, m, request):
+    cs = request.getfixturevalue(fixture)
+    x = Fraction(-5, 13)
+    assert birkhoff(cs, x, m) == phi_m(cs, x, m)
 
 
 def _alpha_mpf(preset: str) -> mpf:
