@@ -26,7 +26,7 @@ the exact surrogate tail - head_bound and marks the certificate indeterminate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -222,6 +222,54 @@ def _require_membership(profile: Profile, path: DigitPath, levels: int) -> None:
         )
 
 
+def _audited_terms(
+    cspec: CocycleSpec, path: DigitPath, m: int, kind: str
+) -> tuple[WindowIndex, list[Fraction]]:
+    """The part both audits share: check the family kind, find the window
+    n(m), require depth n(m) + 2 and membership at every audited level, and
+    return the exact terms for l <= L = min(n_levels, depth) once they are
+    shown to sum to phi_m of the depth-L truncation."""
+    if family_kind(path.family) != kind:
+        raise ValueError(f"family {path.family} is not {kind}")
+    if m == 0:
+        raise BelowFirstWindow("m = 0 is excluded")
+    w = window(cspec.profile, kind, m, n_limit=cspec.n_levels)
+    _require_depth(path, w.n + 2)
+    L = min(cspec.n_levels, path.depth)
+    _require_membership(cspec.profile, path, L)
+    shift = m * cspec.alpha_hat
+    terms = [
+        term(cspec.profile.level(l), cspec.variant, path.point, shift) for l in range(1, L + 1)
+    ]
+    if sum(terms) != phi_m(cspec.truncated(L), path.point, m):
+        raise AssertionError(f"audited terms do not sum to phi_m at m={m}")
+    return w, terms
+
+
+def _report(
+    cspec: CocycleSpec, path: DigitPath, m: int, w: WindowIndex, terms: list[Fraction],
+    rows: list[ReportRow], **own,
+) -> DivergenceReport:
+    """A report with the fields both audits fill alike; ``own`` holds the rest."""
+    L = len(terms)
+    return DivergenceReport(
+        family=path.family,
+        kind=w.kind,
+        m=m,
+        n_of_m=w.n,
+        window_lo=w.lo,
+        window_hi=w.hi,
+        x=path.point,
+        indices=path.indices,
+        levels_audited=L,
+        rows=rows,
+        total=sum(terms),
+        sub_budget=cspec.sub_budget(m),
+        extension_tail_bound=abs(m) * Fraction(1, L),
+        **own,
+    )
+
+
 def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport:
     """Certify the one-sided divergence estimate for "++" or "--" points.
 
@@ -229,44 +277,13 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
     l <= min(depth, n_levels); every level then holds an exact membership
     certificate, making the sign checks unconditional.
     """
-    fam = path.family
-    if family_kind(fam) != "aligned":
-        raise ValueError(f"family {fam} is not aligned")
-    w = window(cspec.profile, "aligned", m, n_limit=cspec.n_levels)
-    _require_depth(path, w.n + 2)
-    L = min(cspec.n_levels, path.depth)
-    _require_membership(cspec.profile, path, L)
-    sign = 1 if fam == "++" else -1
-    x = path.point
-    shift = m * cspec.alpha_hat
-    variant = cspec.variant
-
-    rows: list[ReportRow] = []
-    total = Fraction(0)
-    pivot_value = Fraction(0)
+    w, terms = _audited_terms(cspec, path, m, "aligned")
+    sign = 1 if path.family == "++" else -1
     lv_n = cspec.profile.level(w.n)
-    pivot_bound = Fraction(lv_n.q_next, 75 * lv_n.a * w.n * w.n)
-    budget = cspec.sub_budget_level(w.n, m)
-    certified = pivot_bound - budget
-
-    for l in range(1, L + 1):
-        lv = cspec.profile.level(l)
-        t = term(lv, variant, x, shift)
-        total += t
-        sign_ok = t * sign >= 0
-        if l == w.n:
-            pivot_value = t
-            rows.append(
-                ReportRow(
-                    l=l,
-                    value=t,
-                    sign_ok=sign_ok,
-                    bound=certified,
-                    bound_ok=abs(t) > certified,
-                )
-            )
-        else:
-            rows.append(ReportRow(l=l, value=t, sign_ok=sign_ok))
+    certified = Fraction(lv_n.q_next, 75 * lv_n.a * w.n * w.n) - cspec.sub_budget_level(w.n, m)
+    rows = [ReportRow(l=l, value=t, sign_ok=t * sign >= 0) for l, t in enumerate(terms, 1)]
+    pivot_value = terms[w.n - 1]
+    rows[w.n - 1] = replace(rows[w.n - 1], bound=certified, bound_ok=abs(pivot_value) > certified)
 
     # window bullets: q-scaled displacement strictly inside (9/50, 1/2) of a period
     bullets_ok = _certify_shift_window(
@@ -288,27 +305,9 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
         status = "fail"
     else:
         status = "pass"
-
-    if total != phi_m(cspec.truncated(L), x, m):
-        raise AssertionError(f"audited terms do not sum to phi_m at m={m}")
-    return DivergenceReport(
-        family=fam,
-        kind="aligned",
-        m=m,
-        n_of_m=w.n,
-        window_lo=w.lo,
-        window_hi=w.hi,
-        x=x,
-        indices=path.indices,
-        levels_audited=L,
-        rows=rows,
-        total=total,
-        sub_budget=cspec.sub_budget(m),
-        extension_tail_bound=abs(m) * Fraction(1, L),
-        certified_lower=certified,
-        expected_sign=sign,
-        status=status,
-        notes=notes,
+    return _report(
+        cspec, path, m, w, terms, rows,
+        certified_lower=certified, expected_sign=sign, status=status, notes=notes,
     )
 
 
@@ -322,54 +321,33 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     the exact surrogate net = |tail| - head_bound - tail_budget, passing when
     it is positive and indeterminate otherwise.
     """
-    fam = path.family
-    if family_kind(fam) != "mixed":
-        raise ValueError(f"family {fam} is not mixed")
-    if m == 0:
-        raise BelowFirstWindow("m = 0 is excluded")
-    w = window(cspec.profile, "mixed", m, n_limit=cspec.n_levels)
-    _require_depth(path, w.n + 2)
-    L = min(cspec.n_levels, path.depth)
-    _require_membership(cspec.profile, path, L)
-    x = path.point
-    shift = m * cspec.alpha_hat
-    variant = cspec.variant
-    sp = SignPair.of(fam)
+    w, terms = _audited_terms(cspec, path, m, "mixed")
+    sp = SignPair.of(path.family)
     k1 = cspec.profile.level(1).k
     expected = (-1 if k1 % 2 else 1) * (1 if sp.s_plus == "+" else -1) * (1 if m > 0 else -1)
 
     lv_n = cspec.profile.level(w.n)
-    rows: list[ReportRow] = []
-    head = Fraction(0)
-    head_bound = Fraction(0)
-    tail = Fraction(0)
+    head, tail = sum(terms[: w.n]), sum(terms[w.n :])
+    levels = cspec.profile.levels
+    head_bound = sum(2 * level_max(lv, cspec.variant) for lv in levels[: w.n])
+    rows = [ReportRow(l=l, value=t, sign_ok=True) for l, t in enumerate(terms[: w.n], 1)]
     tail_bound_sum = Fraction(0)
     tail_budget = Fraction(0)
     all_ok = True
 
-    for l in range(1, L + 1):
-        lv = cspec.profile.level(l)
-        t = term(lv, variant, x, shift)
-        if l <= w.n:
-            head += t
-            head_bound += 2 * level_max(lv, variant)
-            rows.append(ReportRow(l=l, value=t, sign_ok=True))
-            continue
-        bound = Fraction(lv_n.q_next, 24 * lv_n.a * l * l) - cspec.sub_budget_level(l, m)
+    for l, t in enumerate(terms[w.n :], w.n + 1):
+        lv = levels[l - 1]
+        budget = cspec.sub_budget_level(l, m)
+        bound = Fraction(lv_n.q_next, 24 * lv_n.a * l * l) - budget
         sign_ok = t != 0 and (1 if t > 0 else -1) == expected
         bound_ok = abs(t) > bound
-        all_ok = all_ok and sign_ok and bound_ok
         # displacement premise: both bump arguments share a linearity interval
-        premise = _certify_shift_window(
-            cspec.profile, lv.k, m, Fraction(0), lv.period / 12
-        )
-        all_ok = all_ok and premise
-        tail += t
+        premise = _certify_shift_window(cspec.profile, lv.k, m, Fraction(0), lv.period / 12)
+        all_ok = all_ok and sign_ok and bound_ok and premise
         tail_bound_sum += bound
-        tail_budget += cspec.sub_budget_level(l, m)
+        tail_budget += budget
         rows.append(ReportRow(l=l, value=t, sign_ok=sign_ok, bound=bound, bound_ok=bound_ok))
 
-    total = head + tail
     net = abs(tail) - tail_budget - head_bound
     if not all_ok:
         status = "fail"
@@ -377,23 +355,8 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
         status = "pass"
     else:
         status = "indeterminate"
-
-    if total != phi_m(cspec.truncated(L), x, m):
-        raise AssertionError(f"audited terms do not sum to phi_m at m={m}")
-    return DivergenceReport(
-        family=fam,
-        kind="mixed",
-        m=m,
-        n_of_m=w.n,
-        window_lo=w.lo,
-        window_hi=w.hi,
-        x=x,
-        indices=path.indices,
-        levels_audited=L,
-        rows=rows,
-        total=total,
-        sub_budget=cspec.sub_budget(m),
-        extension_tail_bound=abs(m) * Fraction(1, L),
+    return _report(
+        cspec, path, m, w, terms, rows,
         certified_lower=max(net, Fraction(0)),
         expected_sign=expected,
         status=status,

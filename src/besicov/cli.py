@@ -16,8 +16,9 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, get_args, get_type_hints
 
@@ -45,6 +46,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no besicov flag looks like a number, so "-1/7" or "-3:3" is a value
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     def error(self, message):  # argparse exits 2 by default; the contract is 1
         self.print_usage(sys.stderr)
         raise UsageError(message)
@@ -74,45 +80,62 @@ def parse_rational(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag} expects a rational like 3/7, got {text!r}") from None
 
 
+def _flag(default, *, on: Optional[tuple[str, ...]] = None, choices: Optional[tuple] = None):
+    """A RunConfig field whose flag is offered only by the subcommands ``on``
+    (None: by every subcommand) and only takes ``choices``."""
+    return field(default=default, metadata={"on": on, "choices": choices})
+
+
 @dataclass
 class RunConfig:
-    """Everything a subcommand needs, merged from defaults, --config, flags."""
+    """Everything a subcommand needs, merged from defaults, --config, flags.
+
+    Each field is one flag, ``--name-with-dashes``: its type hint gives the
+    argparse type (bool: a switch) and the JSON types --config takes, and the
+    field order is the flag order of every --help page.
+    """
 
     alpha: str = "golden"
-    strategy: str = "greedy"
-    variant: str = "main"
+    strategy: str = _flag("greedy", choices=("fixed", "greedy"))
+    variant: str = _flag("main", choices=("main", "tent"))
     n: int = 4
     depth: Optional[int] = None
     alpha_depth: Optional[int] = None
     trunc: Optional[int] = None
     precision_bits: int = 128
-    m: Optional[int] = None
-    m_range: Optional[str] = None
-    family: str = "pp"
+    family: str = _flag("pp", choices=tuple(FAMILY_CODES))
     x: Optional[str] = None
-    grid: int = 1000
-    horizon: int = 1000
-    eps: str = "1/10"
-    delta: str = "1/1000"
     seed: int = 0
-    out: str = "csv"
-    upto: int = 10
-    mode: str = "formula"
-    policy: str = "center"
-    j: Optional[int] = None
-    t0: str = "0"
-    steps: int = 100
-    store_every: int = 1
-    kind: str = "sensitivity"
-    height: str = "3"
-    samples: int = 8
-    extra: dict = field(default_factory=dict)
+    out: str = _flag("csv", choices=("csv", "json"))
+    config: Optional[str] = None  # the --config file itself, never a key in it
+    upto: int = _flag(10, on=("cf",))
+    check: bool = _flag(False, on=("cf",))
+    m: Optional[int] = _flag(None, on=("sum", "audit"))
+    m_range: Optional[str] = _flag(None, on=("sum", "audit"))
+    level: int = _flag(1, on=("target",))
+    j: Optional[int] = _flag(None, on=("target",))
+    policy: str = _flag("center", on=("target", "audit"), choices=("center", "leftmost"))
+    max_rows: int = _flag(100000, on=("target",))
+    mode: str = _flag("formula", on=("dimension",), choices=("formula", "measured"))
+    kind: str = _flag("sensitivity", on=("probe",),
+                      choices=("sensitivity", "nonrecurrence", "coverage", "classify"))
+    eps: str = _flag("1/10", on=("probe",))
+    delta: str = _flag("1/1000", on=("probe",))
+    horizon: int = _flag(1000, on=("probe",))
+    grid: int = _flag(1000, on=("dimension", "probe"))
+    box: bool = _flag(False, on=("dimension",))
+    box_level: int = _flag(1, on=("dimension",))
+    height: str = _flag("3", on=("probe",))
+    samples: int = _flag(8, on=("probe",))
+    t0: str = _flag("0", on=("orbit", "probe"))
+    steps: int = _flag(100, on=("orbit",))
+    store_every: int = _flag(1, on=("orbit",))
 
     def spec(self) -> IrrationalSpec:
         return parse_alpha(self.alpha)
 
-    def profile(self, n: Optional[int] = None) -> Profile:
-        return select_levels(self.spec(), self.strategy, self.variant, n or self.n)
+    def profile(self) -> Profile:
+        return select_levels(self.spec(), self.strategy, self.variant, self.n)
 
     def cocycle(self) -> CocycleSpec:
         if self.trunc is not None and self.trunc < 1:
@@ -172,11 +195,11 @@ def cmd_cf(cfg: RunConfig, stream) -> int:
     for n in range(cfg.upto + 1):
         c = convergent(spec, n)
         row = {"n": n, "p": str(c.p), "q": str(c.q), "side": "below" if c.sign > 0 else "above"}
-        if cfg.extra.get("check"):
+        if cfg.check:
             row["gap_ok"] = gap_bounds_check(spec, n).passed if n >= 1 else ""
         rows.append(row)
     _emit(cfg, rows, {"convergents": rows}, stream)
-    if cfg.extra.get("check") and any(r["gap_ok"] is False for r in rows):
+    if cfg.check and any(r["gap_ok"] is False for r in rows):
         return CERT_FAILURE
     return 0
 
@@ -242,11 +265,19 @@ def cmd_sum(cfg: RunConfig, stream) -> int:
     return 0 if ok else CERT_FAILURE
 
 
+def _check_level(flag: str, value: int, profile: Profile) -> int:
+    """The value of a flag that names a level of ``profile``."""
+    if not 1 <= value <= profile.n_max:
+        raise UsageError(f"{flag} must be in 1..{profile.n_max}, got {value}")
+    return value
+
+
 def cmd_target(cfg: RunConfig, stream) -> int:
     profile = cfg.profile()
     fam = canonical_family(cfg.family)
     if cfg.depth is not None:
-        x, path = sample_point(profile, fam, cfg.policy, cfg.depth)
+        depth = _check_level("--depth", cfg.depth, profile)
+        x, path = sample_point(profile, fam, cfg.policy, depth)
         payload = {
             "family": fam,
             "x": str(x),
@@ -257,9 +288,7 @@ def cmd_target(cfg: RunConfig, stream) -> int:
                  "indices": " ".join(map(str, path.indices))}]
         _emit(cfg, rows, payload, stream)
         return 0
-    n = cfg.extra.get("level", 1)
-    if not 1 <= n <= profile.n_max:
-        raise UsageError(f"--level must be in 1..{profile.n_max}, got {n}")
+    n = _check_level("--level", cfg.level, profile)
     lv = profile.level(n)
     if cfg.j is not None:
         if not 0 <= cfg.j < lv.cell_count:
@@ -271,7 +300,7 @@ def cmd_target(cfg: RunConfig, stream) -> int:
             "b_num": str(iv.b.numerator), "b_den": str(iv.b.denominator),
         }]
     else:
-        if lv.cell_count > cfg.extra.get("max_rows", 100000):
+        if lv.cell_count > cfg.max_rows:
             raise ValueError(
                 f"level {n} has {lv.cell_count} intervals; pass --j or raise --max-rows"
             )
@@ -290,7 +319,10 @@ def cmd_audit(cfg: RunConfig, stream) -> int:
     n_needed = max(
         window_of(cspec.profile, kind, m, n_limit=cspec.n_levels).n for m in ms
     )
-    depth = cfg.depth or min(cspec.n_levels, n_needed + (3 if kind == "mixed" else 2))
+    if cfg.depth is None:
+        depth = min(cspec.n_levels, n_needed + (3 if kind == "mixed" else 2))
+    else:
+        depth = _check_level("--depth", cfg.depth, cspec.profile)
     _, path = sample_point(cspec.profile, fam, cfg.policy, depth)
     reports = [run_audit(cspec, path, m) for m in ms]
     rows = [r for rep in reports for r in rep.csv_rows()]
@@ -306,10 +338,8 @@ def cmd_dimension(cfg: RunConfig, stream) -> int:
 
     profile = cfg.profile()
     fam = canonical_family(cfg.family)
-    box_level = cfg.extra.get("box_level", 1)
-    if cfg.extra.get("box"):
-        if not 1 <= box_level <= profile.n_max:
-            raise UsageError(f"--box-level must be in 1..{profile.n_max}, got {box_level}")
+    if cfg.box:
+        _check_level("--box-level", cfg.box_level, profile)
         if cfg.grid < 3:
             raise UsageError(f"--grid must be >= 3 for --box (two distinct grids), got {cfg.grid}")
     stats = dim_mod.nesting_stats(profile, mode=cfg.mode, family=fam)
@@ -324,8 +354,8 @@ def cmd_dimension(cfg: RunConfig, stream) -> int:
     if finite:
         best = finite[-1]
         payload["product_set_dimension"] = f"{1 + float(best.lower.mid):.12g}"
-    if cfg.extra.get("box"):
-        res = dim_mod.box_count(profile, fam, box_level, cfg.grid)
+    if cfg.box:
+        res = dim_mod.box_count(profile, fam, cfg.box_level, cfg.grid)
         payload["box"] = {
             "counts": [[g, c] for g, c in res.counts],
             "slope": f"{res.slope:.12g}",
@@ -401,11 +431,14 @@ def cmd_probe(cfg: RunConfig, stream) -> int:
             precision_bits=cfg.precision_bits,
         )
     elif cfg.kind == "coverage":
+        height = parse_rational(cfg.height, "--height")
+        if height <= 0:
+            raise UsageError(f"--height must be > 0, got {cfg.height!r}")
         rec = dyn_mod.orbit(
             cspec, x, parse_rational(cfg.t0, "--t0"), steps=cfg.horizon,
             precision_bits=cfg.precision_bits,
         )
-        frac = dyn_mod.coverage(rec, float(parse_rational(cfg.height, "--height")), cfg.grid)
+        frac = dyn_mod.coverage(rec, float(height), cfg.grid)
         res = dyn_mod.ProbeResult(
             kind="coverage",
             params={"horizon": cfg.horizon, "grid": cfg.grid, "height": cfg.height,
@@ -427,110 +460,43 @@ def cmd_probe(cfg: RunConfig, stream) -> int:
     return 0
 
 
+#: Subcommands in --help order: handler and help line.
 COMMANDS = {
-    "cf": cmd_cf,
-    "levels": cmd_levels,
-    "eval": cmd_eval,
-    "sum": cmd_sum,
-    "target": cmd_target,
-    "audit": cmd_audit,
-    "dimension": cmd_dimension,
-    "orbit": cmd_orbit,
-    "probe": cmd_probe,
+    "cf": (cmd_cf, "convergent table"),
+    "levels": (cmd_levels, "level profile and validation certificates"),
+    "eval": (cmd_eval, "cocycle values at a point"),
+    "sum": (cmd_sum, "phi_m / birkhoff cross-check"),
+    "target": (cmd_target, "interval tables and certified samples"),
+    "audit": (cmd_audit, "divergence reports"),
+    "dimension": (cmd_dimension, "nesting stats and dimension bounds"),
+    "orbit": (cmd_orbit, "simulate the cylinder map"),
+    "probe": (cmd_probe, "chaos diagnostics"),
 }
+
+#: Allowed Python types of each RunConfig field (Optional[int] allows int and None).
+_TYPES = {key: get_args(hint) or (hint,) for key, hint in get_type_hints(RunConfig).items()}
+_JSON_NAMES = {bool: "true/false", int: "an integer", str: "a string", type(None): "null"}
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="besicov", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--alpha", default=None)
-        sp.add_argument("--strategy", choices=("fixed", "greedy"), default=None)
-        sp.add_argument("--variant", choices=("main", "tent"), default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--alpha-depth", type=int, default=None, dest="alpha_depth")
-        sp.add_argument("--trunc", type=int, default=None)
-        sp.add_argument("--precision-bits", type=int, default=None, dest="precision_bits")
-        sp.add_argument("--family", choices=tuple(FAMILY_CODES), default=None)
-        sp.add_argument("--x", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", choices=("csv", "json"), default=None)
-        sp.add_argument("--config", default=None)
-
-    sp = sub.add_parser("cf", help="convergent table")
-    common(sp)
-    sp.add_argument("--upto", type=int, default=None)
-    sp.add_argument("--check", action="store_true")
-
-    sp = sub.add_parser("levels", help="level profile and validation certificates")
-    common(sp)
-
-    sp = sub.add_parser("eval", help="cocycle values at a point")
-    common(sp)
-
-    sp = sub.add_parser("sum", help="phi_m / birkhoff cross-check")
-    common(sp)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--m-range", default=None, dest="m_range")
-
-    sp = sub.add_parser("target", help="interval tables and certified samples")
-    common(sp)
-    sp.add_argument("--level", type=int, default=None)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--policy", choices=("center", "leftmost"), default=None)
-    sp.add_argument("--max-rows", type=int, default=None, dest="max_rows")
-
-    sp = sub.add_parser("audit", help="divergence reports")
-    common(sp)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--m-range", default=None, dest="m_range")
-    sp.add_argument("--policy", choices=("center", "leftmost"), default=None)
-
-    sp = sub.add_parser("dimension", help="nesting stats and dimension bounds")
-    common(sp)
-    sp.add_argument("--mode", choices=("formula", "measured"), default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--box", action="store_true")
-    sp.add_argument("--box-level", type=int, default=None, dest="box_level")
-
-    sp = sub.add_parser("orbit", help="simulate the cylinder map")
-    common(sp)
-    sp.add_argument("--t0", default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--store-every", type=int, default=None, dest="store_every")
-
-    sp = sub.add_parser("probe", help="chaos diagnostics")
-    common(sp)
-    sp.add_argument("--kind", choices=("sensitivity", "nonrecurrence", "coverage", "classify"),
-                    default=None)
-    sp.add_argument("--eps", default=None)
-    sp.add_argument("--delta", default=None)
-    sp.add_argument("--horizon", type=int, default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--height", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--t0", default=None)
+    for name, (_, help_text) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for f in fields(RunConfig):
+            on, choices = f.metadata.get("on"), f.metadata.get("choices")
+            if on is not None and name not in on:
+                continue
+            flag, kind = "--" + f.name.replace("_", "-"), _TYPES[f.name][0]
+            if kind is bool:
+                sp.add_argument(flag, action="store_true", default=argparse.SUPPRESS)
+            else:
+                sp.add_argument(flag, type=kind, choices=choices, default=argparse.SUPPRESS)
     return p
 
 
-#: Keys that are flags of some subcommands only, kept in ``RunConfig.extra``.
-_EXTRA_KEYS = {"check": bool, "level": int, "max_rows": int, "box": bool, "box_level": int}
-_JSON_NAMES = {bool: "true/false", int: "an integer", str: "a string", type(None): "null"}
-
-
-def _config_types() -> dict:
-    """Allowed Python types of every --config key, from RunConfig's fields
-    (Optional[int] allows int and None) and the extra flags."""
-    hints = get_type_hints(RunConfig)
-    del hints["extra"]
-    types = {key: get_args(hint) or (hint,) for key, hint in hints.items()}
-    types.update((key, (t,)) for key, t in _EXTRA_KEYS.items())
-    return types
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the --config file's keys, then the flags given."""
     cfg = RunConfig()
     file_vals: dict = {}
     if getattr(args, "config", None):
@@ -538,23 +504,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             file_vals = json.load(fh)
         if not isinstance(file_vals, dict):
             raise UsageError("--config expects a JSON object of flag names")
-    types = _config_types()
     for key, value in file_vals.items():
-        if key not in types:
+        if key not in _TYPES or key == "config":
             raise UsageError(f"unknown --config key {key!r}")
-        if type(value) not in types[key]:  # bool is not taken for int
-            expected = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in types[key])
+        if type(value) not in _TYPES[key]:  # bool is not taken for int
+            expected = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in _TYPES[key])
             raise UsageError(f"--config key {key!r} expects {expected}, got {value!r}")
-        if key in _EXTRA_KEYS:
-            cfg.extra[key] = value
-        else:
-            setattr(cfg, key, value)
+        setattr(cfg, key, value)
     for key, value in vars(args).items():
-        if key in ("command", "config") or value is None or value is False:
-            continue
-        if key in _EXTRA_KEYS:
-            cfg.extra[key] = value
-        elif hasattr(cfg, key):
+        if key != "command":
             setattr(cfg, key, value)
     return cfg
 
@@ -565,7 +523,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         cfg = config_from_args(args)
         out = io.StringIO()
-        code = COMMANDS[args.command](cfg, out)
+        code = COMMANDS[args.command][0](cfg, out)
         sys.stdout.write(out.getvalue())
         return code
     except UsageError as e:

@@ -137,8 +137,8 @@ def test_certificate_failure_exit_two(capsys, monkeypatch):
             n_max=good.n_max, levels=good.levels[:-1] + (bad,),
         )
 
-    monkeypatch.setattr(cli.RunConfig, "profile", lambda self, n=None: tampered(
-        self.spec(), self.strategy, self.variant, n or self.n))
+    monkeypatch.setattr(cli.RunConfig, "profile", lambda self: tampered(
+        self.spec(), self.strategy, self.variant, self.n))
     code, _, err = run(capsys, "levels", "--alpha", "golden", "--n", "3")
     assert code == 2
     assert "failed" in err
@@ -223,6 +223,12 @@ def test_orbit_json_error_bound(capsys):
         ("--j", ("target", "--level", "2", "--j", "-1")),
         ("--box-level", ("dimension", "--box", "--box-level", "9")),
         ("--grid", ("dimension", "--box", "--grid", "0")),
+        ("--depth", ("audit", "--m", "1", "--depth", "0")),
+        ("--depth", ("audit", "--m", "1", "--depth", "8")),
+        ("--depth", ("target", "--depth", "0")),
+        ("--depth", ("target", "--n", "3", "--depth", "4")),
+        ("--height", ("probe", "--kind", "coverage", "--horizon", "10", "--height", "0")),
+        ("--height", ("probe", "--kind", "coverage", "--horizon", "10", "--height", "-1")),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, flag, argv):
@@ -230,6 +236,22 @@ def test_bad_flag_values_are_usage_errors(capsys, flag, argv):
     assert code == 1
     assert out == ""
     assert flag in err and "Traceback" not in err
+
+
+def test_negative_values_after_a_space(capsys):
+    code, out, _ = run(capsys, "sum", "--x", "-1/7", "--m", "3", "--out", "json")
+    assert code == 0 and json.loads(out)["x"] == "6/7"
+    code, out, _ = run(capsys, "sum", "--x", "1/7", "--m-range", "-3:3")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == [str(m) for m in range(-3, 4)]
+    code, out, _ = run(capsys, "orbit", "--x", "1/7", "--t0", "-1/2", "--steps", "1")
+    assert code == 0 and out.splitlines()[1].endswith(",-0.5")
+
+
+def test_number_in_place_of_a_flag_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "cf", "-5")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: -5" in err
 
 
 @pytest.mark.parametrize(
