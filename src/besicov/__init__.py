@@ -42,7 +42,6 @@ from .levels import (
     LevelParams,
     Profile,
     ValidationReport,
-    level_scalars,
     profile_from_json,
     profile_to_json,
     select_levels,
@@ -52,7 +51,6 @@ from .targets import (
     DigitPath,
     SignPair,
     TargetInterval,
-    children,
     family_kind,
     interval,
     member,

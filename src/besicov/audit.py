@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .cf import RationalBracket, convergent, refine_bracket
+from .cf import certify_offset
 from .cocycle import CocycleSpec, level_max, phi_m, term
 from .errors import BelowFirstWindow, DepthExceedsProfile, WindowBeyondProfile
 from .levels import LevelParams, Profile
@@ -182,27 +182,14 @@ class DivergenceReport:
         ]
 
 
-def _certify_shift_window(
-    profile: Profile, k_index: int, m: int, lo: Fraction, hi: Fraction
-) -> bool:
-    """Decide lo < |m (alpha - p_k/q_k)| < hi exactly via bracket escalation."""
-    spec = profile.alpha
-    v = convergent(spec, k_index).value
-    am = abs(m)
+def _aligned_floor(lv: LevelParams) -> Fraction:
+    """q_{k_n+1}/(75 A_n n^2): the aligned pivot bound at window level n."""
+    return Fraction(lv.q_next, 75 * lv.a * lv.n * lv.n)
 
-    def decide(br: RationalBracket) -> Optional[bool]:
-        d_lo, d_hi = br.lo - v, br.hi - v
-        if d_lo <= 0 <= d_hi:
-            return None
-        a_lo, a_hi = (d_lo, d_hi) if d_lo > 0 else (-d_hi, -d_lo)
-        s_lo, s_hi = am * a_lo, am * a_hi
-        if s_lo > lo and s_hi < hi:
-            return True
-        if s_hi <= lo or s_lo >= hi:
-            return False
-        return None
 
-    return refine_bracket(spec, decide, start_depth=max(8, k_index + 3))
+def _mixed_ref(lv: LevelParams) -> Fraction:
+    """q_{k_n+1}/(50 A_n n): the mixed bound at window level n, asymptotic only."""
+    return Fraction(lv.q_next, 50 * lv.a * lv.n)
 
 
 def _require_depth(path: DigitPath, needed: int) -> None:
@@ -280,19 +267,16 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
     w, terms = _audited_terms(cspec, path, m, "aligned")
     sign = 1 if path.family == "++" else -1
     lv_n = cspec.profile.level(w.n)
-    certified = Fraction(lv_n.q_next, 75 * lv_n.a * w.n * w.n) - cspec.sub_budget_level(w.n, m)
+    certified = _aligned_floor(lv_n) - cspec.sub_budget_level(w.n, m)
     rows = [ReportRow(l=l, value=t, sign_ok=t * sign >= 0) for l, t in enumerate(terms, 1)]
     pivot_value = terms[w.n - 1]
     rows[w.n - 1] = replace(rows[w.n - 1], bound=certified, bound_ok=abs(pivot_value) > certified)
 
     # window bullets: q-scaled displacement strictly inside (9/50, 1/2) of a period
-    bullets_ok = _certify_shift_window(
-        cspec.profile,
-        lv_n.k,
-        m,
-        Fraction(9, 50 * lv_n.a * lv_n.q),
-        Fraction(1, 2 * lv_n.a * lv_n.q),
-    )
+    cells = lv_n.cell_count
+    bullets_ok = certify_offset(
+        cspec.profile.alpha, lv_n.k, Fraction(9, 50 * cells), Fraction(1, 2 * cells), abs(m)
+    )[0]
 
     notes = []
     signs_ok = all(r.sign_ok for r in rows)
@@ -342,7 +326,9 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
         sign_ok = t != 0 and (1 if t > 0 else -1) == expected
         bound_ok = abs(t) > bound
         # displacement premise: both bump arguments share a linearity interval
-        premise = _certify_shift_window(cspec.profile, lv.k, m, Fraction(0), lv.period / 12)
+        premise = certify_offset(
+            cspec.profile.alpha, lv.k, Fraction(0), lv.period / 12, abs(m)
+        )[0]
         all_ok = all_ok and sign_ok and bound_ok and premise
         tail_bound_sum += bound
         tail_budget += budget
@@ -365,7 +351,7 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
         tail_abs=abs(tail),
         tail_bound_sum=tail_bound_sum,
         net_lower=net,
-        asymptotic_ref=Fraction(lv_n.q_next, 50 * lv_n.a * w.n),
+        asymptotic_ref=_mixed_ref(lv_n),
         notes=["net = |tail| - tail_budget - head_bound; asymptotic_ref holds for large n only"],
     )
 
@@ -444,11 +430,8 @@ def discreteness_scan(
         if w.n not in minima or val < minima[w.n]:
             minima[w.n] = val
         if w.n not in bounds:
-            lv = cspec.profile.level(w.n)
-            if kind == "aligned":
-                bounds[w.n] = Fraction(lv.q_next, 75 * lv.a * w.n * w.n)
-            else:
-                bounds[w.n] = Fraction(lv.q_next, 50 * lv.a * w.n)
+            bound = _aligned_floor if kind == "aligned" else _mixed_ref
+            bounds[w.n] = bound(cspec.profile.level(w.n))
     ns = sorted(bounds)
     nondec = all(bounds[a] <= bounds[b] for a, b in zip(ns, ns[1:]))
     return ScanTable(

@@ -16,8 +16,10 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Union
 
+#: log_enclosure's relative width, rounding grid and series cut, in bits.
 DEFAULT_REL_BITS = 40
 _WORK_BITS = DEFAULT_REL_BITS + 24
+_TAIL_BITS = _WORK_BITS + 16
 
 
 @dataclass(frozen=True)
@@ -61,28 +63,23 @@ class Enclosure:
             return Enclosure(self.lo / other.lo, self.hi / other.hi)
         return Enclosure(self.lo / other.lo, self.hi / other.lo)
 
-    def outward(self, bits: int = _WORK_BITS) -> "Enclosure":
-        s = 1 << bits
+    def outward(self) -> "Enclosure":
+        """Round both ends outward to the 2^-_WORK_BITS grid."""
+        s = 1 << _WORK_BITS
         return Enclosure(Fraction(floor(self.lo * s), s), Fraction(ceil(self.hi * s), s))
 
-    def strictly_above(self, c: Union[int, Fraction]) -> bool:
-        return self.lo > c
 
-    def strictly_below(self, c: Union[int, Fraction]) -> bool:
-        return self.hi < c
-
-
-def _atanh_enclosure(z: Fraction, tail_bits: int) -> Enclosure:
+def _atanh_enclosure(z: Fraction) -> Enclosure:
     """Enclosure of atanh(z) for 0 <= z < 1 via the odd power series.
 
     All omitted terms are positive; the tail after K terms is bounded by the
-    geometric series with ratio z^2.
+    geometric series with ratio z^2, and is cut once below 2^-_TAIL_BITS.
     """
     if not 0 <= z < 1:
         raise ValueError("atanh argument must be in [0, 1)")
     if z == 0:
         return Enclosure(Fraction(0), Fraction(0))
-    target = Fraction(1, 1 << tail_bits)
+    target = Fraction(1, 1 << _TAIL_BITS)
     total = Fraction(0)
     power = z
     z2 = z * z
@@ -96,15 +93,11 @@ def _atanh_enclosure(z: Fraction, tail_bits: int) -> Enclosure:
             return Enclosure(total, total + tail)
 
 
-_LN2: Enclosure = _atanh_enclosure(Fraction(1, 3), _WORK_BITS + 16).scale(2).outward()
+_LN2: Enclosure = _atanh_enclosure(Fraction(1, 3)).scale(2).outward()
 
 
-def ln2_enclosure() -> Enclosure:
-    return _LN2
-
-
-def log_enclosure(x: Union[int, Fraction], rel_bits: int = DEFAULT_REL_BITS) -> Enclosure:
-    """Enclosure of ln x with relative width below 2^-rel_bits.
+def log_enclosure(x: Union[int, Fraction]) -> Enclosure:
+    """Enclosure of ln x with relative width below 2^-DEFAULT_REL_BITS.
 
     Deterministic: same input, same enclosure.
     """
@@ -113,7 +106,6 @@ def log_enclosure(x: Union[int, Fraction], rel_bits: int = DEFAULT_REL_BITS) -> 
         raise ValueError("log of a nonpositive value")
     if x == 1:
         return Enclosure(Fraction(0), Fraction(0))
-    work = rel_bits + 24
     e = x.numerator.bit_length() - x.denominator.bit_length()
     m = x / Fraction(2) ** e
     if m >= 2:
@@ -123,8 +115,8 @@ def log_enclosure(x: Union[int, Fraction], rel_bits: int = DEFAULT_REL_BITS) -> 
         e -= 1
         m *= 2
     z = (m - 1) / (m + 1)
-    enc = (_atanh_enclosure(z, work + 16).scale(2) + _LN2.scale(e)).outward(work)
-    limit = Fraction(1, 1 << rel_bits) * max(abs(enc.lo), abs(enc.hi), Fraction(1, 1 << 20))
+    enc = (_atanh_enclosure(z).scale(2) + _LN2.scale(e)).outward()
+    limit = Fraction(1, 1 << DEFAULT_REL_BITS) * max(abs(enc.lo), abs(enc.hi), Fraction(1, 1 << 20))
     if enc.width > limit:
         raise AssertionError("log enclosure wider than requested tolerance")
     return enc

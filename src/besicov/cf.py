@@ -2,9 +2,9 @@
 
 Every irrational handled by the library enters as a continued-fraction
 expansion (finite head plus periodic tail), so alpha itself is never stored
-as a decimal.  All comparisons against alpha go through :class:`RationalBracket`
-enclosures built from consecutive convergents, escalating the depth until the
-comparison is decided exactly.
+as a decimal.  Every comparison against alpha is one :func:`certify_offset`
+call: it encloses alpha in a :class:`RationalBracket` between consecutive
+convergents, escalating the depth until the comparison is decided exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar
+from typing import Optional
 
 from .errors import IndecisiveBracket
 
@@ -122,9 +122,6 @@ class RationalBracket:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def strictly_contains(self, r: Fraction) -> bool:
-        return self.lo < r < self.hi
-
 
 def alpha_bracket(spec: IrrationalSpec, depth: int) -> RationalBracket:
     """Bracket alpha between convergents ``depth`` and ``depth + 1``.
@@ -139,29 +136,31 @@ def alpha_bracket(spec: IrrationalSpec, depth: int) -> RationalBracket:
     return RationalBracket(lo=min(a, b), hi=max(a, b))
 
 
-T = TypeVar("T")
+def certify_offset(
+    spec: IrrationalSpec, k: int, lo: Fraction, hi: Fraction, scale: int = 1
+) -> tuple[bool, int, Fraction, Fraction, int]:
+    """Decide lo < scale |alpha - p_k/q_k| < hi exactly.
 
-
-def refine_bracket(
-    spec: IrrationalSpec,
-    decide: Callable[[RationalBracket], Optional[T]],
-    start_depth: int = 8,
-    max_depth: int = MAX_BRACKET_DEPTH,
-) -> T:
-    """Escalate bracket depth until ``decide`` returns a non-None verdict.
-
-    ``decide`` must be monotone: once decidable at some depth it stays
-    decidable at any greater depth.  Raises IndecisiveBracket past the cap
-    rather than ever guessing.
+    Starts at bracket depth max(8, k + 3) and doubles it until the sign of
+    alpha - p_k/q_k is decided and neither bound lies inside the enclosure
+    [dist_lo, dist_hi] of scale |alpha - p_k/q_k|.  Returns
+    ``(verdict, sign, dist_lo, dist_hi, depth)``; raises IndecisiveBracket
+    past MAX_BRACKET_DEPTH rather than ever guessing.
     """
-    depth = start_depth
-    while depth <= max_depth:
-        verdict = decide(alpha_bracket(spec, depth))
-        if verdict is not None:
-            return verdict
+    v = convergent(spec, k).value
+    depth = max(8, k + 3)
+    while depth <= MAX_BRACKET_DEPTH:
+        br = alpha_bracket(spec, depth)
+        d_lo, d_hi = br.lo - v, br.hi - v
+        if not d_lo <= 0 <= d_hi:
+            sign = 1 if d_lo > 0 else -1
+            a_lo, a_hi = (d_lo, d_hi) if sign > 0 else (-d_hi, -d_lo)
+            s_lo, s_hi = scale * a_lo, scale * a_hi
+            if not (s_lo <= lo < s_hi or s_lo < hi <= s_hi):
+                return lo < s_lo and s_hi < hi, sign, s_lo, s_hi, depth
         depth *= 2
     raise IndecisiveBracket(
-        f"comparison against alpha undecided at bracket depth {max_depth}"
+        f"comparison against alpha undecided at bracket depth {MAX_BRACKET_DEPTH}"
     )
 
 
@@ -198,9 +197,9 @@ class GapCertificate:
 def gap_bounds_check(spec: IrrationalSpec, n: int) -> GapCertificate:
     """Certify the convergent gap law at index n with exact comparisons.
 
-    The bracket starts at depth n + 3 and escalates automatically; a verdict
-    is only ever emitted once every strict inequality is decided by the
-    enclosure, so there is no rounding anywhere.
+    One :func:`certify_offset` call decides both strict bounds; a verdict is
+    only ever emitted once the enclosure decides every inequality, so there
+    is no rounding anywhere.
     """
     if n < 1:
         raise ValueError("gap law is checked for n >= 1")
@@ -208,35 +207,15 @@ def gap_bounds_check(spec: IrrationalSpec, n: int) -> GapCertificate:
     cn1 = convergent(spec, n + 1)
     lower = Fraction(1, 2 * cn.q * cn1.q)
     upper = Fraction(1, cn.q * cn1.q)
-    expected_sign = cn.sign
-
-    state: dict = {"calls": 0}
-
-    def decide(br: RationalBracket) -> Optional[bool]:
-        state["calls"] += 1
-        d_lo = br.lo - cn.value
-        d_hi = br.hi - cn.value
-        if d_lo <= 0 <= d_hi:
-            return None  # sign undecided
-        sign = 1 if d_lo > 0 else -1
-        abs_lo, abs_hi = (d_lo, d_hi) if sign > 0 else (-d_hi, -d_lo)
-        if abs_lo <= lower < abs_hi or abs_lo < upper <= abs_hi:
-            return None  # a bound falls inside the enclosure
-        state.update(sign=sign, abs_lo=abs_lo, abs_hi=abs_hi)
-        return sign == expected_sign and lower < abs_lo and abs_hi < upper
-
-    depth = max(8, n + 3)
-    passed = refine_bracket(spec, decide, start_depth=depth)
-    # refine_bracket doubles the depth after every undecided call
-    used = depth * 2 ** (state["calls"] - 1)
+    passed, sign, dist_lo, dist_hi, depth = certify_offset(spec, n, lower, upper)
     return GapCertificate(
         n=n,
-        passed=passed,
-        sign=state["sign"],
+        passed=passed and sign == cn.sign,
+        sign=sign,
         lower_bound=lower,
         upper_bound=upper,
-        distance_lo=state["abs_lo"],
-        distance_hi=state["abs_hi"],
-        depth_used=used,
+        distance_lo=dist_lo,
+        distance_hi=dist_hi,
+        depth_used=depth,
     )
 

@@ -408,6 +408,10 @@ def cmd_orbit(cfg: RunConfig, stream) -> int:
 def cmd_probe(cfg: RunConfig, stream) -> int:
     from . import dynamics as dyn_mod
 
+    if cfg.horizon < 1:
+        raise UsageError(f"--horizon must be >= 1, got {cfg.horizon}")
+    if cfg.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {cfg.samples}")
     cspec = cfg.cocycle()
     x = parse_rational(cfg.x, "--x") if cfg.x else Fraction(1, 4)
     if cfg.kind == "sensitivity":
@@ -476,6 +480,7 @@ COMMANDS = {
 #: Allowed Python types of each RunConfig field (Optional[int] allows int and None).
 _TYPES = {key: get_args(hint) or (hint,) for key, hint in get_type_hints(RunConfig).items()}
 _JSON_NAMES = {bool: "true/false", int: "an integer", str: "a string", type(None): "null"}
+_CHOICES = {f.name: f.metadata.get("choices") for f in fields(RunConfig)}
 
 
 def build_parser() -> _Parser:
@@ -510,6 +515,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if type(value) not in _TYPES[key]:  # bool is not taken for int
             expected = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in _TYPES[key])
             raise UsageError(f"--config key {key!r} expects {expected}, got {value!r}")
+        if _CHOICES[key] and value not in _CHOICES[key]:
+            choices = ", ".join(_CHOICES[key])
+            raise UsageError(f"--config key {key!r} expects one of {choices}, got {value!r}")
         setattr(cfg, key, value)
     for key, value in vars(args).items():
         if key != "command":

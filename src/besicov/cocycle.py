@@ -42,8 +42,8 @@ from typing import Optional
 from .cf import IrrationalSpec, convergent
 from .levels import LevelParams, Profile, select_levels
 
-#: Default safety factor between q_N (denominator of alpha_hat) and the
-#: largest Lipschitz constant in play.
+#: Safety factor between q_N (denominator of alpha_hat) and the largest
+#: Lipschitz constant in play.
 DEFAULT_GUARD = 10**6
 
 
@@ -187,7 +187,6 @@ def make_cocycle(
     n_max: int,
     n_levels: Optional[int] = None,
     alpha_depth: Optional[int] = None,
-    guard: int = DEFAULT_GUARD,
 ) -> CocycleSpec:
     """Build a cocycle spec, extending the level stack past n_max.
 
@@ -201,7 +200,7 @@ def make_cocycle(
     lam_max = max(lv.lam for lv in profile.levels[:n_levels])
     if alpha_depth is None:
         alpha_depth = 2
-        while convergent(spec, alpha_depth).q <= guard * lam_max:
+        while convergent(spec, alpha_depth).q <= DEFAULT_GUARD * lam_max:
             alpha_depth += 1
     c = convergent(spec, alpha_depth)
     return CocycleSpec(
@@ -209,7 +208,7 @@ def make_cocycle(
         n_levels=n_levels,
         alpha_depth=alpha_depth,
         alpha_hat=c.value,
-        guard=guard,
+        guard=DEFAULT_GUARD,
     )
 
 

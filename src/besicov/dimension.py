@@ -38,7 +38,10 @@ from .errors import EnumerationCapExceeded
 from .levels import Profile
 from .targets import TWELFTHS, canonical_family, child_span
 
+#: Most intervals one level may hold for a measured count or a box count, and
+#: the divisors of the requested grid that box counting uses.
 DEFAULT_ENUM_CAP = 500_000
+BOX_LADDER = (8, 4, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,12 @@ def nesting_stats(
     profile: Profile,
     mode: str = "formula",
     family: str = "++",
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> NestingStats:
     """delta/eps per level plus child-count data per transition.
 
     formula mode uses the exact closed forms above; measured mode runs the
     containment scan over every parent, refusing (EnumerationCapExceeded)
-    rather than truncating when a level holds more than ``cap`` intervals.
+    rather than truncating when a level holds more than DEFAULT_ENUM_CAP.
     Measured counts must land in [m_formula, mbar_formula + 1]; the +1 slack
     comes from counting boundary-touching children as contained.
     """
@@ -110,9 +112,9 @@ def nesting_stats(
         mbar_f = Fraction(cells, 6 * prev.cell_count)
         m_meas = mbar_meas = None
         if mode == "measured":
-            if prev.cell_count > cap:
+            if prev.cell_count > DEFAULT_ENUM_CAP:
                 raise EnumerationCapExceeded(
-                    f"level {n - 1} has {prev.cell_count} intervals > cap {cap}"
+                    f"level {n - 1} has {prev.cell_count} intervals > cap {DEFAULT_ENUM_CAP}"
                 )
             m_meas, mbar_meas = cells, 0
             for j in range(prev.cell_count):
@@ -169,13 +171,13 @@ class DimensionBounds:
         raise KeyError(n)
 
 
-def falconer_bounds(stats: NestingStats, rel_bits: int = DEFAULT_REL_BITS) -> DimensionBounds:
+def falconer_bounds(stats: NestingStats) -> DimensionBounds:
     """Dimension sandwich rows for n = 2 .. n_max (nested bounds need the
     n+1 row, so they stop one short; closed forms run the full range)."""
     rows: list[DimensionRow] = []
     one = Enclosure(Fraction(1), Fraction(1))
-    log12 = log_enclosure(12, rel_bits)
-    log6 = log_enclosure(6, rel_bits)
+    log12 = log_enclosure(12)
+    log6 = log_enclosure(6)
     n_max = len(stats.rows)
     m_prod = Fraction(1)
     mbar_prod = Fraction(1)
@@ -186,14 +188,10 @@ def falconer_bounds(stats: NestingStats, rel_bits: int = DEFAULT_REL_BITS) -> Di
         if n + 1 <= n_max and m_prod > 0:
             nxt = stats.row(n + 1)
             gap_scale = stats.m(n + 1) * nxt.eps
-            lower = log_enclosure(m_prod, rel_bits).div_positive(
-                -log_enclosure(gap_scale, rel_bits)
-            )
-            upper = log_enclosure(mbar_prod, rel_bits).div_positive(
-                -log_enclosure(nxt.delta, rel_bits)
-            )
+            lower = log_enclosure(m_prod).div_positive(-log_enclosure(gap_scale))
+            upper = log_enclosure(mbar_prod).div_positive(-log_enclosure(nxt.delta))
         cells = 1 / (6 * stats.row(n).delta)  # A_n q_{k_n}, exact
-        log_cells = log_enclosure(cells, rel_bits)
+        log_cells = log_enclosure(cells)
         closed_lower = one - log12.scale(n).div_positive(log_cells)
         closed_upper = one - log6.scale(n).div_positive(log_cells)
         rows.append(
@@ -205,7 +203,7 @@ def falconer_bounds(stats: NestingStats, rel_bits: int = DEFAULT_REL_BITS) -> Di
                 closed_upper=closed_upper,
             )
         )
-    return DimensionBounds(mode=stats.mode, rel_bits=rel_bits, rows=tuple(rows))
+    return DimensionBounds(mode=stats.mode, rel_bits=DEFAULT_REL_BITS, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -248,25 +246,24 @@ def box_count(
     family: str,
     n: int,
     grid: int,
-    ladder: tuple[int, ...] = (8, 4, 2, 1),
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> BoxCountResult:
-    """Occupied-cell counts over a grid ladder and the log-log slope.
+    """Occupied-cell counts on the grids grid // f, f in BOX_LADDER, and the
+    log-log slope.
 
-    The slope of log N(g) against log g across the ladder estimates the box
+    The slope of log N(g) against log g across those grids estimates the box
     dimension of the level-n union at those scales; it is a float cross-check,
     never a certificate.
     """
     fam = canonical_family(family)
     lv = profile.level(n)
-    if lv.cell_count > cap:
-        raise EnumerationCapExceeded(f"{lv.cell_count} intervals > cap {cap}")
-    grids = sorted({max(2, grid // f) for f in ladder})
+    if lv.cell_count > DEFAULT_ENUM_CAP:
+        raise EnumerationCapExceeded(f"{lv.cell_count} intervals > cap {DEFAULT_ENUM_CAP}")
+    grids = sorted({max(2, grid // f) for f in BOX_LADDER})
+    if len(grids) < 2:
+        raise ValueError(f"grid must be >= 3 (two distinct grids), got {grid}")
     counts = tuple((g, _occupied_cells(profile, fam, n, g)) for g in grids)
     xs = [log(g) for g, _ in counts]
     ys = [log(c) for _, c in counts]
-    if len(xs) < 2:
-        raise ValueError("ladder must contain at least two distinct grids")
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
     slope = sum((a - mean_x) * (b - mean_y) for a, b in zip(xs, ys)) / sum(

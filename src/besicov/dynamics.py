@@ -26,6 +26,12 @@ from mpmath import mp, mpf
 from .cocycle import CocycleSpec, bump, level_max, unit_position
 from .errors import ErrorBudgetBlown
 
+#: orbit refuses a declared error bound above ERROR_CAP; classify_orbit treats
+#: the first SETTLE of the horizon as transient and needs |t| > ESCAPE_LEVEL.
+ERROR_CAP = Fraction(1, 10**6)
+SETTLE = 0.5
+ESCAPE_LEVEL = 1.0
+
 
 def _frac_to_mpf(x: Fraction) -> mpf:
     return mpf(x.numerator) / mpf(x.denominator)
@@ -59,13 +65,12 @@ def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
         yield i, x, fiber(x) - base
 
 
-def orbit_error_bound(cspec: CocycleSpec, steps: int, precision_bits: int) -> Fraction:
+def orbit_error_bound(cspec: CocycleSpec, precision_bits: int) -> Fraction:
     """Bound on |t_float - t_exact| at any step of the simulation.
 
-    The telescoped evaluation makes this independent of ``steps``: each
+    The telescoped evaluation makes this independent of the step count: each
     reported t is one fresh sum of per-level values (error below
     peak * 2^(4-prec) per level) minus the base sum, plus summation rounding.
-    The argument is kept for callers that budget per horizon.
     """
     peaks = sum(
         (level_max(lv, cspec.variant) for lv in cspec.levels), start=Fraction(0)
@@ -108,21 +113,20 @@ def orbit(
     precision_bits: int = 128,
     store_every: int = 1,
     checkpoints: Sequence[int] = (),
-    error_cap: Optional[Fraction] = None,
 ) -> OrbitRecord:
     """Simulate ``steps`` iterations from (x0, t0).
 
     Raises ErrorBudgetBlown when the declared error bound exceeds
-    ``error_cap`` (default 1e-6 as a Fraction).
+    ``ERROR_CAP`` (1e-6 as a Fraction).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
-    cap = Fraction(1, 10**6) if error_cap is None else error_cap
-    bound = orbit_error_bound(cspec, steps, precision_bits)
-    if bound > cap:
-        raise ErrorBudgetBlown(f"error bound {float(bound):.3g} exceeds cap {float(cap):.3g}")
+    bound = orbit_error_bound(cspec, precision_bits)
+    if bound > ERROR_CAP:
+        cap = float(ERROR_CAP)
+        raise ErrorBudgetBlown(f"error bound {float(bound):.3g} exceeds cap {cap:.3g}")
     want = set(checkpoints)
     xs: list[float] = []
     ts: list[float] = []
@@ -211,7 +215,7 @@ def nonrecurrence_test(
     if horizon < 1:
         raise ValueError("horizon must be >= 1 (a vacuous test is rejected)")
     eps = Fraction(eps)
-    bound = orbit_error_bound(cspec, horizon, precision_bits)
+    bound = orbit_error_bound(cspec, precision_bits)
     if bound >= eps:
         raise ErrorBudgetBlown(
             f"error bound {float(bound):.3g} not below eps {float(eps):.3g}"
@@ -324,7 +328,7 @@ def sensitivity_probe(
                     best_k, best_d = k, d
         return best_k, best_d
 
-    bound = 2 * float(orbit_error_bound(cspec, horizon, precision_bits))
+    bound = 2 * float(orbit_error_bound(cspec, precision_bits))
     params = {
         "delta": str(delta),
         "eps": str(eps),
@@ -338,7 +342,7 @@ def sensitivity_probe(
         k, d = separation(y, precision_bits)
         if d - bound > float(eps):
             k2, d2 = separation(y, 2 * precision_bits)
-            bound2 = 2 * float(orbit_error_bound(cspec, horizon, 2 * precision_bits))
+            bound2 = 2 * float(orbit_error_bound(cspec, 2 * precision_bits))
             if d2 - bound2 > float(eps):
                 return ProbeResult(
                     kind="sensitivity",
@@ -361,46 +365,38 @@ def sensitivity_probe(
     )
 
 
-@dataclass(frozen=True)
-class ClassifyThresholds:
-    escape_level: float = 1.0
-    settle: float = 0.5  # fraction of the horizon treated as transient
-
-
 def classify_orbit(
     cspec: CocycleSpec,
     x: Fraction,
     horizon: int,
-    thresholds: Optional[ClassifyThresholds] = None,
     precision_bits: int = 128,
 ) -> str:
     """Heuristic label for the fiber motion: escaping+, escaping-,
     oscillating, or undetermined.
 
     Uses phi-sums relative to t0, so the label cannot depend on t0.
-    escaping+ requires the post-transient minimum of t to clear both the
-    escape level and the early-orbit maximum by more than the error bound;
+    escaping+ requires the post-transient minimum of t to clear both
+    ESCAPE_LEVEL and the early-orbit maximum by more than the error bound;
     escaping- symmetrically.  Sign changes after the transient with small
     amplitude give "oscillating".  Anything else is "undetermined" rather
     than a claim.
     """
-    th = thresholds or ClassifyThresholds()
     if horizon < 4:
         return "undetermined"
     rec = orbit(cspec, x, Fraction(0), steps=horizon, precision_bits=precision_bits)
     err = float(rec.error_bound)
     ts = rec.ts
-    split = int(len(ts) * th.settle)
+    split = int(len(ts) * SETTLE)
     head, tailpart = ts[1 : max(2, len(ts) // 4)], ts[split:]
     if not tailpart:
         return "undetermined"
     t_min, t_max = min(tailpart), max(tailpart)
     early = max(abs(v) for v in head) if head else 0.0
-    if t_min - err > max(th.escape_level, early):
+    if t_min - err > max(ESCAPE_LEVEL, early):
         return "escaping+"
-    if t_max + err < -max(th.escape_level, early):
+    if t_max + err < -max(ESCAPE_LEVEL, early):
         return "escaping-"
-    if t_min < 0 < t_max and max(abs(t_min), abs(t_max)) < th.escape_level:
+    if t_min < 0 < t_max and max(abs(t_min), abs(t_max)) < ESCAPE_LEVEL:
         return "oscillating"
     return "undetermined"
 

@@ -73,11 +73,6 @@ class LevelParams:
         return self.a * self.q
 
 
-def level_scalars(level: LevelParams) -> tuple[Fraction, Fraction, Fraction, int]:
-    """(Lambda_n, period, plateau, A_n) as exact values."""
-    return level.lam, level.period, level.plateau, level.a
-
-
 @dataclass(frozen=True)
 class Profile:
     """A validated-or-validatable stack of construction levels."""

@@ -85,10 +85,6 @@ class TargetInterval:
     b: Fraction
 
     @property
-    def length(self) -> Fraction:
-        return self.b - self.a
-
-    @property
     def center(self) -> Fraction:
         return (self.a + self.b) / 2
 
@@ -186,20 +182,12 @@ def child_span(profile: Profile, family: str, n: int, j: int) -> tuple[int, int]
     return jmin, jmax
 
 
-def children(profile: Profile, family: str, parent: TargetInterval) -> list[int]:
-    """Indices j of the level-(n+1) intervals wholly inside ``parent``, in
-    circle order along the parent (see ``child_span``)."""
-    jmin, jmax = child_span(profile, family, parent.n, parent.j)
-    count = profile.level(parent.n + 1).cell_count
-    return [j % count for j in range(jmin, jmax + 1)]
-
-
 def pick_child(
     profile: Profile, family: str, n: int, j: int, policy: str = "center"
 ) -> Optional[int]:
     """The level-(n+1) child of level-n interval j that ``policy`` descends
     through: "leftmost" is the first in circle order, "center" the middle one
-    (``children(...)[len // 2]``).  None when j has no children."""
+    of the ``child_span`` range.  None when j has no children."""
     jmin, jmax = child_span(profile, family, n, j)
     if jmin > jmax:
         return None

@@ -194,7 +194,7 @@ def test_c08_dimension_bounds():
     assert lv8.q == convergent(golden, 257).q and lv8.q_next == convergent(golden, 258).q
     fb = falconer_bounds(nesting_stats(fixed8, "formula"))
     closed8 = fb.row(8).closed_lower
-    assert closed8.strictly_above(Fraction(9, 10))
+    assert closed8.lo > Fraction(9, 10)
     assert closed8.width <= Fraction(1, 2**40) * max(abs(closed8.lo), abs(closed8.hi))
 
     greedy = select_levels(golden, "greedy", "main", 6)

@@ -1,14 +1,23 @@
 """Continued-fraction engine: convergents, brackets, the gap law."""
 
+import importlib
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
-from besicov import IrrationalSpec, alpha_bracket, convergent, gap_bounds_check
+from besicov import (
+    IrrationalSpec,
+    alpha_bracket,
+    audit_aligned,
+    audit_mixed,
+    convergent,
+    gap_bounds_check,
+    sample_point,
+)
 from besicov import cf
-from besicov.cf import RationalBracket, refine_bracket
+from besicov.cf import RationalBracket, certify_offset
 from besicov.errors import IndecisiveBracket
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
@@ -104,14 +113,26 @@ def test_gap_witnesses_are_ordered(golden):
     assert cert.sign == -1
 
 
-def rewalked_depth(spec, cert):
-    """depth_used by bracket widths: the first of start, 2 start, 4 start, ...
-    whose bracket is as wide as the deciding one (distance_hi - distance_lo)."""
-    width = cert.distance_hi - cert.distance_lo
-    used = max(8, cert.n + 3)
+def rewalked_depth(spec, k, width):
+    """The depth certify_offset used, by bracket widths: the first of start,
+    2 start, 4 start, ... whose bracket is ``width`` wide."""
+    used = max(8, k + 3)
     while alpha_bracket(spec, used).width != width:
         used *= 2
     return used
+
+
+def gap_depth(spec, cert):
+    return rewalked_depth(spec, cert.n, cert.distance_hi - cert.distance_lo)
+
+
+def undecidable_below(monkeypatch, depth):
+    """Make every bracket shallower than ``depth`` straddle each convergent."""
+    real = cf.alpha_bracket
+    undecidable = RationalBracket(Fraction(0), Fraction(1))
+    monkeypatch.setattr(
+        cf, "alpha_bracket", lambda spec, d: real(spec, d) if d >= depth else undecidable
+    )
 
 
 @pytest.mark.parametrize(
@@ -122,24 +143,48 @@ def rewalked_depth(spec, cert):
 def test_depth_used_matches_bracket_widths(spec):
     for n in range(1, 61):
         cert = gap_bounds_check(spec, n)
-        assert cert.depth_used == rewalked_depth(spec, cert), n
+        assert cert.depth_used == gap_depth(spec, cert), n
 
 
 def test_depth_used_counts_escalations(golden, monkeypatch):
-    real = cf.alpha_bracket
-    undecidable = RationalBracket(Fraction(0), Fraction(1))
-    monkeypatch.setattr(
-        cf, "alpha_bracket", lambda spec, depth: real(spec, depth) if depth >= 32 else undecidable
-    )
+    undecidable_below(monkeypatch, 32)
     cert = gap_bounds_check(golden, 5)  # depths 8 and 16 undecided, 32 decides
     assert cert.passed
-    assert cert.depth_used == 32 == rewalked_depth(golden, cert)
+    assert cert.depth_used == 32 == gap_depth(golden, cert)
 
 
-def test_refine_bracket_gives_up():
-    spec = IrrationalSpec.from_preset("golden")
-    with pytest.raises(IndecisiveBracket):
-        refine_bracket(spec, lambda br: None, start_depth=2, max_depth=16)
+@pytest.mark.parametrize("escalate", [False, True], ids=["direct", "escalated"])
+def test_shift_window_depth_matches_bracket_widths(
+    golden, greedy_cocycle, tent_cocycle, monkeypatch, escalate
+):
+    """The audits' displacement premises report the depth that decided them."""
+    if escalate:
+        undecidable_below(monkeypatch, 64)
+    calls = []
+
+    def recording(spec, k, lo, hi, scale=1):
+        out = certify_offset(spec, k, lo, hi, scale)
+        calls.append((k, scale, out))
+        return out
+
+    # ``besicov.audit`` as an attribute is the audit function, not the module
+    monkeypatch.setattr(importlib.import_module("besicov.audit"), "certify_offset", recording)
+    _, path = sample_point(greedy_cocycle.profile, "++", "center", 5)
+    assert audit_aligned(greedy_cocycle, path, 1).status == "pass"
+    _, path = sample_point(tent_cocycle.profile, "-+", "center", 6)
+    assert audit_mixed(tent_cocycle, path, -3863).status == "pass"
+    assert len(calls) == 5
+    for k, scale, (verdict, _, dist_lo, dist_hi, depth) in calls:
+        assert verdict
+        assert depth == rewalked_depth(golden, k, (dist_hi - dist_lo) / scale), k
+        assert (depth > 64) == escalate
+
+
+def test_certify_offset_gives_up(golden, monkeypatch):
+    undecidable_below(monkeypatch, 1 << 20)
+    monkeypatch.setattr(cf, "MAX_BRACKET_DEPTH", 16)
+    with pytest.raises(IndecisiveBracket, match="depth 16"):
+        certify_offset(golden, 2, Fraction(0), Fraction(1))
 
 
 def test_spec_validation():

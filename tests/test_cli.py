@@ -229,6 +229,11 @@ def test_orbit_json_error_bound(capsys):
         ("--depth", ("target", "--n", "3", "--depth", "4")),
         ("--height", ("probe", "--kind", "coverage", "--horizon", "10", "--height", "0")),
         ("--height", ("probe", "--kind", "coverage", "--horizon", "10", "--height", "-1")),
+        ("--horizon", ("probe", "--kind", "classify", "--horizon", "0")),
+        ("--horizon", ("probe", "--kind", "coverage", "--horizon", "0")),
+        ("--horizon", ("probe", "--kind", "nonrecurrence", "--horizon", "-1")),
+        ("--horizon", ("probe", "--kind", "sensitivity", "--horizon", "0")),
+        ("--samples", ("probe", "--kind", "sensitivity", "--samples", "0")),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, flag, argv):
@@ -265,6 +270,12 @@ def test_number_in_place_of_a_flag_is_a_usage_error(capsys):
         ("box", {"box": 1}, "dimension"),
         ("bogus", {"bogus": 1}, "cf"),
         ("--config", [1, 2], "cf"),
+        ("out", {"out": "xml"}, "cf"),
+        ("strategy", {"strategy": "lazy"}, "levels"),
+        ("variant", {"variant": "flat"}, "levels"),
+        ("policy", {"policy": "middle"}, "target"),
+        ("mode", {"mode": "guess"}, "dimension"),
+        ("family", {"family": "++"}, "target"),
     ],
 )
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, key, body, command):
@@ -273,7 +284,7 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, key, body, command
     code, out, err = run(capsys, command, "--config", str(cfg))
     assert code == 1
     assert out == ""
-    assert key in err and "Traceback" not in err
+    assert key in err and "--config" in err and "Traceback" not in err
 
 
 def test_config_takes_null_for_optional_keys(tmp_path, capsys):

@@ -23,7 +23,7 @@ from besicov import (
     phi,
     phi_m,
 )
-from besicov.audit import _certify_shift_window
+from besicov.cf import certify_offset
 from besicov.levels import LevelParams
 
 
@@ -141,8 +141,9 @@ def _alpha_mpf(preset: str) -> mpf:
 
 
 def test_bracket_certificates_against_high_precision_alpha():
-    # the bracket route decides lo < |m (alpha - p_k/q_k)| < hi exactly;
-    # a 400-bit float evaluation of the quadratic irrational must agree
+    # certify_offset decides lo < |m (alpha - p_k/q_k)| < hi exactly; a
+    # 400-bit float evaluation of the quadratic irrational must agree with the
+    # verdict and the sign, and lie inside the distance enclosure
     rng = random.Random(3)
     with mp.workprec(400):
         for preset in ("golden", "sqrt2m1"):
@@ -161,10 +162,11 @@ def test_bracket_certificates_against_high_precision_alpha():
                 if min(abs(d - lo_f), abs(d - hi_f)) < mpf(10) ** -40:
                     continue  # too close for the float oracle to vouch
                 expected = bool(lo_f < d < hi_f)
-                got = _certify_shift_window(
-                    make_cocycle(spec, "greedy", "main", 1).profile, k, m, lo, hi
-                )
-                assert got == expected, (preset, k, m, lo, hi)
+                verdict, sign, dist_lo, dist_hi, _ = certify_offset(spec, k, lo, hi, m)
+                assert verdict == expected, (preset, k, m, lo, hi)
+                assert sign == (1 if alpha > mpf(c.p) / mpf(c.q) else -1)
+                assert mpf(dist_lo.numerator) / dist_lo.denominator <= d
+                assert d <= mpf(dist_hi.numerator) / dist_hi.denominator
 
 
 def test_gap_distances_against_high_precision_alpha(golden):

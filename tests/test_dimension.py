@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from besicov import box_count, falconer_bounds, nesting_stats, select_levels
-from besicov.certlog import Enclosure, ln2_enclosure, log_enclosure
+from besicov import box_count, dimension, falconer_bounds, nesting_stats, select_levels
+from besicov.certlog import Enclosure, log_enclosure
 from besicov.errors import EnumerationCapExceeded
 
 
@@ -29,8 +29,9 @@ def test_log_enclosure_contains_truth(value):
 
 
 def test_ln2_enclosure():
-    enc = ln2_enclosure()
-    assert enc.lo <= mp_ln(Fraction(2)) <= enc.hi
+    # a power of two is e times the cached ln 2 enclosure and no series term
+    enc = log_enclosure(Fraction(2**40))
+    assert enc.lo <= 40 * mp_ln(Fraction(2)) <= enc.hi
 
 
 def test_enclosure_arithmetic():
@@ -60,9 +61,10 @@ def test_measured_counts_sandwich(golden):
         assert r.m_formula <= r.m_measured <= r.mbar_measured <= r.mbar_formula + 1
 
 
-def test_enumeration_cap(greedy_profile):
-    with pytest.raises(EnumerationCapExceeded):
-        nesting_stats(greedy_profile, "measured", cap=100)
+def test_enumeration_cap(greedy_profile, monkeypatch):
+    monkeypatch.setattr(dimension, "DEFAULT_ENUM_CAP", 100)
+    with pytest.raises(EnumerationCapExceeded, match="cap 100"):
+        nesting_stats(greedy_profile, "measured")
 
 
 def test_nested_bounds_ordered_for_greedy(greedy_profile):
@@ -101,7 +103,8 @@ def test_box_count_level_one(greedy_profile):
 
 
 def test_box_count_monotone_in_grid(greedy_profile):
-    res = box_count(greedy_profile, "++", 2, 4000, ladder=(8, 4, 2, 1))
+    res = box_count(greedy_profile, "++", 2, 4000)
+    assert [g for g, _ in res.counts] == [500, 1000, 2000, 4000]
     counts = [c for _, c in res.counts]
     assert counts == sorted(counts)
 
@@ -115,8 +118,10 @@ def test_box_slope_in_expected_band(greedy_profile):
 
 
 def test_box_count_cap(greedy_profile):
+    # greedy level 5 holds 3.2e8 intervals, far above DEFAULT_ENUM_CAP
+    assert greedy_profile.level(5).cell_count > dimension.DEFAULT_ENUM_CAP
     with pytest.raises(EnumerationCapExceeded):
-        box_count(greedy_profile, "++", 5, 100, cap=1000)
+        box_count(greedy_profile, "++", 5, 100)
 
 
 def test_log_enclosure_domain():

@@ -8,6 +8,8 @@ from mpmath import mp, mpf
 from besicov import (
     classify_orbit,
     coverage,
+    dynamics,
+    make_cocycle,
     nonrecurrence_test,
     orbit,
     phi,
@@ -15,7 +17,6 @@ from besicov import (
     sample_point,
     sensitivity_probe,
 )
-from besicov.dynamics import ClassifyThresholds, orbit_error_bound
 from besicov.errors import ErrorBudgetBlown
 
 
@@ -42,9 +43,9 @@ def test_orbit_matches_exact_sums(tent_cocycle, m):
 
 
 def test_error_bound_independent_of_steps(tent_cocycle):
-    assert orbit_error_bound(tent_cocycle, 10, 128) == orbit_error_bound(
-        tent_cocycle, 10**6, 128
-    )
+    short = orbit(tent_cocycle, Fraction(1, 7), steps=10)
+    long = orbit(tent_cocycle, Fraction(1, 7), steps=3000)
+    assert short.error_bound == long.error_bound > 0
 
 
 def test_vertical_translation_commutes(tent_cocycle):
@@ -56,9 +57,12 @@ def test_vertical_translation_commutes(tent_cocycle):
         assert abs(shift - mpf(5) / 2) <= 2 * to_mpf(a.error_bound)
 
 
-def test_orbit_error_cap(tent_cocycle):
-    with pytest.raises(ErrorBudgetBlown):
-        orbit(tent_cocycle, Fraction(1, 3), steps=10, error_cap=Fraction(1, 10**40))
+def test_orbit_error_cap(golden):
+    # fixed tent levels 1..4 at 64 bits declare 6.09e-6, above the 1e-6 cap
+    cs = make_cocycle(golden, "fixed", "tent", 4, n_levels=4)
+    with pytest.raises(ErrorBudgetBlown, match="exceeds cap 1e-06"):
+        orbit(cs, Fraction(1, 3), steps=10, precision_bits=64)
+    assert orbit(cs, Fraction(1, 3), steps=10, precision_bits=72).error_bound < dynamics.ERROR_CAP
 
 
 def test_coverage_deterministic_and_monotone(golden, tent_cocycle):
@@ -141,10 +145,10 @@ def test_classification_of_escaping_sample(tent_cocycle):
     assert classify_orbit(tent_cocycle, x, 10000) == "escaping+"
 
 
-def test_classification_never_overclaims(tent_cocycle):
+def test_classification_never_overclaims(tent_cocycle, monkeypatch):
     x, _ = sample_point(tent_cocycle.profile, "-+", "center", 5)
-    sky_high = ClassifyThresholds(escape_level=1e12)
-    assert classify_orbit(tent_cocycle, x, 2000, thresholds=sky_high) in (
+    monkeypatch.setattr(dynamics, "ESCAPE_LEVEL", 1e12)
+    assert classify_orbit(tent_cocycle, x, 2000) in (
         "oscillating",
         "undetermined",
     )

@@ -4,7 +4,8 @@ Each ``tests/golden/*.json`` holds one argv and what ``cli.main`` printed for
 it: every README CLI example, every ``--help`` page at 80 columns, and
 argparse-level errors.  The replay test runs each argv again and wants the
 same bytes.  ``PYTHONPATH=src python tests/test_golden.py`` records the cases
-whose argv has no file yet; it never rewrites an existing one.
+whose argv has no file yet; it never rewrites an existing one.  README's
+Python quick start is run as written too, so an API change cannot break it.
 """
 
 import contextlib
@@ -103,6 +104,13 @@ def test_readme_examples_are_in_the_corpus():
     examples = readme_examples()
     assert examples
     assert [argv for argv in examples if argv not in recorded] == []
+
+
+def test_readme_library_quick_start_runs():
+    section = README.read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from besicov import" in code
+    exec(compile(code, "README.md (Library quick start)", "exec"), {})
 
 
 def test_every_help_page_is_in_the_corpus():

@@ -14,17 +14,18 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAZY_MODULES = ("mpmath", "besicov.dynamics", "besicov.dimension", "besicov.certlog")
 
-#: ``besicov.__all__`` as it was when every submodule was imported eagerly.
+#: ``besicov.__all__`` as it was when every submodule was imported eagerly,
+#: less ``children`` and ``level_scalars``, which had no caller.
 PUBLIC_NAMES = [
     "BoxCountResult", "Certificate", "CocycleSpec", "Convergent", "DigitPath",
     "DimensionBounds", "DivergenceReport", "GapCertificate", "IrrationalSpec",
     "LevelParams", "NestingStats", "OrbitRecord", "ProbeResult", "Profile",
     "RationalBracket", "SignPair", "TargetInterval", "ValidationReport",
     "WindowIndex", "alpha_bracket", "audit", "audit_aligned", "audit_mixed",
-    "birkhoff", "box_count", "certlog", "cf", "children", "classify_orbit",
+    "birkhoff", "box_count", "certlog", "cf", "classify_orbit",
     "cocycle", "convergent", "coverage", "dimension", "discreteness_scan",
     "dynamics", "errors", "eval_level", "falconer_bounds", "family_kind",
-    "gap_bounds_check", "interval", "level_max", "level_scalars", "levels",
+    "gap_bounds_check", "interval", "level_max", "levels",
     "make_cocycle", "member", "nesting_stats", "nonrecurrence_test", "orbit",
     "phi", "phi_m", "profile_from_json", "profile_to_json", "sample_point",
     "select_levels", "sensitivity_probe", "targets", "term", "validate_levels",

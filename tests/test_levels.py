@@ -6,7 +6,6 @@ import pytest
 
 from besicov import (
     convergent,
-    level_scalars,
     profile_from_json,
     profile_to_json,
     select_levels,
@@ -50,10 +49,9 @@ def test_tent_golden_step_is_eight(golden):
 
 def test_scalar_identities(greedy_profile):
     for lv in greedy_profile.levels:
-        lam, period, plateau, a = level_scalars(lv)
-        assert plateau * 3 * a * lv.n**2 == lv.q_next
-        assert lam * lv.n**2 == lv.q * lv.q_next
-        assert period.numerator == 1 and period.denominator == a * lv.q
+        assert lv.plateau * 3 * lv.a * lv.n**2 == lv.q_next
+        assert lv.lam * lv.n**2 == lv.q * lv.q_next
+        assert lv.period.numerator == 1 and lv.period.denominator == lv.a * lv.q
 
 
 @pytest.mark.parametrize("strategy,n_max", [("fixed", 4), ("greedy", 6)])

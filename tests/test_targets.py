@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from besicov import children, interval, member, sample_point
+from besicov import interval, member, sample_point
 from besicov.errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath
 from besicov.targets import (
     FAMILIES,
     DigitPath,
     TargetInterval,
     _circle_contained,
+    child_span,
     family_kind,
     interval_rows,
     member_level,
@@ -32,7 +33,7 @@ def test_offsets_level_one(greedy_profile):
 def test_length_law(greedy_profile, family):
     lv = greedy_profile.level(2)
     iv = interval(greedy_profile, family, 2, 17)
-    assert iv.length * 6 * lv.cell_count == 1
+    assert (iv.b - iv.a) * 6 * lv.cell_count == 1
 
 
 def test_index_out_of_range(greedy_profile):
@@ -89,9 +90,10 @@ def test_children_counts_level_one(greedy_profile):
     m_formula = Fraction(lv2.cell_count, 12 * lv1.cell_count)
     mbar_formula = Fraction(lv2.cell_count, 6 * lv1.cell_count)
     for j in range(lv1.cell_count):
-        kids = children(greedy_profile, "++", interval(greedy_profile, "++", 1, j))
-        assert len(kids) >= 3
-        assert m_formula <= len(kids) <= mbar_formula + 1
+        jmin, jmax = child_span(greedy_profile, "++", 1, j)
+        count = jmax - jmin + 1
+        assert count >= 3
+        assert m_formula <= count <= mbar_formula + 1
 
 
 def test_children_match_brute_force(greedy_profile):
@@ -103,13 +105,13 @@ def test_children_match_brute_force(greedy_profile):
             for c in range(lv2.cell_count)
             if _circle_contained(interval(greedy_profile, "++", 2, c), parent)
         ]
-        assert sorted(children(greedy_profile, "++", parent)) == brute
+        jmin, jmax = child_span(greedy_profile, "++", 1, j)
+        assert sorted(k % lv2.cell_count for k in range(jmin, jmax + 1)) == brute
 
 
 def test_children_depth_guard(greedy_profile):
-    top = interval(greedy_profile, "++", greedy_profile.n_max, 0)
     with pytest.raises(DepthExceedsProfile):
-        children(greedy_profile, "++", top)
+        child_span(greedy_profile, "++", greedy_profile.n_max, 0)
 
 
 def test_sample_point_depth_one_center(greedy_profile):
