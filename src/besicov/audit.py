@@ -32,7 +32,7 @@ from typing import Optional
 
 from .cf import certify_offset
 from .cocycle import CocycleSpec, level_max, phi_m, term
-from .errors import BelowFirstWindow, DepthExceedsProfile, WindowBeyondProfile
+from .errors import BelowFirstWindow, DepthExceedsProfile, InvariantBroken, WindowBeyondProfile
 from .levels import LevelParams, Profile
 from .targets import DigitPath, SignPair, family_kind, member
 
@@ -229,7 +229,7 @@ def _audited_terms(
         term(cspec.profile.level(l), cspec.variant, path.point, shift) for l in range(1, L + 1)
     ]
     if sum(terms) != phi_m(cspec.truncated(L), path.point, m):
-        raise AssertionError(f"audited terms do not sum to phi_m at m={m}")
+        raise InvariantBroken(f"audited terms do not sum to phi_m at m={m}")
     return w, terms
 
 

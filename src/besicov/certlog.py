@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Union
 
+from .errors import InvariantBroken
+
 #: log_enclosure's relative width, rounding grid and series cut, in bits.
 DEFAULT_REL_BITS = 40
 _WORK_BITS = DEFAULT_REL_BITS + 24
@@ -118,5 +120,5 @@ def log_enclosure(x: Union[int, Fraction]) -> Enclosure:
     enc = (_atanh_enclosure(z).scale(2) + _LN2.scale(e)).outward()
     limit = Fraction(1, 1 << DEFAULT_REL_BITS) * max(abs(enc.lo), abs(enc.hi), Fraction(1, 1 << 20))
     if enc.width > limit:
-        raise AssertionError("log enclosure wider than requested tolerance")
+        raise InvariantBroken("log enclosure wider than requested tolerance")
     return enc

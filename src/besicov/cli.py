@@ -26,7 +26,7 @@ from .audit import audit as run_audit
 from .audit import window as window_of
 from .cf import IrrationalSpec, convergent, gap_bounds_check
 from .cocycle import CocycleSpec, eval_level, make_cocycle, phi, phi_m, birkhoff, term
-from .errors import BesicovError, ValidationFailure
+from .errors import BesicovError, InvariantBroken, ValidationFailure
 from .levels import Profile, profile_to_dict, select_levels, validate_levels
 from .targets import (
     FAMILY_CODES,
@@ -537,7 +537,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except ValidationFailure as e:
+    except (ValidationFailure, InvariantBroken) as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return CERT_FAILURE
     except (BesicovError, ValueError, OSError) as e:

@@ -9,19 +9,22 @@ and Lipschitz constant Lambda_n:
   tent:  a plain tent, Lambda_n * x up to P/2 and back down (A_n = 1 here,
          so P = 1/q_{k_n} and the peak is q_{k_n+1}/(2 n^2)).
 
-Both are written once, on a unit period: :func:`unit_position` folds x onto
-[0, 1) with one exact integer ``%``, and :func:`bump` applies the shape in the
-arithmetic of its argument.  The certificates here call it with Fractions and
-the orbit lane in :mod:`besicov.dynamics` with mpf values, so both lanes
-evaluate the same bump.
+Every exact quantity here is evaluated on an integer lattice.  With x = a/b
+and a shift s/q (alpha_hat, or m alpha_hat), x and x + shift are u/D and
+(u + s)/D over D = lcm(b, q); each level's position in its period is then an
+integer r = u A_n q_{k_n} mod D, each bump an integer numerator over 4D
+(:func:`_bump_num`), and each level's value one Fraction built at the end.
+:func:`term`, :func:`phi` and :func:`phi_m` evaluate each level once at x and
+once at x + shift; :func:`birkhoff` walks the orbit instead, stepping r by a
+fixed integer |m| times.  The two share the lattice but not the route, so the
+identity phi_m == birkhoff still compares two different evaluations of the
+same sum.
 
-:func:`birkhoff` walks the orbit on the integer lattice instead: with
-alpha_hat = p_N/q_N and x = a/b, every orbit point is u/D with
-D = lcm(b, q_N), so each level's position in its period is an integer
-r = u A_n q_{k_n} mod D, each bump an integer numerator (:func:`_bump_num`),
-and each level's sum one Python int, turned into a Fraction once at the end.
-:func:`phi_m` stays on :func:`unit_position`/:func:`bump`, so the identity
-phi_m == birkhoff compares two different evaluations of the same sum.
+:func:`unit_position` folds x onto [0, 1) with one exact integer ``%``, and
+:func:`bump` writes the same shapes on that unit period in the arithmetic of
+its argument.  The orbit lane in :mod:`besicov.dynamics` feeds bump the exact
+unit position as an mpf; kept in Fractions, the pair is the tests'
+independent oracle for the lattice kernel.
 
 The cocycle itself is the series of coboundary-like differences
 f_l(x + alpha) - f_l(x).  The library replaces alpha by one deep convergent
@@ -56,12 +59,13 @@ def unit_position(level: LevelParams, x: Fraction) -> Fraction:
 def bump(u, variant: str, peak):
     """The level bump at unit position u in [0, 1), scaled to ``peak``.
 
-    Computed in the arithmetic of ``u`` and ``peak``: ``Fraction`` for the
-    certificates, ``mpf`` for the orbits.  The tent rises as 2 peak u; the main
-    bump is 3 peak (u - 1/12) clamped to [0, peak].  Both are folded onto
-    [0, 1/2] first, since each is even about 0 and about 1/2.  In mpf each
-    operation rounds, and the orbit and probe digits depend on exactly this
-    sequence: 1 - u, 1/12, 5/12, then peak * ((u - 1/12) * 3).
+    Computed in the arithmetic of ``u`` and ``peak``: ``mpf`` for the orbits,
+    ``Fraction`` in the tests that check the lattice kernel against it.  The
+    tent rises as 2 peak u; the main bump is 3 peak (u - 1/12) clamped to
+    [0, peak].  Both are folded onto [0, 1/2] first, since each is even about
+    0 and about 1/2.  In mpf each operation rounds, and the orbit and probe
+    digits depend on exactly this sequence: 1 - u, 1/12, 5/12, then
+    peak * ((u - 1/12) * 3).
     """
     if u * 2 > 1:
         u = 1 - u
@@ -90,24 +94,44 @@ def _bump_num(r: int, d: int, variant: str) -> int:
     return t if t < 4 * d else 4 * d
 
 
+def _peak_den(level: LevelParams, variant: str) -> int:
+    """The peak of f_n is q_{k_n+1} over this: 3 A_n n^2 (main), 2 A_n n^2 (tent)."""
+    return (2 if variant == "tent" else 3) * level.a * level.n * level.n
+
+
 def level_max(level: LevelParams, variant: str) -> Fraction:
     """Peak of f_n: the plateau for main, q_{k_n+1} / (2 A_n n^2) for tent."""
-    if variant == "tent":
-        return Fraction(level.q_next, 2 * level.a * level.n * level.n)
-    return level.plateau
+    return Fraction(level.q_next, _peak_den(level, variant))
+
+
+def _on_lattice(x: Fraction, shift: Fraction) -> tuple[int, int, int]:
+    """(u, s, d) with x = u/d and shift = s/d over d = lcm(den x, den shift)."""
+    b, q = x.denominator, shift.denominator
+    d = lcm(b, q)
+    return x.numerator * (d // b), shift.numerator * (d // q), d
+
+
+def _scaled(level: LevelParams, variant: str, num: int, d: int) -> Fraction:
+    """peak * num / (4d): one Fraction for a level's integer bump numerator."""
+    return Fraction(level.q_next * num, _peak_den(level, variant) * 4 * d)
+
+
+def _term_num(c: int, u: int, s: int, d: int, variant: str) -> int:
+    """Numerator over 4d of the bump difference at (u + s)/d and u/d, for a
+    level of ``c`` cells."""
+    return _bump_num((u + s) * c % d, d, variant) - _bump_num(u * c % d, d, variant)
 
 
 def eval_level(level: LevelParams, variant: str, x: Fraction) -> Fraction:
     """f_n(x), exact; x is reduced mod the period internally."""
-    return bump(unit_position(level, x), variant, level_max(level, variant))
+    d = x.denominator
+    return _scaled(level, variant, _bump_num(x.numerator * level.cell_count % d, d, variant), d)
 
 
 def term(level: LevelParams, variant: str, x: Fraction, shift: Fraction) -> Fraction:
     """f_n(x + shift) - f_n(x), exact."""
-    peak = level_max(level, variant)
-    return bump(unit_position(level, x + shift), variant, peak) - bump(
-        unit_position(level, x), variant, peak
-    )
+    u, s, d = _on_lattice(x, shift)
+    return _scaled(level, variant, _term_num(level.cell_count, u, s, d, variant), d)
 
 
 @dataclass(frozen=True)
@@ -212,11 +236,19 @@ def make_cocycle(
     )
 
 
+def _telescoped(cspec: CocycleSpec, x: Fraction, shift: Fraction) -> Fraction:
+    """sum_l f_l(x + shift) - f_l(x) on the lattice of x and shift."""
+    u, s, d = _on_lattice(x, shift)
+    v = cspec.variant
+    total = Fraction(0)
+    for lv in cspec.levels:
+        total += _scaled(lv, v, _term_num(lv.cell_count, u, s, d, v), d)
+    return total
+
+
 def phi(cspec: CocycleSpec, x: Fraction) -> Fraction:
     """Truncated cocycle value: sum of f_l(x + alpha_hat) - f_l(x)."""
-    a = cspec.alpha_hat
-    v = cspec.variant
-    return sum((term(lv, v, x, a) for lv in cspec.levels), start=Fraction(0))
+    return _telescoped(cspec, x, cspec.alpha_hat)
 
 
 def phi_m(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
@@ -224,9 +256,7 @@ def phi_m(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
     sum_l (f_l(x + m alpha_hat) - f_l(x)); exact for any integer m."""
     if m == 0:
         return Fraction(0)
-    shift = m * cspec.alpha_hat
-    v = cspec.variant
-    return sum((term(lv, v, x, shift) for lv in cspec.levels), start=Fraction(0))
+    return _telescoped(cspec, x, m * cspec.alpha_hat)
 
 
 def birkhoff(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
@@ -238,15 +268,14 @@ def birkhoff(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
     differences f_l(y_{j+1}) - f_l(y_j) along the orbit add up as one integer
     numerator; one Fraction per level is built at the end.  Agrees with
     :func:`phi_m` bit for bit because the same alpha_hat is used throughout and
-    each f_l has period dividing 1; since phi_m evaluates through
-    :func:`unit_position`/:func:`bump`, this equality is the module's master
-    correctness check.
+    each f_l has period dividing 1; since phi_m evaluates each level once at
+    x and once at x + m alpha_hat while this walks all |m| steps, the equality
+    is the module's master correctness check.
     """
-    a = cspec.alpha_hat
-    b, q = x.denominator, a.denominator
-    d = lcm(b, q)
-    u = x.numerator * (d // b) % d
-    step = a.numerator * (d // q) * (1 if m >= 0 else -1)
+    u, step, d = _on_lattice(x, cspec.alpha_hat)
+    u %= d
+    if m < 0:
+        step = -step
     v = cspec.variant
     total = Fraction(0)
     for lv in cspec.levels:
@@ -262,5 +291,5 @@ def birkhoff(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
             g_next = _bump_num(r, d, v)
             acc += g_next - g
             g = g_next
-        total += level_max(lv, v) * Fraction(acc, 4 * d)
+        total += _scaled(lv, v, acc, d)
     return total

@@ -34,7 +34,7 @@ from math import log
 from typing import Optional
 
 from .certlog import DEFAULT_REL_BITS, Enclosure, log_enclosure
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, InvariantBroken
 from .levels import Profile
 from .targets import TWELFTHS, canonical_family, child_span
 
@@ -125,7 +125,7 @@ def nesting_stats(
                 if count > mbar_meas:
                     mbar_meas = count
             if not (m_f <= m_meas and m_meas <= mbar_meas <= mbar_f + 1):
-                raise AssertionError(
+                raise InvariantBroken(
                     f"measured counts [{m_meas}, {mbar_meas}] escape the "
                     f"formula sandwich [{m_f}, {mbar_f} + 1] at level {n}"
                 )

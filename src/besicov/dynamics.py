@@ -4,9 +4,10 @@ The cylinder map sends (x, t) to (x + alpha_hat mod 1, t + phi(x)).  The base
 coordinate is advanced *exactly* (alpha_hat is rational, so x never leaves a
 fixed denominator lattice); only the fiber coordinate t is floating point, at
 a configurable binary precision with per-step error accounting.  The levels
-are evaluated by the same :func:`besicov.cocycle.bump` as the certificates,
-called with mpf values instead of Fractions.  Distances use the taxicab
-metric: circle distance in x plus |difference| in t.
+are evaluated by :func:`besicov.cocycle.bump` in mpf, the orbit lane's own
+evaluator (the certificates use the cocycle's integer-lattice kernel, which
+the tests check against the same bump in Fractions).  Distances use the
+taxicab metric: circle distance in x plus |difference| in t.
 
 Probes are diagnostics, not certificates: each one carries its accumulated
 error bound and refuses to assert anything the bound could explain away.
@@ -71,7 +72,11 @@ def orbit_error_bound(cspec: CocycleSpec, precision_bits: int) -> Fraction:
     The telescoped evaluation makes this independent of the step count: each
     reported t is one fresh sum of per-level values (error below
     peak * 2^(4-prec) per level) minus the base sum, plus summation rounding.
+    Every orbit and probe asks for it before simulating, so this is where a
+    precision below 64 bits is refused.
     """
+    if precision_bits < 64:
+        raise ValueError("precision_bits must be >= 64")
     peaks = sum(
         (level_max(lv, cspec.variant) for lv in cspec.levels), start=Fraction(0)
     )
@@ -121,8 +126,6 @@ def orbit(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be >= 64")
     bound = orbit_error_bound(cspec, precision_bits)
     if bound > ERROR_CAP:
         cap = float(ERROR_CAP)

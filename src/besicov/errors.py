@@ -10,6 +10,11 @@ class IndecisiveBracket(BesicovError):
     even after escalating to the configured maximum depth."""
 
 
+class InvariantBroken(BesicovError):
+    """An identity or containment the library's own construction guarantees
+    does not hold: a fault in the program, not in its input."""
+
+
 class ValidationFailure(BesicovError):
     """A level profile violates one of its growth conditions.
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cf import IrrationalSpec, convergent
-from .errors import DepthExceedsProfile, ValidationFailure
+from .errors import DepthExceedsProfile, InvariantBroken, ValidationFailure
 
 STRATEGIES = ("fixed", "greedy")
 VARIANTS = ("main", "tent")
@@ -146,7 +146,7 @@ def select_levels(
                         break
                 k += 2
             if k % 2 != parity:
-                raise AssertionError(f"greedy level {len(ks) + 1} broke the parity of k_1")
+                raise InvariantBroken(f"greedy level {len(ks) + 1} broke the parity of k_1")
             ks.append(k)
 
     levels = tuple(_level(spec, n, k, variant) for n, k in enumerate(ks, start=1))

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Optional, Union
 
-from .errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath
+from .errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath, InvariantBroken
 from .levels import Profile
 
 FAMILIES = ("++", "--", "+-", "-+")
@@ -116,14 +116,14 @@ def member_level(
     makes the reduction exact even across the wrap, while j is reported mod
     the cell count.
     """
-    fam = canonical_family(family)
-    lv = profile.level(n)
-    lo, hi = TWELFTHS[fam]
-    t = 12 * lv.cell_count * x  # x in twelfths of a period
-    j_lift = (floor(t) - lo) // 12
-    if t - 12 * j_lift > hi:
+    lo, hi = TWELFTHS[canonical_family(family)]
+    c = profile.level(n).cell_count
+    a, b = x.numerator, x.denominator
+    t = 12 * c * a  # x in twelfths of a period is t/b
+    j_lift = (t // b - lo) // 12
+    if t - 12 * j_lift * b > hi * b:
         return None
-    return j_lift % lv.cell_count, x - j_lift * lv.period
+    return j_lift % c, Fraction(a * c - j_lift * b, b * c)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def child_span(profile: Profile, family: str, n: int, j: int) -> tuple[int, int]
     jmin = -((lo * c - a) // (12 * c))
     jmax = (b - hi * c) // (12 * c)
     if jmin <= jmax and not ((12 * jmin + lo) * c >= a and (12 * jmax + hi) * c <= b):
-        raise AssertionError(f"level {n + 1} children of j={j} escape their level {n} parent")
+        raise InvariantBroken(f"level {n + 1} children of j={j} escape their level {n} parent")
     return jmin, jmax
 
 

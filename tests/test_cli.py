@@ -1,10 +1,16 @@
 """CLI surface: flags, outputs, exit codes, determinism."""
 
+import importlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from besicov.cli import main, parse_alpha
+from besicov.cli import COMMANDS, RunConfig, main, parse_alpha
 from besicov.levels import LevelParams, Profile
 
 
@@ -142,6 +148,24 @@ def test_certificate_failure_exit_two(capsys, monkeypatch):
     code, _, err = run(capsys, "levels", "--alpha", "golden", "--n", "3")
     assert code == 2
     assert "failed" in err
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, argv",
+    [
+        ("besicov.audit", "phi_m", lambda real: lambda cspec, x, m: real(cspec, x, m) + 1,
+         ("audit", "--alpha", "golden", "--family", "pp", "--m", "1")),
+        ("besicov.dimension", "child_span", lambda real: lambda *args: (0, 10**9),
+         ("dimension", "--mode", "measured", "--n", "3")),
+    ],
+)
+def test_broken_invariant_is_a_certificate_failure(capsys, monkeypatch, module, name, broken, argv):
+    mod = importlib.import_module(module)
+    monkeypatch.setattr(mod, name, broken(getattr(mod, name)))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("certificate failure: ") and "Traceback" not in err
 
 
 def test_parse_alpha_forms():
@@ -293,3 +317,87 @@ def test_config_takes_null_for_optional_keys(tmp_path, capsys):
     code, out, _ = run(capsys, "cf", "--config", str(cfg))
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+# ------------------------------------------------------------ generated argv
+
+#: Upper bounds on the integer flags whose cost grows with their value.
+_INT_CAPS = {
+    "n": 6, "steps": 200, "horizon": 200, "m": 200, "upto": 30, "depth": 8,
+    "level": 8, "box_level": 8, "trunc": 8, "alpha_depth": 80, "grid": 2000,
+    "samples": 4, "store_every": 50, "max_rows": 5000, "precision_bits": 256,
+    "j": 10**4, "seed": 10**6,
+}
+_RATIONALS = ("1/7", "-1/7", "0", "3", "2/3", "-5/2", "1/1000")
+_ALPHAS = ("golden", "sqrt2m1", "quotients=1,2", "periodic=2;1")
+_JUNK = ("--bogus", "-5", "xyz", "", "--", "1/0", "-", "--n=", "--x=-1/3", "=", "--out=xml")
+
+
+def _mostly(good, bad):
+    """``good`` nine times in ten, ``bad`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+def _flag_tokens(f):
+    """One RunConfig flag with a value of its kind (capped), or now and then
+    a value it does not take."""
+    flag = "--" + f.name.replace("_", "-")
+    kind = get_type_hints(RunConfig)[f.name]
+    choices = f.metadata.get("choices")
+    if kind is bool:
+        return st.just([flag])
+    if choices:
+        values = st.sampled_from(choices)
+    elif f.name in _INT_CAPS:
+        values = st.integers(-3, _INT_CAPS[f.name]).map(str)
+    elif f.name == "alpha":
+        values = st.sampled_from(_ALPHAS)
+    elif f.name == "m_range":
+        values = st.builds(lambda lo, width: f"{lo}:{lo + width}", st.integers(-200, 200),
+                           st.integers(-2, 20))
+    elif f.name == "config":
+        values = st.sampled_from(("no-such-file.json", "."))
+    else:
+        values = st.sampled_from(_RATIONALS)
+    bad = st.sampled_from(("bogus", "1.5", "1/0", "", "quotients=0", "5", "a:b"))
+    return _mostly(values, bad).map(lambda v: [flag, v])
+
+
+#: Flags an argv may start with: values a subcommand cannot run without, so
+#: that most argvs get past argument checking, and a horizon in place of
+#: probe's default of 1000.  A later repeat of the flag wins.
+_START = {"eval": ["--x", "1/7"], "sum": ["--x", "1/7", "--m", "3"],
+          "audit": ["--m", "1"], "orbit": ["--x", "1/7"], "probe": ["--horizon", "100"]}
+_ANY_TOKEN = st.one_of([_flag_tokens(f) for f in fields(RunConfig)]) | st.sampled_from(
+    _JUNK).map(lambda t: [t])
+
+
+def _argv_after(head):
+    """Up to six more tokens: mostly flags the subcommand offers, sometimes
+    any flag or a junk token."""
+    part = _ANY_TOKEN
+    if head and head[0] in COMMANDS:
+        offered = [_flag_tokens(f) for f in fields(RunConfig)
+                   if f.metadata.get("on") is None or head[0] in f.metadata["on"]]
+        part = _mostly(st.one_of(offered), _ANY_TOKEN)
+    return st.lists(part, max_size=6).map(lambda parts: head + [t for p in parts for t in p])
+
+
+_ARGV = _mostly(
+    st.sampled_from([[c] + _START.get(c, []) for c in COMMANDS]
+                    + [[c] for c in COMMANDS if c != "probe"]),
+    st.sampled_from([[], ["bogus"]]),
+).flatmap(_argv_after)
+
+
+@given(argv=_ARGV)
+@settings(max_examples=80, deadline=None)
+def test_generated_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    # exit 2 is a verdict: a failed audit, gap check or level validation still
+    # prints the report it failed on (e.g. an aligned audit on the tent variant)
+    assert code != 1 or (out.getvalue() == "" and err.getvalue()), argv

@@ -1,9 +1,10 @@
 """Dual-route cross-checks: independent re-derivations of certified values.
 
 Each check here recomputes a quantity through a second, structurally
-different route (closed-form piecewise arithmetic, a Fraction walk along the
-orbit, or high-precision floats of the underlying quadratic irrational) and
-compares against the library's exact machinery.
+different route (closed-form piecewise arithmetic, the unit-period
+``unit_position``/``bump`` pair in Fractions, a Fraction walk along the orbit,
+or high-precision floats of the underlying quadratic irrational) and compares
+against the library's exact machinery, which works on an integer lattice.
 """
 
 import random
@@ -16,15 +17,21 @@ from mpmath import mp, mpf
 
 from besicov import (
     IrrationalSpec,
+    audit_aligned,
+    audit_mixed,
     birkhoff,
     convergent,
+    discreteness_scan,
     eval_level,
     make_cocycle,
     phi,
     phi_m,
+    sample_point,
 )
 from besicov.cf import certify_offset
+from besicov.cocycle import _bump_num, bump, level_max, term, unit_position
 from besicov.levels import LevelParams
+from besicov.targets import FAMILIES, TWELFTHS, member_level
 
 
 def eval_main_closed(lv: LevelParams, x: Fraction) -> Fraction:
@@ -60,18 +67,157 @@ def test_eval_against_closed_forms(golden):
             assert eval_level(lv, "tent", x) == eval_tent_closed(lv, x)
 
 
+CLOSED = {"main": eval_main_closed, "tent": eval_tent_closed}
+
+# both variants on greedy levels and on fixed ones, each cut at 2-4 levels
+KERNEL_PROFILES = [
+    (strategy, variant, n, n_levels)
+    for variant in ("main", "tent")
+    for strategy, n, n_levels in (("greedy", 4, 4), ("fixed", 2, 2), ("fixed", 3, 3), ("fixed", 4, 4))
+]
+ORBIT_XS = (
+    Fraction(3, 7),
+    Fraction(-22, 7),
+    Fraction(-(10**40) // 3, 10**40 + 7),
+    Fraction(10**40 // 7, 10**40 + 7),
+)
+
+
+def _kernel_cases(golden, strategy, variant, n, n_levels, seed):
+    """The cocycle and a few (x, m): 0, the orbit xs, then random ones, with m
+    of either sign."""
+    cs = make_cocycle(golden, strategy, variant, n, n_levels=n_levels)
+    rng = random.Random(seed)
+    xs = [Fraction(0), *ORBIT_XS] + [
+        Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(4)
+    ]
+    return cs, [(x, rng.choice((-1, 1)) * rng.randint(1, 40)) for x in xs]
+
+
+def _closed_term(lv, variant, x, shift):
+    return CLOSED[variant](lv, x + shift) - CLOSED[variant](lv, x)
+
+
 def test_phi_m_against_closed_form_sum(golden):
-    cs = make_cocycle(golden, "greedy", "main", 4, n_levels=4)
-    rng = random.Random(17)
-    for _ in range(10):
-        x = Fraction(rng.randint(0, 999), rng.randint(1, 999))
-        m = rng.randint(-40, 40)
-        shift = m * cs.alpha_hat
-        expected = sum(
-            eval_main_closed(lv, x + shift) - eval_main_closed(lv, x)
-            for lv in cs.levels
-        )
-        assert phi_m(cs, x, m) == expected
+    for strategy, variant, n, n_levels in KERNEL_PROFILES:
+        cs, cases = _kernel_cases(golden, strategy, variant, n, n_levels, 17)
+        for x, m in cases:
+            shift = m * cs.alpha_hat
+            expected = sum(_closed_term(lv, variant, x, shift) for lv in cs.levels)
+            assert phi_m(cs, x, m) == expected, (strategy, variant, n, x, m)
+
+
+def test_term_phi_and_eval_level_against_closed_forms(golden):
+    for strategy, variant, n, n_levels in KERNEL_PROFILES:
+        cs, cases = _kernel_cases(golden, strategy, variant, n, n_levels, 23)
+        for x, m in cases:
+            shift = m * cs.alpha_hat
+            for lv in cs.levels:
+                assert eval_level(lv, variant, x) == CLOSED[variant](lv, x), (x, lv.n)
+                assert term(lv, variant, x, shift) == _closed_term(lv, variant, x, shift), (x, m)
+            expected = sum(_closed_term(lv, variant, x, cs.alpha_hat) for lv in cs.levels)
+            assert phi(cs, x) == expected, (strategy, variant, n, x)
+
+
+def phi_m_bump_oracle(cs, x: Fraction, m: int) -> Fraction:
+    """phi_m through the unit-period fold and bump, all in Fractions."""
+    shift = m * cs.alpha_hat
+    total = Fraction(0)
+    for lv in cs.levels:
+        peak = level_max(lv, cs.variant)
+        total += bump(unit_position(lv, x + shift), cs.variant, peak)
+        total -= bump(unit_position(lv, x), cs.variant, peak)
+    return total
+
+
+@given(
+    num=st.integers(-(10**40), 10**40),
+    den=st.integers(1, 10**40),
+    m=st.integers(-(10**6), 10**6),
+    tent=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_phi_m_against_bump_oracle(greedy_cocycle, tent_cocycle, num, den, m, tent):
+    cs = tent_cocycle if tent else greedy_cocycle
+    x = Fraction(num, den)
+    assert phi_m(cs, x, m) == phi_m_bump_oracle(cs, x, m)
+
+
+@pytest.mark.parametrize("variant", ["main", "tent"])
+def test_bump_numerators_match_bump_at_the_nodes(variant):
+    # the shape changes at 0, 1/12, 5/12, 1/2, 7/12 and 11/12 of a period;
+    # check each twelfth and its lattice neighbours, on lattices that do and
+    # do not put a point on the node
+    peak = Fraction(7, 3)
+    for d in [*range(1, 40), 12 * 101, 12 * 10**30 + 12, 12 * 10**30 + 11]:
+        for node in range(12):
+            r0 = node * d // 12
+            for r in range(r0 - 1, r0 + 3):
+                if 0 <= r < d:
+                    expected = bump(Fraction(r, d), variant, peak)
+                    assert Fraction(_bump_num(r, d, variant), 4 * d) * peak == expected, (d, r)
+
+
+def test_certificate_lane_never_calls_the_fraction_bump(greedy_cocycle, tent_cocycle, monkeypatch):
+    import besicov.cocycle as cocycle_mod
+
+    x, lv, a = Fraction(3, 7), greedy_cocycle.levels[2], greedy_cocycle.alpha_hat
+    _, aligned = sample_point(greedy_cocycle.profile, "++", "center", 5)
+    _, mixed = sample_point(tent_cocycle.profile, "-+", "center", 6)
+
+    def run():
+        return [
+            phi(greedy_cocycle, x),
+            phi_m(greedy_cocycle, x, -113),
+            term(lv, "main", x, 7 * a),
+            eval_level(lv, "main", x),
+            birkhoff(tent_cocycle, x, 50),
+            sample_point(greedy_cocycle.profile, "--", "leftmost", 5),
+            audit_aligned(greedy_cocycle, aligned, 1),
+            audit_mixed(tent_cocycle, mixed, 83),
+            discreteness_scan(tent_cocycle, mixed, 80, 90),
+        ]
+
+    expected = run()
+
+    def refuse(*args):
+        raise RuntimeError("the certificate lane went through unit_position/bump")
+
+    monkeypatch.setattr(cocycle_mod, "unit_position", refuse)
+    monkeypatch.setattr(cocycle_mod, "bump", refuse)
+    assert run() == expected
+
+
+def member_level_fraction(profile, family, n, x):
+    """Membership by the defining formula, in Fractions: j_lift is the period
+    whose family band starts at or below x, and x is in the union when it
+    lies no further than the band's upper offset into that period."""
+    lo, hi = TWELFTHS[family]
+    lv = profile.level(n)
+    t = 12 * lv.cell_count * x
+    j_lift = (floor(t) - lo) // 12
+    if t - 12 * j_lift > hi:
+        return None
+    return j_lift % lv.cell_count, x - j_lift * lv.period
+
+
+@pytest.mark.parametrize("strategy, variant", [("greedy", "main"), ("greedy", "tent"), ("fixed", "main")])
+def test_member_level_against_fraction_formula(golden, strategy, variant):
+    profile = make_cocycle(golden, strategy, variant, 3, n_levels=3).profile
+    for n in (1, 2, 3):
+        c = profile.level(n).cell_count
+        tiny = Fraction(1, 12 * c * 10**9)
+        for family in FAMILIES:
+            lo, hi = TWELFTHS[family]
+            for j in sorted({0, 1, c // 2, c - 1}):
+                for edge in (Fraction(12 * j + lo, 12 * c), Fraction(12 * j + hi, 12 * c)):
+                    # both sides of each band edge, and the same point a turn
+                    # away, so the "++" band at j = 0 is crossed at the wrap
+                    for x in (edge - tiny, edge, edge + tiny):
+                        for y in (x, x + 1, x - 1, x % 1):
+                            assert member_level(profile, family, n, y) == member_level_fraction(
+                                profile, family, n, y
+                            ), (family, n, j, y)
 
 
 def birkhoff_fraction_orbit(cs, x: Fraction, m: int) -> Fraction:
@@ -88,14 +234,6 @@ def birkhoff_fraction_orbit(cs, x: Fraction, m: int) -> Fraction:
             y = (y - a) % 1
             total -= phi(cs, y)
     return total
-
-
-ORBIT_XS = (
-    Fraction(3, 7),
-    Fraction(-22, 7),
-    Fraction(-(10**40) // 3, 10**40 + 7),
-    Fraction(10**40 // 7, 10**40 + 7),
-)
 
 
 # fixed profiles cut at n levels: q_N is 42 / 69 / 107 bits at n = 2 / 3 / 4

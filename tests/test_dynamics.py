@@ -65,6 +65,21 @@ def test_orbit_error_cap(golden):
     assert orbit(cs, Fraction(1, 3), steps=10, precision_bits=72).error_bound < dynamics.ERROR_CAP
 
 
+@pytest.mark.parametrize("bits", [63, 0, -5])
+def test_every_probe_refuses_low_precision(tent_cocycle, bits):
+    x, eps = Fraction(1, 7), Fraction(1, 10)
+    probes = [
+        lambda: orbit(tent_cocycle, x, steps=10, precision_bits=bits),
+        lambda: nonrecurrence_test(tent_cocycle, x, Fraction(0), eps, 10, precision_bits=bits),
+        lambda: sensitivity_probe(tent_cocycle, x, Fraction(1, 1000), eps, 10, samples=1,
+                                  precision_bits=bits),
+        lambda: classify_orbit(tent_cocycle, x, 10, precision_bits=bits),
+    ]
+    for probe in probes:
+        with pytest.raises(ValueError, match="precision_bits must be >= 64"):
+            probe()
+
+
 def test_coverage_deterministic_and_monotone(golden, tent_cocycle):
     rec_short = orbit(tent_cocycle, Fraction(1, 7), steps=2000, precision_bits=96)
     rec_long = orbit(tent_cocycle, Fraction(1, 7), steps=6000, precision_bits=96)

@@ -11,6 +11,7 @@ import pytest
 
 import besicov
 from besicov import audit_aligned, audit_mixed, sample_point
+from besicov.errors import InvariantBroken
 
 SRC = Path(besicov.__file__).parent
 # the package re-exports the function audit() under the submodule's name
@@ -27,22 +28,35 @@ def test_no_bare_assert_in_library():
     assert bare == []
 
 
+def test_broken_invariants_are_library_errors():
+    # the library raises InvariantBroken, a BesicovError, never AssertionError
+    raised = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node)
+    ]
+    assert raised == []
+
+
 def test_audits_raise_when_master_identity_breaks(greedy_cocycle, tent_cocycle, monkeypatch):
     real = audit_mod.phi_m
     monkeypatch.setattr(audit_mod, "phi_m", lambda cspec, x, m: real(cspec, x, m) + 1)
     _, aligned = sample_point(greedy_cocycle.profile, "++", "center", 5)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantBroken):
         audit_aligned(greedy_cocycle, aligned, 1)
     _, mixed = sample_point(tent_cocycle.profile, "-+", "center", 6)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantBroken):
         audit_mixed(tent_cocycle, mixed, 83)
 
 
-#: Run with ``python -O``: exits 0 only if both audits still raise when the
-#: master identity is broken, i.e. the check is not an ``assert``.
+#: Run with ``python -O``: exits 0 only if both audits still raise
+#: InvariantBroken when the master identity is broken, i.e. the check is not
+#: an ``assert``.
 OPTIMIZED_SCRIPT = """
 import importlib, sys
 from besicov import audit_aligned, audit_mixed, make_cocycle, sample_point, IrrationalSpec
+from besicov.errors import InvariantBroken
 
 if __debug__:
     sys.exit("not running under python -O")
@@ -59,7 +73,7 @@ cases = [
 for check, cspec, path, m in cases:
     try:
         check(cspec, path, m)
-    except AssertionError as e:
+    except InvariantBroken as e:
         if "phi_m" not in str(e):
             sys.exit(f"{check.__name__} raised the wrong error: {e}")
     else:
