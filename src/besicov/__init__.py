@@ -49,7 +49,6 @@ from .levels import (
 )
 from .targets import (
     DigitPath,
-    SignPair,
     TargetInterval,
     family_kind,
     interval,

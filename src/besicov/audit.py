@@ -34,7 +34,7 @@ from .cf import certify_offset
 from .cocycle import CocycleSpec, level_max, phi_m, term
 from .errors import BelowFirstWindow, DepthExceedsProfile, InvariantBroken, WindowBeyondProfile
 from .levels import LevelParams, Profile
-from .targets import DigitPath, SignPair, family_kind, member
+from .targets import DigitPath, family_kind, member
 
 KINDS = ("aligned", "mixed")
 
@@ -67,20 +67,14 @@ def window(profile: Profile, kind: str, m: int, n_limit: Optional[int] = None) -
     limit = profile.n_max if n_limit is None else min(n_limit, profile.n_max)
     edges = [_window_edge(profile.level(n), kind) for n in range(1, limit + 1)]
     am = Fraction(abs(m))
-    if kind == "aligned":
-        if am < edges[0]:
-            raise BelowFirstWindow(f"|m|={abs(m)} below first aligned window {edges[0]}")
-        for n in range(2, limit + 1):
-            if edges[n - 2] <= am < edges[n - 1]:
-                return WindowIndex(m=m, n=n, kind=kind, lo=edges[n - 2], hi=edges[n - 1])
-        raise WindowBeyondProfile(f"|m|={abs(m)} at or past last edge {edges[-1]}")
-    else:
-        if am < edges[0]:
-            raise BelowFirstWindow(f"|m|={abs(m)} below first mixed window {edges[0]}")
-        for n in range(1, limit):
-            if edges[n - 1] <= am < edges[n]:
-                return WindowIndex(m=m, n=n, kind=kind, lo=edges[n - 1], hi=edges[n])
-        raise WindowBeyondProfile(f"|m|={abs(m)} at or past last edge {edges[-1]}")
+    if am < edges[0]:
+        raise BelowFirstWindow(f"|m|={abs(m)} below first {kind} window {edges[0]}")
+    # between the edges of levels i and i + 1 lies aligned window i + 1, mixed window i
+    first = 2 if kind == "aligned" else 1
+    for n, (lo, hi) in enumerate(zip(edges, edges[1:]), start=first):
+        if lo <= am < hi:
+            return WindowIndex(m=m, n=n, kind=kind, lo=lo, hi=hi)
+    raise WindowBeyondProfile(f"|m|={abs(m)} at or past last edge {edges[-1]}")
 
 
 @dataclass(frozen=True)
@@ -212,12 +206,17 @@ def _require_membership(profile: Profile, path: DigitPath, levels: int) -> None:
 def _audited_terms(
     cspec: CocycleSpec, path: DigitPath, m: int, kind: str
 ) -> tuple[WindowIndex, list[Fraction]]:
-    """The part both audits share: check the family kind, find the window
-    n(m), require depth n(m) + 2 and membership at every audited level, and
-    return the exact terms for l <= L = min(n_levels, depth) once they are
-    shown to sum to phi_m of the depth-L truncation."""
+    """The part both audits share: check the family kind (aligned families
+    only on the main variant), find the window n(m), require depth n(m) + 2
+    and membership at every audited level, and return the exact terms for
+    l <= L = min(n_levels, depth) once they are shown to sum to phi_m of the
+    depth-L truncation."""
     if family_kind(path.family) != kind:
         raise ValueError(f"family {path.family} is not {kind}")
+    if kind == "aligned" and cspec.variant != "main":
+        raise ValueError(
+            f"aligned family {path.family} is not certified on the {cspec.variant} variant"
+        )
     if m == 0:
         raise BelowFirstWindow("m = 0 is excluded")
     w = window(cspec.profile, kind, m, n_limit=cspec.n_levels)
@@ -306,9 +305,9 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     it is positive and indeterminate otherwise.
     """
     w, terms = _audited_terms(cspec, path, m, "mixed")
-    sp = SignPair.of(path.family)
+    s_plus = path.family[1]
     k1 = cspec.profile.level(1).k
-    expected = (-1 if k1 % 2 else 1) * (1 if sp.s_plus == "+" else -1) * (1 if m > 0 else -1)
+    expected = (-1 if k1 % 2 else 1) * (1 if s_plus == "+" else -1) * (1 if m > 0 else -1)
 
     lv_n = cspec.profile.level(w.n)
     head, tail = sum(terms[: w.n]), sum(terms[w.n :])

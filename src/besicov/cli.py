@@ -32,7 +32,7 @@ from .targets import (
     FAMILY_CODES,
     canonical_family,
     family_kind,
-    interval,
+    interval_row,
     interval_rows,
     sample_point,
 )
@@ -137,6 +137,12 @@ class RunConfig:
     def profile(self) -> Profile:
         return select_levels(self.spec(), self.strategy, self.variant, self.n)
 
+    def point(self) -> Fraction:
+        """The --x value, for the subcommands that cannot run without one."""
+        if self.x is None:
+            raise ValueError("--x is required")
+        return parse_rational(self.x, "--x")
+
     def cocycle(self) -> CocycleSpec:
         if self.trunc is not None and self.trunc < 1:
             raise UsageError("--trunc must be >= 1")
@@ -207,19 +213,9 @@ def cmd_cf(cfg: RunConfig, stream) -> int:
 def cmd_levels(cfg: RunConfig, stream) -> int:
     profile = cfg.profile()
     report = validate_levels(profile)
-    rows = [
-        {
-            "n": lv.n,
-            "k": lv.k,
-            "p": str(lv.p),
-            "q": str(lv.q),
-            "q_next": str(lv.q_next),
-            "A": str(lv.a),
-        }
-        for lv in profile.levels
-    ]
-    payload = {"profile": profile_to_dict(profile), "validation": report.as_dict()}
-    _emit(cfg, rows, payload, stream)
+    profile_dict = profile_to_dict(profile)
+    payload = {"profile": profile_dict, "validation": report.as_dict()}
+    _emit(cfg, profile_dict["levels"], payload, stream)
     if not report.passed:
         print(f"validation failed: {report.first_failure()}", file=sys.stderr)
         return CERT_FAILURE
@@ -227,10 +223,8 @@ def cmd_levels(cfg: RunConfig, stream) -> int:
 
 
 def cmd_eval(cfg: RunConfig, stream) -> int:
-    if cfg.x is None:
-        raise ValueError("--x is required")
+    x = cfg.point() % 1
     cspec = cfg.cocycle()
-    x = parse_rational(cfg.x, "--x") % 1
     rows = []
     for lv in cspec.levels:
         value = eval_level(lv, cspec.variant, x)
@@ -250,10 +244,8 @@ def cmd_eval(cfg: RunConfig, stream) -> int:
 
 
 def cmd_sum(cfg: RunConfig, stream) -> int:
-    if cfg.x is None:
-        raise ValueError("--x is required")
+    x = cfg.point() % 1
     cspec = cfg.cocycle()
-    x = parse_rational(cfg.x, "--x") % 1
     rows = []
     ok = True
     for m in cfg.m_values():
@@ -293,12 +285,7 @@ def cmd_target(cfg: RunConfig, stream) -> int:
     if cfg.j is not None:
         if not 0 <= cfg.j < lv.cell_count:
             raise UsageError(f"--j must be in 0..{lv.cell_count - 1} at level {n}, got {cfg.j}")
-        iv = interval(profile, fam, n, cfg.j)
-        rows = [{
-            "n": n, "j": cfg.j, "family": fam,
-            "a_num": str(iv.a.numerator), "a_den": str(iv.a.denominator),
-            "b_num": str(iv.b.numerator), "b_den": str(iv.b.denominator),
-        }]
+        rows = [interval_row(profile, fam, n, cfg.j)]
     else:
         if lv.cell_count > cfg.max_rows:
             raise ValueError(
@@ -369,12 +356,10 @@ def cmd_orbit(cfg: RunConfig, stream) -> int:
 
     from . import dynamics as dyn_mod
 
-    if cfg.x is None:
-        raise ValueError("--x is required")
+    x = cfg.point()
     if cfg.store_every < 1:
         raise UsageError("--store-every must be >= 1")
     cspec = cfg.cocycle()
-    x = parse_rational(cfg.x, "--x")
     marks = range(0, cfg.steps + 1, cfg.store_every)
     rec = dyn_mod.orbit(
         cspec,

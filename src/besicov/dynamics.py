@@ -12,7 +12,9 @@ taxicab metric: circle distance in x plus |difference| in t.
 Probes are diagnostics, not certificates: each one carries its accumulated
 error bound and refuses to assert anything the bound could explain away.
 A sensitivity witness is only reported after re-simulation at doubled
-precision reproduces the separation.
+precision reproduces the separation.  The target-set point the sensitivity
+probe tries first is descended and centred by ``targets`` on its integer
+twelfths; this module keeps no interval geometry of its own.
 """
 
 from __future__ import annotations
@@ -262,7 +264,7 @@ def _target_candidate(
 ) -> Optional[Fraction]:
     """A certified target-set point within delta of x, if the profile has a
     level fine enough; mixed family for tent cocycles, aligned for main."""
-    from .targets import interval, pick_child
+    from .targets import _center, pick_child
 
     profile = cspec.profile
     fam = "-+" if cspec.variant == "tent" else "++"
@@ -277,7 +279,7 @@ def _target_candidate(
             j = pick_child(profile, fam, level, j)
             if j is None:
                 return None
-        y = interval(profile, fam, depth, j).center % 1
+        y = _center(profile, fam, depth, j)
         return y if _circle_dist(y, x) <= delta else None
     return None
 

@@ -9,11 +9,13 @@ period, at a family-specific offset pattern (L, H) in twelfths of P:
     "--" : ( 5,  7)      centred on the plateau, "++" shifted by P/2
     "+-" : ( 8, 10)      inside the falling ramp, "-+" shifted by P/2
 
-so interval j is [(12j + L)/(12 C_n), (12j + H)/(12 C_n)].  Every count,
-containment and grid cell over these intervals is therefore an integer floor
-or ceil: ``child_span`` gives the level-(n+1) children of one interval as a
-lifted index range, and the counting paths (child picks, measured nesting,
-box counting) never build a ``Fraction`` per interval.
+so interval j is [(12j + L)/(12 C_n), (12j + H)/(12 C_n)] and its center is
+(24j + L + H)/(24 C_n).  Every count, containment and grid cell over these
+intervals is therefore an integer floor or ceil: ``child_span`` gives the
+level-(n+1) children of one interval as a lifted index range, and it is the
+one nesting test, for the counting paths (child picks, measured nesting, box
+counting) and for the digit paths ``sample_point`` certifies alike.  Only
+``interval`` and the interval tables build the endpoints as ``Fraction``s.
 
 The j = 0 interval of "++" straddles 0 and is kept as a single wrapped
 interval on the circle, so counting and membership treat the circle metric
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 from typing import Iterable, Optional, Union
 
 from .errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath, InvariantBroken
@@ -48,29 +49,11 @@ def canonical_family(family: str) -> str:
     return fam
 
 
-@dataclass(frozen=True)
-class SignPair:
-    """Escape signs (s_minus for backward time, s_plus for forward time)."""
-
-    s_minus: str
-    s_plus: str
-
-    @staticmethod
-    def of(family: str) -> "SignPair":
-        fam = canonical_family(family)
-        return SignPair(s_minus=fam[0], s_plus=fam[1])
-
-    @property
-    def family(self) -> str:
-        return self.s_minus + self.s_plus
-
-    @property
-    def aligned(self) -> bool:
-        return self.s_minus == self.s_plus
-
-
 def family_kind(family: str) -> str:
-    return "aligned" if SignPair.of(family).aligned else "mixed"
+    """A family is its escape signs, backward then forward in time: "aligned"
+    when they agree, "mixed" when they differ."""
+    s_minus, s_plus = canonical_family(family)
+    return "aligned" if s_minus == s_plus else "mixed"
 
 
 @dataclass(frozen=True)
@@ -83,14 +66,6 @@ class TargetInterval:
     j: int
     a: Fraction
     b: Fraction
-
-    @property
-    def center(self) -> Fraction:
-        return (self.a + self.b) / 2
-
-    def contains_point(self, x: Fraction) -> bool:
-        """Membership of x in [0,1) under the circle identification."""
-        return self.a <= x <= self.b or self.a <= x - 1 <= self.b
 
 
 def interval(profile: Profile, family: str, n: int, j: int) -> TargetInterval:
@@ -148,13 +123,6 @@ def member(profile: Profile, family: str, x: Fraction, up_to: int) -> MemberResu
     return MemberResult(ok=True, first_fail=None, entries=tuple(entries))
 
 
-def _circle_contained(child: TargetInterval, parent: TargetInterval) -> bool:
-    """Closed containment of intervals on the circle (lengths < 1)."""
-    lo = parent.a - child.a
-    hi = parent.b - child.b
-    return ceil(lo) <= floor(hi)
-
-
 def child_span(profile: Profile, family: str, n: int, j: int) -> tuple[int, int]:
     """Lifted index range ``(jmin, jmax)`` of the level-(n+1) intervals wholly
     inside level-n interval j; empty when jmin > jmax.
@@ -195,6 +163,13 @@ def pick_child(
     return pick % profile.level(n + 1).cell_count
 
 
+def _center(profile: Profile, family: str, n: int, j: int) -> Fraction:
+    """The center (24j + L + H)/(24 C_n) of level-n interval j, mod 1."""
+    lo, hi = TWELFTHS[family]
+    den = 24 * profile.level(n).cell_count
+    return Fraction((24 * j + lo + hi) % den, den)
+
+
 @dataclass(frozen=True)
 class DigitPath:
     """Nested child choices identifying a depth-N point.
@@ -221,13 +196,16 @@ def _path_from_indices(
     idx = tuple(indices)
     if not idx:
         raise InvalidDigitPath("a digit path needs at least one index")
-    prev: Optional[TargetInterval] = None
     for n, j in enumerate(idx, start=1):
-        cur = interval(profile, fam, n, j)
-        if prev is not None and not _circle_contained(cur, prev):
-            raise InvalidDigitPath(f"level {n} interval j={j} not inside level {n - 1}")
-        prev = cur
-    x = prev.center % 1
+        c = profile.level(n).cell_count
+        if not 0 <= j < c:
+            raise IndexOutOfRange(f"j={j} outside 0..{c - 1} at level {n}")
+        if n > 1:
+            # j is one of the parent's children when its lift falls in the span
+            jmin, jmax = child_span(profile, fam, n - 1, idx[n - 2])
+            if (j - jmin) % c > jmax - jmin:
+                raise InvalidDigitPath(f"level {n} interval j={j} not inside level {n - 1}")
+    x = _center(profile, fam, len(idx), idx[-1])
     res = member(profile, fam, x, len(idx))
     if not res.ok:
         raise InvalidDigitPath(f"center fails membership at level {res.first_fail}")
@@ -274,18 +252,21 @@ def sample_point(
     return path.point, path
 
 
+def interval_row(profile: Profile, family: str, n: int, j: int) -> dict:
+    """A CSV-ready row (decimal strings) for level-n interval j."""
+    iv = interval(profile, family, n, j)
+    return {
+        "n": n,
+        "j": j,
+        "family": iv.family,
+        "a_num": str(iv.a.numerator),
+        "a_den": str(iv.a.denominator),
+        "b_num": str(iv.b.numerator),
+        "b_den": str(iv.b.denominator),
+    }
+
+
 def interval_rows(profile: Profile, family: str, n: int) -> Iterable[dict]:
-    """CSV-ready rows (decimal strings) for the whole level-n union."""
-    fam = canonical_family(family)
-    lv = profile.level(n)
-    for j in range(lv.cell_count):
-        iv = interval(profile, fam, n, j)
-        yield {
-            "n": n,
-            "j": j,
-            "family": fam,
-            "a_num": str(iv.a.numerator),
-            "a_den": str(iv.a.denominator),
-            "b_num": str(iv.b.numerator),
-            "b_den": str(iv.b.denominator),
-        }
+    """Rows of ``interval_row`` for the whole level-n union."""
+    for j in range(profile.level(n).cell_count):
+        yield interval_row(profile, family, n, j)

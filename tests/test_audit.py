@@ -104,6 +104,13 @@ def test_aligned_rejects_mixed_family(tent_cocycle):
         audit_aligned(tent_cocycle, path, 5)
 
 
+@pytest.mark.parametrize("family", ("++", "--"))
+def test_aligned_refused_on_tent_variant(tent_cocycle, family):
+    _, path = sample_point(tent_cocycle.profile, family, "center", 6)
+    with pytest.raises(ValueError, match="not certified on the tent variant"):
+        audit_aligned(tent_cocycle, path, 11)
+
+
 def top_of_window(w):
     top = ceil(w.hi) - 1
     assert w.lo <= top < w.hi

@@ -67,6 +67,12 @@ def test_audit_csv_and_exit(capsys):
     assert header == "m,n_of_m,l,term,sign,bound,pass"
 
 
+def test_audit_refuses_aligned_family_on_tent(capsys):
+    code, out, err = run(capsys, "audit", "--variant", "tent", "--m", "11")
+    assert code == 1 and out == ""
+    assert err == "error: aligned family ++ is not certified on the tent variant\n"
+
+
 def test_dimension_table(capsys):
     code, out, _ = run(
         capsys, "dimension", "--alpha", "golden", "--strategy", "greedy", "--n", "4",
@@ -399,5 +405,5 @@ def test_generated_argv_keeps_the_exit_contract(argv):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
     # exit 2 is a verdict: a failed audit, gap check or level validation still
-    # prints the report it failed on (e.g. an aligned audit on the tent variant)
+    # prints the report it failed on
     assert code != 1 or (out.getvalue() == "" and err.getvalue()), argv

@@ -1,22 +1,35 @@
-"""Integer-lattice counting against a brute-force Fraction oracle.
+"""Integer-lattice counting and sampling against a brute-force Fraction oracle.
 
-``child_span``, measured ``nesting_stats`` and box counting work
-on integer twelfths of a period.  Each is checked here against a scan over
-``interval()`` endpoints with ``_circle_contained`` or ``floor(a * g)``, which
-builds every interval as exact rationals and shares none of that arithmetic.
+``child_span``, measured ``nesting_stats``, box counting and the nesting check
+and center of a sampled digit path work on integer twelfths of a period.  Each
+is checked here against a scan over ``interval()`` endpoints with the local
+``_circle_contained``, ``(a + b)/2`` or ``floor(a * g)``, which builds every
+interval as exact rationals and shares none of that arithmetic.
 """
 
 import random
 import time
 from fractions import Fraction
-from math import floor
+from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from besicov import interval, member, nesting_stats, sample_point, select_levels
+from besicov import (
+    DigitPath,
+    dynamics,
+    interval,
+    member,
+    nesting_stats,
+    sample_point,
+    select_levels,
+    sensitivity_probe,
+    targets,
+)
 from besicov.cli import parse_alpha
 from besicov.dimension import _occupied_cells
-from besicov.targets import FAMILIES, _circle_contained, child_span, pick_child
+from besicov.errors import IndexOutOfRange, InvalidDigitPath
+from besicov.targets import FAMILIES, child_span, pick_child
 
 ALPHAS = ("golden", "sqrt2m1", "quotients=1,2")
 VARIANTS = ("main", "tent")
@@ -24,6 +37,16 @@ VARIANTS = ("main", "tent")
 
 def _profile(alpha, strategy, variant, n):
     return select_levels(parse_alpha(alpha), strategy, variant, n)
+
+
+def _circle_contained(child, parent):
+    """Closed containment of intervals on the circle (lengths < 1): some
+    integer shift carries the child into the parent."""
+    return ceil(parent.a - child.a) <= floor(parent.b - child.b)
+
+
+def _center(iv):
+    return (iv.a + iv.b) / 2 % 1
 
 
 def _oracle_children(profile, family, parent, level_below):
@@ -121,4 +144,50 @@ def test_deep_fixed_sampling(alpha, variant, policy):
         assert time.perf_counter() - start < 1.0
         assert path.depth == 4
         assert member(profile, family, x, 4).ok
-        assert x == interval(profile, family, 4, path.indices[-1]).center % 1
+        assert x == _center(interval(profile, family, 4, path.indices[-1]))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_digit_path_nesting_and_center_match_oracle(data):
+    """The integer nesting check of a level-1/level-2 digit path agrees with
+    the oracle, out-of-range indices included, and the sampled point is the
+    center of the deepest interval."""
+    alpha, variant, family = (data.draw(st.sampled_from(s)) for s in (ALPHAS, VARIANTS, FAMILIES))
+    profile = _profile(alpha, "greedy", variant, 2)
+    c1, c2 = (lv.cell_count for lv in profile.levels)
+    j = data.draw(st.sampled_from((0, c1 - 1)) | st.integers(0, c1 - 1))  # "++" j = 0 wraps
+    jmin, jmax = child_span(profile, family, 1, j)
+    near = st.integers(jmin - 2, jmax + 2).map(lambda k: k % c2)
+    k = data.draw(near | st.integers(0, c2 - 1) | st.sampled_from((-2, -1, c2, c2 + 1)))
+    parent = interval(profile, family, 1, j)
+    x, _ = sample_point(profile, family, DigitPath(family, (j,), Fraction(0), ()))
+    assert x == _center(parent)
+    path = DigitPath(family, (j, k), Fraction(0), ())
+    if not 0 <= k < c2:
+        with pytest.raises(IndexOutOfRange):
+            sample_point(profile, family, path)
+    elif _circle_contained(child := interval(profile, family, 2, k), parent):
+        x, got = sample_point(profile, family, path)
+        assert x == _center(child) and got.indices == (j, k)
+    else:
+        with pytest.raises(InvalidDigitPath):
+            sample_point(profile, family, path)
+
+
+def test_sampling_builds_no_interval(monkeypatch, tent_cocycle):
+    """Sampling and the sensitivity probe's target candidate descend and
+    center on the integer lattice; ``interval()`` serves only the tables."""
+
+    def refuse(*args):
+        raise AssertionError("interval() called")
+
+    monkeypatch.setattr(targets, "interval", refuse)
+    for variant, families in (("main", ("++", "--")), ("tent", ("-+", "+-"))):
+        for family in families:
+            for policy in ("center", "leftmost"):
+                sample_point(_profile("golden", "greedy", variant, 4), family, policy, 4)
+    x, delta = Fraction(1, 4), Fraction(1, 1000)
+    assert dynamics._target_candidate(tent_cocycle, x, delta) is not None
+    res = sensitivity_probe(tent_cocycle, x, delta, Fraction(1), 50, samples=1, seed=7)
+    assert res.outcome in ("witness-found", "not-found")
