@@ -1,10 +1,11 @@
 """Golden corpus: the recorded stdout, stderr and exit code of CLI runs.
 
 Each ``tests/golden/*.json`` holds one argv and what ``cli.main`` printed for
-it: every README CLI example, every ``--help`` page at 80 columns, and
-argparse-level errors.  The replay test runs each argv again and wants the
-same bytes.  ``PYTHONPATH=src python tests/test_golden.py`` records the cases
-whose argv has no file yet; it never rewrites an existing one.  README's
+it: every README CLI example, every ``--help`` page at 80 columns,
+argparse-level errors and the growth certificates of three more level
+profiles.  The replay test runs each argv again and wants the same bytes.
+``PYTHONPATH=src python tests/test_golden.py`` records the cases whose argv
+has no file yet; it never rewrites an existing one.  README's
 Python quick start is run as written too, so an API change cannot break it.
 """
 
@@ -39,6 +40,13 @@ ERRORS = {
     "probe-kind-bad": ["probe", "--kind", "lyapunov"],
     "orbit-steps-abc": ["orbit", "--x", "1/7", "--steps", "abc"],
     "levels-upto-not-a-levels-flag": ["levels", "--upto", "3"],
+}
+
+#: Growth-certificate JSON beyond README's greedy main example, by slug.
+VALIDATION = {
+    "tent-n6": ["levels", "--variant", "tent", "--n", "6", "--out", "json"],
+    "fixed-n3": ["levels", "--strategy", "fixed", "--n", "3", "--out", "json"],
+    "sqrt2m1-tent-n5": ["levels", "--alpha", "sqrt2m1", "--variant", "tent", "--n", "5", "--out", "json"],
 }
 
 
@@ -83,6 +91,7 @@ def cases() -> dict[str, list[str]]:
     named["help"] = ["--help"]
     named.update((f"help-{cmd}", [cmd, "--help"]) for cmd in cli.COMMANDS)
     named.update((f"error-{slug}", argv) for slug, argv in ERRORS.items())
+    named.update((f"validation-{slug}", argv) for slug, argv in VALIDATION.items())
     return named
 
 
