@@ -22,7 +22,6 @@ from .cf import (
     Convergent,
     GapCertificate,
     IrrationalSpec,
-    RationalBracket,
     alpha_bracket,
     convergent,
     gap_bounds_check,

@@ -5,17 +5,18 @@ comparisons decidable, ln is evaluated deterministically with an explicit
 enclosure: write x = m * 2^e with m in [1, 2), expand
 ln m = 2 atanh((m-1)/(m+1)) as its alternating-free odd series (argument in
 [0, 1/3], so the tail is geometrically dominated), and add e times a cached
-enclosure of ln 2.  Everything is Fraction arithmetic; endpoints are rounded
-outward on a dyadic grid so the enclosures stay small.
+enclosure of ln 2.  Everything is Fraction arithmetic on :class:`cf.Enclosure`
+intervals; endpoints are rounded outward on a dyadic grid so the enclosures
+stay small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 from typing import Union
 
+from .cf import Enclosure
 from .errors import InvariantBroken
 
 #: log_enclosure's relative width, rounding grid and series cut, in bits.
@@ -24,51 +25,10 @@ _WORK_BITS = DEFAULT_REL_BITS + 24
 _TAIL_BITS = _WORK_BITS + 16
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError("enclosure endpoints out of order")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __add__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
-
-    def scale(self, c: Union[int, Fraction]) -> "Enclosure":
-        if c >= 0:
-            return Enclosure(self.lo * c, self.hi * c)
-        return Enclosure(self.hi * c, self.lo * c)
-
-    def div_positive(self, other: "Enclosure") -> "Enclosure":
-        """Interval quotient; ``other`` must be strictly positive."""
-        if other.lo <= 0:
-            raise ValueError("divisor enclosure must be strictly positive")
-        if self.lo >= 0:
-            return Enclosure(self.lo / other.hi, self.hi / other.lo)
-        if self.hi <= 0:
-            return Enclosure(self.lo / other.lo, self.hi / other.hi)
-        return Enclosure(self.lo / other.lo, self.hi / other.lo)
-
-    def outward(self) -> "Enclosure":
-        """Round both ends outward to the 2^-_WORK_BITS grid."""
-        s = 1 << _WORK_BITS
-        return Enclosure(Fraction(floor(self.lo * s), s), Fraction(ceil(self.hi * s), s))
+def outward(enc: Enclosure) -> Enclosure:
+    """Round both ends of ``enc`` outward to the 2^-_WORK_BITS grid."""
+    s = 1 << _WORK_BITS
+    return Enclosure(Fraction(floor(enc.lo * s), s), Fraction(ceil(enc.hi * s), s))
 
 
 def _atanh_enclosure(z: Fraction) -> Enclosure:
@@ -95,7 +55,7 @@ def _atanh_enclosure(z: Fraction) -> Enclosure:
             return Enclosure(total, total + tail)
 
 
-_LN2: Enclosure = _atanh_enclosure(Fraction(1, 3)).scale(2).outward()
+_LN2: Enclosure = outward(_atanh_enclosure(Fraction(1, 3)).scale(2))
 
 
 def log_enclosure(x: Union[int, Fraction]) -> Enclosure:
@@ -117,7 +77,7 @@ def log_enclosure(x: Union[int, Fraction]) -> Enclosure:
         e -= 1
         m *= 2
     z = (m - 1) / (m + 1)
-    enc = (_atanh_enclosure(z).scale(2) + _LN2.scale(e)).outward()
+    enc = outward(_atanh_enclosure(z).scale(2) + _LN2.scale(e))
     limit = Fraction(1, 1 << DEFAULT_REL_BITS) * max(abs(enc.lo), abs(enc.hi), Fraction(1, 1 << 20))
     if enc.width > limit:
         raise InvariantBroken("log enclosure wider than requested tolerance")

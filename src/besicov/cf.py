@@ -3,8 +3,10 @@
 Every irrational handled by the library enters as a continued-fraction
 expansion (finite head plus periodic tail), so alpha itself is never stored
 as a decimal.  Every comparison against alpha is one :func:`certify_offset`
-call: it encloses alpha in a :class:`RationalBracket` between consecutive
+call: it encloses alpha in an :class:`Enclosure` between consecutive
 convergents, escalating the depth until the comparison is decided exactly.
+:class:`Enclosure` is the library's one closed rational interval type; the
+certified logarithms of ``certlog`` use it too.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import IndecisiveBracket
 
@@ -112,28 +114,61 @@ def convergent(spec: IrrationalSpec, n: int) -> Convergent:
 
 
 @dataclass(frozen=True)
-class RationalBracket:
-    """Exact rationals lo < alpha < hi (both strict)."""
+class Enclosure:
+    """A closed rational interval [lo, hi]: an enclosure of alpha, of a
+    distance to alpha, or of a logarithm, with exact interval arithmetic."""
 
     lo: Fraction
     hi: Fraction
+
+    def __post_init__(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError("enclosure endpoints out of order")
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
+    @property
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
 
-def alpha_bracket(spec: IrrationalSpec, depth: int) -> RationalBracket:
+    def __add__(self, other: "Enclosure") -> "Enclosure":
+        return Enclosure(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other: "Enclosure") -> "Enclosure":
+        return Enclosure(self.lo - other.hi, self.hi - other.lo)
+
+    def __neg__(self) -> "Enclosure":
+        return Enclosure(-self.hi, -self.lo)
+
+    def scale(self, c: Union[int, Fraction]) -> "Enclosure":
+        if c >= 0:
+            return Enclosure(self.lo * c, self.hi * c)
+        return Enclosure(self.hi * c, self.lo * c)
+
+    def div_positive(self, other: "Enclosure") -> "Enclosure":
+        """Interval quotient; ``other`` must be strictly positive."""
+        if other.lo <= 0:
+            raise ValueError("divisor enclosure must be strictly positive")
+        if self.lo >= 0:
+            return Enclosure(self.lo / other.hi, self.hi / other.lo)
+        if self.hi <= 0:
+            return Enclosure(self.lo / other.lo, self.hi / other.hi)
+        return Enclosure(self.lo / other.lo, self.hi / other.lo)
+
+
+def alpha_bracket(spec: IrrationalSpec, depth: int) -> Enclosure:
     """Bracket alpha between convergents ``depth`` and ``depth + 1``.
 
     Consecutive convergents straddle alpha (even indices below, odd above),
-    so the bracket is strict and has width exactly 1/(q_N q_{N+1}).
+    so lo < alpha < hi strictly and the width is exactly 1/(q_N q_{N+1}).
     """
     if depth < 1:
         raise ValueError("bracket depth must be >= 1")
     a = convergent(spec, depth).value
     b = convergent(spec, depth + 1).value
-    return RationalBracket(lo=min(a, b), hi=max(a, b))
+    return Enclosure(min(a, b), max(a, b))
 
 
 def certify_offset(
@@ -148,16 +183,15 @@ def certify_offset(
     past MAX_BRACKET_DEPTH rather than ever guessing.
     """
     v = convergent(spec, k).value
+    at_v = Enclosure(v, v)
     depth = max(8, k + 3)
     while depth <= MAX_BRACKET_DEPTH:
-        br = alpha_bracket(spec, depth)
-        d_lo, d_hi = br.lo - v, br.hi - v
-        if not d_lo <= 0 <= d_hi:
-            sign = 1 if d_lo > 0 else -1
-            a_lo, a_hi = (d_lo, d_hi) if sign > 0 else (-d_hi, -d_lo)
-            s_lo, s_hi = scale * a_lo, scale * a_hi
-            if not (s_lo <= lo < s_hi or s_lo < hi <= s_hi):
-                return lo < s_lo and s_hi < hi, sign, s_lo, s_hi, depth
+        d = alpha_bracket(spec, depth) - at_v
+        if not d.lo <= 0 <= d.hi:
+            sign = 1 if d.lo > 0 else -1
+            dist = d.scale(sign * scale)
+            if not (dist.lo <= lo < dist.hi or dist.lo < hi <= dist.hi):
+                return lo < dist.lo and dist.hi < hi, sign, dist.lo, dist.hi, depth
         depth *= 2
     raise IndecisiveBracket(
         f"comparison against alpha undecided at bracket depth {MAX_BRACKET_DEPTH}"

@@ -80,10 +80,17 @@ def parse_rational(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag} expects a rational like 3/7, got {text!r}") from None
 
 
-def _flag(default, *, on: Optional[tuple[str, ...]] = None, choices: Optional[tuple] = None):
+def _flag(
+    default,
+    *,
+    on: Optional[tuple[str, ...]] = None,
+    choices: Optional[tuple] = None,
+    least: Optional[int] = None,
+):
     """A RunConfig field whose flag is offered only by the subcommands ``on``
-    (None: by every subcommand) and only takes ``choices``."""
-    return field(default=default, metadata={"on": on, "choices": choices})
+    (None: by every subcommand) and only takes ``choices``, or integers from
+    ``least`` up."""
+    return field(default=default, metadata={"on": on, "choices": choices, "least": least})
 
 
 @dataclass
@@ -98,17 +105,17 @@ class RunConfig:
     alpha: str = "golden"
     strategy: str = _flag("greedy", choices=("fixed", "greedy"))
     variant: str = _flag("main", choices=("main", "tent"))
-    n: int = 4
+    n: int = _flag(4, least=1)
     depth: Optional[int] = None
     alpha_depth: Optional[int] = None
-    trunc: Optional[int] = None
-    precision_bits: int = 128
+    trunc: Optional[int] = _flag(None, least=1)
+    precision_bits: int = _flag(128, least=64)
     family: str = _flag("pp", choices=tuple(FAMILY_CODES))
     x: Optional[str] = None
     seed: int = 0
     out: str = _flag("csv", choices=("csv", "json"))
     config: Optional[str] = None  # the --config file itself, never a key in it
-    upto: int = _flag(10, on=("cf",))
+    upto: int = _flag(10, on=("cf",), least=0)
     check: bool = _flag(False, on=("cf",))
     m: Optional[int] = _flag(None, on=("sum", "audit"))
     m_range: Optional[str] = _flag(None, on=("sum", "audit"))
@@ -121,15 +128,15 @@ class RunConfig:
                       choices=("sensitivity", "nonrecurrence", "coverage", "classify"))
     eps: str = _flag("1/10", on=("probe",))
     delta: str = _flag("1/1000", on=("probe",))
-    horizon: int = _flag(1000, on=("probe",))
-    grid: int = _flag(1000, on=("dimension", "probe"))
+    horizon: int = _flag(1000, on=("probe",), least=1)
+    grid: int = _flag(1000, on=("dimension", "probe"), least=1)
     box: bool = _flag(False, on=("dimension",))
     box_level: int = _flag(1, on=("dimension",))
     height: str = _flag("3", on=("probe",))
-    samples: int = _flag(8, on=("probe",))
+    samples: int = _flag(8, on=("probe",), least=1)
     t0: str = _flag("0", on=("orbit", "probe"))
-    steps: int = _flag(100, on=("orbit",))
-    store_every: int = _flag(1, on=("orbit",))
+    steps: int = _flag(100, on=("orbit",), least=1)
+    store_every: int = _flag(1, on=("orbit",), least=1)
 
     def spec(self) -> IrrationalSpec:
         return parse_alpha(self.alpha)
@@ -144,8 +151,6 @@ class RunConfig:
         return parse_rational(self.x, "--x")
 
     def cocycle(self) -> CocycleSpec:
-        if self.trunc is not None and self.trunc < 1:
-            raise UsageError("--trunc must be >= 1")
         return make_cocycle(
             self.spec(),
             self.strategy,
@@ -194,8 +199,6 @@ def _emit(cfg: RunConfig, rows: list[dict], payload: dict, stream) -> None:
 
 
 def cmd_cf(cfg: RunConfig, stream) -> int:
-    if cfg.upto < 0:
-        raise UsageError("--upto must be >= 0")
     spec = cfg.spec()
     rows = []
     for n in range(cfg.upto + 1):
@@ -357,8 +360,6 @@ def cmd_orbit(cfg: RunConfig, stream) -> int:
     from . import dynamics as dyn_mod
 
     x = cfg.point()
-    if cfg.store_every < 1:
-        raise UsageError("--store-every must be >= 1")
     cspec = cfg.cocycle()
     marks = range(0, cfg.steps + 1, cfg.store_every)
     rec = dyn_mod.orbit(
@@ -393,10 +394,6 @@ def cmd_orbit(cfg: RunConfig, stream) -> int:
 def cmd_probe(cfg: RunConfig, stream) -> int:
     from . import dynamics as dyn_mod
 
-    if cfg.horizon < 1:
-        raise UsageError(f"--horizon must be >= 1, got {cfg.horizon}")
-    if cfg.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {cfg.samples}")
     cspec = cfg.cocycle()
     x = parse_rational(cfg.x, "--x") if cfg.x else Fraction(1, 4)
     if cfg.kind == "sensitivity":
@@ -466,6 +463,7 @@ COMMANDS = {
 _TYPES = {key: get_args(hint) or (hint,) for key, hint in get_type_hints(RunConfig).items()}
 _JSON_NAMES = {bool: "true/false", int: "an integer", str: "a string", type(None): "null"}
 _CHOICES = {f.name: f.metadata.get("choices") for f in fields(RunConfig)}
+_LEAST = {f.name: f.metadata.get("least") for f in fields(RunConfig)}
 
 
 def build_parser() -> _Parser:
@@ -507,6 +505,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for key, value in vars(args).items():
         if key != "command":
             setattr(cfg, key, value)
+    for key, least in _LEAST.items():
+        value = getattr(cfg, key)
+        if least is not None and value is not None and value < least:
+            raise UsageError(f"--{key.replace('_', '-')} must be >= {least}, got {value}")
     return cfg
 
 

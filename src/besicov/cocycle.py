@@ -219,7 +219,11 @@ def make_cocycle(
     Level selection is prefix-stable, so the first n_max levels equal those of
     ``select_levels(spec, strategy, variant, n_max)`` exactly.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     n_levels = n_max + 3 if n_levels is None else n_levels
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
     profile = select_levels(spec, strategy, variant, max(n_max, n_levels))
     lam_max = max(lv.lam for lv in profile.levels[:n_levels])
     if alpha_depth is None:

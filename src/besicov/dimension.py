@@ -33,7 +33,8 @@ from fractions import Fraction
 from math import log
 from typing import Optional
 
-from .certlog import DEFAULT_REL_BITS, Enclosure, log_enclosure
+from .certlog import DEFAULT_REL_BITS, log_enclosure
+from .cf import Enclosure
 from .errors import EnumerationCapExceeded, InvariantBroken
 from .levels import Profile
 from .targets import TWELFTHS, canonical_family, child_span

@@ -12,7 +12,7 @@ taxicab metric: circle distance in x plus |difference| in t.
 Probes are diagnostics, not certificates: each one carries its accumulated
 error bound and refuses to assert anything the bound could explain away.
 A sensitivity witness is only reported after re-simulation at doubled
-precision reproduces the separation.  The target-set point the sensitivity
+precision reproduces the separation.  The interval point the sensitivity
 probe tries first is descended and centred by ``targets`` on its integer
 twelfths; this module keeps no interval geometry of its own.
 """
@@ -20,7 +20,7 @@ twelfths; this module keeps no interval geometry of its own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -187,14 +187,7 @@ class ProbeResult:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "outcome": self.outcome,
-            "witness": self.witness,
-            "error_bound": self.error_bound,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _circle_dist(a: Fraction, b: Fraction) -> Fraction:
@@ -262,8 +255,16 @@ def nonrecurrence_test(
 def _target_candidate(
     cspec: CocycleSpec, x: Fraction, delta: Fraction
 ) -> Optional[Fraction]:
-    """A certified target-set point within delta of x, if the profile has a
-    level fine enough; mixed family for tent cocycles, aligned for main."""
+    """A point within delta of x on the fine levels of the target intervals.
+
+    The start level n is the first whose period is at most delta/2; from
+    the level-n interval nearest x the descent takes the middle child down
+    to depth min(n + 2, n_levels) and returns that interval's center if it
+    lies within delta of x.  The point lies in the level-l union for every
+    l from n to the depth, but the levels below n are never checked, so it
+    need not lie in the target set.  Family "-+" for tent cocycles, "++"
+    for main.
+    """
     from .targets import _center, pick_child
 
     profile = cspec.profile
@@ -296,9 +297,10 @@ def sensitivity_probe(
 ) -> ProbeResult:
     """Search for a delta-close starting point whose orbit separates by > eps.
 
-    Candidates: one certified target-set point near x when the profile
-    resolves delta (their fiber coordinate provably escapes), then seeded
-    random rationals in (x - delta, x + delta).  The base separation is
+    Candidates: one point near x from the target intervals of the levels
+    that resolve delta (see ``_target_candidate``: it lies in those levels'
+    unions, not necessarily in the coarser ones), then seeded random
+    rationals in (x - delta, x + delta).  The base separation is
     constant in time (rotations are isometries), so separation is driven by
     the fiber difference.  A found witness is re-simulated at doubled
     precision before being reported; absence of a witness is "not-found",

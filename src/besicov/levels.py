@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -170,15 +170,7 @@ class Certificate:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "value": self.value,
-            "bound": self.bound,
-            "passed": self.passed,
-            "binding": self.binding,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -227,148 +219,52 @@ def validate_levels(profile: Profile) -> ValidationReport:
     The asymptotic condition (1/n) log q_{k_n} -> infinity cannot be decided
     at finite n; the report carries the sequence for inspection instead.
     """
-    certs: list[Certificate] = []
     L = profile.levels
-    tent = profile.variant == "tent"
-
-    parities = {lv.k % 2 for lv in L}
-    certs.append(
-        Certificate(
-            name="parity",
-            n=None,
-            value=",".join(str(lv.k) for lv in L),
-            bound="all k_n even or all odd",
-            passed=len(parities) == 1,
-        )
-    )
-
-    if tent:
-        for lv in L:
-            certs.append(
-                Certificate("amp-one", lv.n, str(lv.a), "A_n = 1", lv.a == 1)
-            )
+    rows: list[tuple] = [  # Certificate fields, in order
+        ("parity", None, ",".join(str(lv.k) for lv in L), "all k_n even or all odd",
+         len({lv.k % 2 for lv in L}) == 1),
+    ]
+    if profile.variant == "tent":
+        rows += [("amp-one", lv.n, str(lv.a), "A_n = 1", lv.a == 1) for lv in L]
         for prev, cur in zip(L, L[1:]):
-            certs.append(
-                Certificate(
-                    "growth-18x",
-                    cur.n,
-                    f"{cur.q}/{prev.q}",
-                    ">= 18",
-                    cur.q >= 18 * prev.q,
-                )
-            )
-            certs.append(
-                Certificate(
-                    "peak-ratio-increasing",
-                    cur.n,
-                    f"{cur.q_next} > {prev.q_next}",
-                    "q_{k_n+1} strictly increasing",
-                    cur.q_next > prev.q_next,
-                )
-            )
+            rows += [
+                ("growth-18x", cur.n, f"{cur.q}/{prev.q}", ">= 18", cur.q >= 18 * prev.q),
+                ("peak-ratio-increasing", cur.n, f"{cur.q_next} > {prev.q_next}",
+                 "q_{k_n+1} strictly increasing", cur.q_next > prev.q_next),
+            ]
     else:
         base = L[0]
-        certs.append(
-            Certificate("base-q-next", 1, str(base.q_next), ">= 9", base.q_next >= 9)
-        )
-        certs.append(
-            Certificate(
-                "base-q",
-                1,
-                str(base.q),
-                ">= 9",
-                base.q >= 9,
-                binding=False,
-                note="alternative base reading, recorded only",
-            )
-        )
-        for lv in L:
-            amp_ok = lv.a >= 1 and lv.a == (3**lv.n * lv.q_next) // 4**lv.n
-            certs.append(
-                Certificate(
-                    "amplitude",
-                    lv.n,
-                    str(lv.a),
-                    "floor((3/4)^n q_{k_n+1}), >= 1",
-                    amp_ok,
-                )
-            )
+        rows += [
+            ("base-q-next", 1, str(base.q_next), ">= 9", base.q_next >= 9),
+            ("base-q", 1, str(base.q), ">= 9", base.q >= 9,
+             False, "alternative base reading, recorded only"),
+        ]
+        rows += [
+            ("amplitude", lv.n, str(lv.a), "floor((3/4)^n q_{k_n+1}), >= 1",
+             lv.a >= 1 and lv.a == _amp(lv.n, lv.q_next, "main"))
+            for lv in L
+        ]
         for prev, cur in zip(L, L[1:]):
-            certs.append(
-                Certificate(
-                    "growth-5x-q",
-                    cur.n,
-                    f"{cur.q}/{prev.q}",
-                    ">= 5",
-                    cur.q >= 5 * prev.q,
-                )
-            )
-            certs.append(
-                Certificate(
-                    "growth-5x-q-next",
-                    cur.n,
-                    f"{cur.q_next}/{prev.q_next}",
-                    ">= 5",
-                    cur.q_next >= 5 * prev.q_next,
-                )
-            )
             ratio = Fraction(cur.q_next * prev.a, cur.a * prev.q_next)
-            certs.append(
-                Certificate(
-                    "ratio-window",
-                    cur.n,
-                    str(ratio),
-                    f"({RATIO_LO}, {RATIO_HI})",
-                    RATIO_LO < ratio < RATIO_HI,
-                )
-            )
-            certs.append(
-                Certificate(
-                    "chain-upper",
-                    cur.n,
-                    str(1 / ratio),
-                    "> 18/25",
-                    1 / ratio > Fraction(18, 25),
-                )
-            )
-            certs.append(
-                Certificate(
-                    "chain-lower",
-                    cur.n,
-                    str(ratio),
-                    "> 11/10",
-                    ratio > RATIO_LO,
-                )
-            )
-        # exponential rise of q_{k_n+1}/A_n
-        peaks = [Fraction(lv.q_next, lv.a) for lv in L]
-        rising = all(b > a for a, b in zip(peaks, peaks[1:]))
-        floor_ok = all(
-            peaks[i] >= RATIO_LO**i * peaks[0] for i in range(len(peaks))
+            rows += [
+                ("growth-5x-q", cur.n, f"{cur.q}/{prev.q}", ">= 5", cur.q >= 5 * prev.q),
+                ("growth-5x-q-next", cur.n, f"{cur.q_next}/{prev.q_next}", ">= 5",
+                 cur.q_next >= 5 * prev.q_next),
+                ("ratio-window", cur.n, str(ratio), f"({RATIO_LO}, {RATIO_HI})",
+                 RATIO_LO < ratio < RATIO_HI),
+                ("chain-upper", cur.n, str(1 / ratio), "> 18/25", 1 / ratio > Fraction(18, 25)),
+                ("chain-lower", cur.n, str(ratio), "> 11/10", ratio > RATIO_LO),
+            ]
+        peaks = [Fraction(lv.q_next, lv.a) for lv in L]  # q_{k_n+1}/A_n
+        rises = all(b > a for a, b in zip(peaks, peaks[1:])) and all(
+            p >= RATIO_LO**i * peaks[0] for i, p in enumerate(peaks)
         )
-        certs.append(
-            Certificate(
-                "exponential-rise",
-                None,
-                ",".join(str(p) for p in peaks),
-                "strictly increasing, >= (11/10)^(n-1) * first",
-                rising and floor_ok,
-            )
-        )
-
-    log_growth = [math.log(lv.q) / lv.n for lv in L]
-    certs.append(
-        Certificate(
-            "log-growth",
-            None,
-            ",".join(f"{v:.6f}" for v in log_growth),
-            "-> infinity (asymptotic, reported only)",
-            True,
-            binding=False,
-            note="(1/n) log q_{k_n}; informational",
-        )
-    )
-    return ValidationReport(certificates=certs)
+        rows.append(("exponential-rise", None, ",".join(map(str, peaks)),
+                     "strictly increasing, >= (11/10)^(n-1) * first", rises))
+    rows.append(("log-growth", None, ",".join(f"{math.log(lv.q) / lv.n:.6f}" for lv in L),
+                 "-> infinity (asymptotic, reported only)", True,
+                 False, "(1/n) log q_{k_n}; informational"))
+    return ValidationReport(certificates=[Certificate(*row) for row in rows])
 
 
 # ---------------------------------------------------------------------------

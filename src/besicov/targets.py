@@ -14,8 +14,9 @@ so interval j is [(12j + L)/(12 C_n), (12j + H)/(12 C_n)] and its center is
 intervals is therefore an integer floor or ceil: ``child_span`` gives the
 level-(n+1) children of one interval as a lifted index range, and it is the
 one nesting test, for the counting paths (child picks, measured nesting, box
-counting) and for the digit paths ``sample_point`` certifies alike.  Only
-``interval`` and the interval tables build the endpoints as ``Fraction``s.
+counting) and for the caller-supplied digit paths ``sample_point``
+re-certifies alike.  Only ``interval`` and the interval tables build the
+endpoints as ``Fraction``s.
 
 The j = 0 interval of "++" straddles 0 and is kept as a single wrapped
 interval on the circle, so counting and membership treat the circle metric
@@ -189,11 +190,8 @@ class DigitPath:
         return len(self.indices)
 
 
-def _path_from_indices(
-    profile: Profile, family: str, indices: Iterable[int]
-) -> DigitPath:
-    fam = canonical_family(family)
-    idx = tuple(indices)
+def _check_nesting(profile: Profile, family: str, idx: tuple[int, ...]) -> None:
+    """Raise unless a caller-supplied index tuple is a nested chain of intervals."""
     if not idx:
         raise InvalidDigitPath("a digit path needs at least one index")
     for n, j in enumerate(idx, start=1):
@@ -202,19 +200,9 @@ def _path_from_indices(
             raise IndexOutOfRange(f"j={j} outside 0..{c - 1} at level {n}")
         if n > 1:
             # j is one of the parent's children when its lift falls in the span
-            jmin, jmax = child_span(profile, fam, n - 1, idx[n - 2])
+            jmin, jmax = child_span(profile, family, n - 1, idx[n - 2])
             if (j - jmin) % c > jmax - jmin:
                 raise InvalidDigitPath(f"level {n} interval j={j} not inside level {n - 1}")
-    x = _center(profile, fam, len(idx), idx[-1])
-    res = member(profile, fam, x, len(idx))
-    if not res.ok:
-        raise InvalidDigitPath(f"center fails membership at level {res.first_fail}")
-    return DigitPath(
-        family=fam,
-        indices=idx,
-        point=x,
-        reductions=tuple(r for _, r in res.entries),
-    )
 
 
 def sample_point(
@@ -227,29 +215,36 @@ def sample_point(
 
     policy "center" descends through the middle child at every level (keeping
     audit margins fat), "leftmost" through the first child in circle order;
-    both are rooted at j_1 = 0.  A DigitPath may be passed instead to
-    reconstruct and re-certify a specific point.  Membership at every level
-    up to the depth is verified exactly before returning.
+    both are rooted at j_1 = 0 and nested by construction.  A DigitPath may
+    be passed instead to reconstruct and re-certify a specific point; its
+    indices are checked for nesting first.  On both routes membership of the
+    center at every level up to the depth is verified exactly before
+    returning.
     """
     fam = canonical_family(family)
     if isinstance(policy, DigitPath):
-        path = _path_from_indices(profile, fam, policy.indices)
-        return path.point, path
-    if policy not in ("center", "leftmost"):
-        raise ValueError("policy must be 'center', 'leftmost', or a DigitPath")
-    if not 1 <= depth <= profile.n_max:
-        raise DepthExceedsProfile(f"depth {depth} outside 1..{profile.n_max}")
-
-    indices = [0]
-    for n in range(1, depth):
-        pick = pick_child(profile, fam, n, indices[-1], policy)
-        if pick is None:
-            raise InvalidDigitPath(
-                f"no children inside level-{n} interval (invalid profile?)"
-            )
-        indices.append(pick)
-    path = _path_from_indices(profile, fam, indices)
-    return path.point, path
+        idx = tuple(policy.indices)
+        _check_nesting(profile, fam, idx)
+    else:
+        if policy not in ("center", "leftmost"):
+            raise ValueError("policy must be 'center', 'leftmost', or a DigitPath")
+        if not 1 <= depth <= profile.n_max:
+            raise DepthExceedsProfile(f"depth {depth} outside 1..{profile.n_max}")
+        indices = [0]
+        for n in range(1, depth):
+            pick = pick_child(profile, fam, n, indices[-1], policy)
+            if pick is None:
+                raise InvalidDigitPath(
+                    f"no children inside level-{n} interval (invalid profile?)"
+                )
+            indices.append(pick)
+        idx = tuple(indices)
+    x = _center(profile, fam, len(idx), idx[-1])
+    res = member(profile, fam, x, len(idx))
+    if not res.ok:
+        raise InvalidDigitPath(f"center fails membership at level {res.first_fail}")
+    path = DigitPath(family=fam, indices=idx, point=x, reductions=tuple(r for _, r in res.entries))
+    return x, path
 
 
 def interval_row(profile: Profile, family: str, n: int, j: int) -> dict:

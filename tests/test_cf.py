@@ -17,7 +17,7 @@ from besicov import (
     sample_point,
 )
 from besicov import cf
-from besicov.cf import RationalBracket, certify_offset
+from besicov.cf import Enclosure, certify_offset
 from besicov.errors import IndecisiveBracket
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
@@ -129,7 +129,7 @@ def gap_depth(spec, cert):
 def undecidable_below(monkeypatch, depth):
     """Make every bracket shallower than ``depth`` straddle each convergent."""
     real = cf.alpha_bracket
-    undecidable = RationalBracket(Fraction(0), Fraction(1))
+    undecidable = Enclosure(Fraction(0), Fraction(1))
     monkeypatch.setattr(
         cf, "alpha_bracket", lambda spec, d: real(spec, d) if d >= depth else undecidable
     )

@@ -264,6 +264,16 @@ def test_orbit_json_error_bound(capsys):
         ("--horizon", ("probe", "--kind", "nonrecurrence", "--horizon", "-1")),
         ("--horizon", ("probe", "--kind", "sensitivity", "--horizon", "0")),
         ("--samples", ("probe", "--kind", "sensitivity", "--samples", "0")),
+        ("--n", ("eval", "--x", "1/3", "--n", "0")),
+        ("--n", ("eval", "--x", "1/3", "--n", "-2")),
+        ("--n", ("sum", "--x", "1/3", "--m", "2", "--n", "0")),
+        ("--n", ("orbit", "--x", "1/3", "--n", "0")),
+        ("--n", ("audit", "--m", "1", "--n", "0")),
+        ("--n", ("levels", "--n", "0")),
+        ("--steps", ("orbit", "--x", "1/7", "--steps", "0")),
+        ("--precision-bits", ("orbit", "--x", "1/7", "--precision-bits", "10")),
+        ("--precision-bits", ("probe", "--kind", "classify", "--precision-bits", "10")),
+        ("--grid", ("probe", "--kind", "coverage", "--horizon", "10", "--grid", "0")),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, flag, argv):

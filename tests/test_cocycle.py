@@ -147,6 +147,15 @@ def test_guard_invariant_enforced(golden, greedy_cocycle):
         )
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_make_cocycle_refuses_level_counts_below_one(golden, count):
+    # n_levels would otherwise default to n_max + 3 and build levels anyway
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        make_cocycle(golden, "greedy", "main", count)
+    with pytest.raises(ValueError, match="n_levels must be >= 1"):
+        make_cocycle(golden, "greedy", "main", 4, n_levels=count)
+
+
 def test_truncation_is_prefix_sum(greedy_cocycle):
     x, m = Fraction(4, 13), 9
     short = greedy_cocycle.truncated(3)

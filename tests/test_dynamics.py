@@ -18,6 +18,7 @@ from besicov import (
     sensitivity_probe,
 )
 from besicov.errors import ErrorBudgetBlown
+from besicov.targets import member_level
 
 
 def to_mpf(fr: Fraction) -> mpf:
@@ -133,6 +134,25 @@ def test_sensitivity_finds_witness(tent_cocycle):
     assert res.outcome == "witness-found"
     assert res.witness["separation"] > 1
     assert res.witness["reverified_bits"] == 256
+
+
+@pytest.mark.parametrize("variant", ["tent", "main"])
+@pytest.mark.parametrize(
+    "x, delta",
+    [(Fraction(1, 4), Fraction(1, 1000)), (Fraction(2, 7), Fraction(1, 100)),
+     (Fraction(5, 9), Fraction(1, 50))],
+)
+def test_sensitivity_candidate_lies_in_the_levels_it_descends(golden, variant, x, delta):
+    """The candidate is in the union of every level from its start level (the
+    first with period <= delta/2) to its depth; coarser levels are unchecked."""
+    cspec = make_cocycle(golden, "greedy", variant, 4)
+    y = dynamics._target_candidate(cspec, x, delta)
+    assert y is not None and abs(y - x) <= delta
+    family = "-+" if variant == "tent" else "++"
+    start = next(l for l in range(1, cspec.n_levels + 1)
+                 if cspec.profile.level(l).period <= delta / 2)
+    for l in range(start, min(start + 2, cspec.n_levels) + 1):
+        assert member_level(cspec.profile, family, l, y) is not None
 
 
 def test_sensitivity_unreachable_eps(tent_cocycle):

@@ -46,7 +46,9 @@ ERRORS = {
 VALIDATION = {
     "tent-n6": ["levels", "--variant", "tent", "--n", "6", "--out", "json"],
     "fixed-n3": ["levels", "--strategy", "fixed", "--n", "3", "--out", "json"],
-    "sqrt2m1-tent-n5": ["levels", "--alpha", "sqrt2m1", "--variant", "tent", "--n", "5", "--out", "json"],
+    "sqrt2m1-tent-n5": [
+        "levels", "--alpha", "sqrt2m1", "--variant", "tent", "--n", "5", "--out", "json",
+    ],
 }
 
 

@@ -15,13 +15,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LAZY_MODULES = ("mpmath", "besicov.dynamics", "besicov.dimension", "besicov.certlog")
 
 #: ``besicov.__all__`` as it was when every submodule was imported eagerly,
-#: less ``children`` and ``level_scalars``, which had no caller, and
-#: ``SignPair``: a family is its two-character sign string.
+#: less ``children`` and ``level_scalars``, which had no caller,
+#: ``SignPair``: a family is its two-character sign string, and
+#: ``RationalBracket``: ``alpha_bracket`` returns the one interval type,
+#: ``cf.Enclosure``.
 PUBLIC_NAMES = [
     "BoxCountResult", "Certificate", "CocycleSpec", "Convergent", "DigitPath",
     "DimensionBounds", "DivergenceReport", "GapCertificate", "IrrationalSpec",
     "LevelParams", "NestingStats", "OrbitRecord", "ProbeResult", "Profile",
-    "RationalBracket", "TargetInterval", "ValidationReport",
+    "TargetInterval", "ValidationReport",
     "WindowIndex", "alpha_bracket", "audit", "audit_aligned", "audit_mixed",
     "birkhoff", "box_count", "certlog", "cf", "classify_orbit",
     "cocycle", "convergent", "coverage", "dimension", "discreteness_scan",

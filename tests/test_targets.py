@@ -5,7 +5,7 @@ from math import ceil, floor
 
 import pytest
 
-from besicov import interval, member, sample_point
+from besicov import interval, member, sample_point, targets
 from besicov.errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath
 from besicov.targets import (
     FAMILIES,
@@ -157,6 +157,20 @@ def test_path_reconstruction(greedy_profile):
     x, path = sample_point(greedy_profile, "-+", "center", 3)
     x2, path2 = sample_point(greedy_profile, "-+", path, depth=3)
     assert (x2, path2.indices) == (x, path.indices)
+
+
+@pytest.mark.parametrize("policy", ["center", "leftmost"])
+def test_policy_sample_descends_once(monkeypatch, greedy_profile, policy):
+    """A depth-D policy sample computes D - 1 child spans; a caller's path
+    costs D - 1 more, for its nesting check."""
+    calls = []
+    real = targets.child_span
+    monkeypatch.setattr(targets, "child_span", lambda *args: calls.append(args) or real(*args))
+    _, path = sample_point(greedy_profile, "++", policy, 5)
+    assert len(calls) == 4
+    calls.clear()
+    sample_point(greedy_profile, "++", path)
+    assert len(calls) == 4
 
 
 def test_invalid_path_rejected(greedy_profile):
