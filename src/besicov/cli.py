@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every subcommand takes --out {csv|json} and --config PATH (a JSON file whose
-keys are flag names; explicit flags win).  Rationals are printed as
-"numerator/denominator" strings, big integers as decimal strings; outputs are
-byte-identical for identical configurations.  Exit codes: 0 success, 1 usage
-error, 2 certificate failure.
+Each subcommand takes only the flags it reads, and --config PATH (a JSON file
+whose keys are flag names of any subcommand; explicit flags win).  All but
+probe, which always prints JSON, take --out {csv|json}.  Rationals are printed
+as "numerator/denominator" strings, big integers as decimal strings; outputs
+are byte-identical for identical configurations.  Exit codes: 0 success, 1
+usage error, 2 certificate failure.
 
 The dimension and orbit/probe subcommands import their modules (and ``mpmath``)
 inside their handlers, so the certificate subcommands never load them.
@@ -93,6 +94,15 @@ def _flag(
     return field(default=default, metadata={"on": on, "choices": choices, "least": least})
 
 
+#: The subcommands that read a group of flags (_TABLE: all but probe, always JSON).
+_PROFILE = ("levels", "eval", "sum", "target", "audit", "dimension", "orbit", "probe")
+_COCYCLE = ("eval", "sum", "audit", "orbit", "probe")
+_M_VALUES = ("sum", "audit")
+_SAMPLE = ("target", "audit")
+_MPF = ("orbit", "probe")
+_TABLE = ("cf", "levels", "eval", "sum", "target", "audit", "dimension", "orbit")
+
+
 @dataclass
 class RunConfig:
     """Everything a subcommand needs, merged from defaults, --config, flags.
@@ -103,25 +113,25 @@ class RunConfig:
     """
 
     alpha: str = "golden"
-    strategy: str = _flag("greedy", choices=("fixed", "greedy"))
-    variant: str = _flag("main", choices=("main", "tent"))
-    n: int = _flag(4, least=1)
-    depth: Optional[int] = None
-    alpha_depth: Optional[int] = None
-    trunc: Optional[int] = _flag(None, least=1)
-    precision_bits: int = _flag(128, least=64)
-    family: str = _flag("pp", choices=tuple(FAMILY_CODES))
-    x: Optional[str] = None
-    seed: int = 0
-    out: str = _flag("csv", choices=("csv", "json"))
+    strategy: str = _flag("greedy", on=_PROFILE, choices=("fixed", "greedy"))
+    variant: str = _flag("main", on=_PROFILE, choices=("main", "tent"))
+    n: int = _flag(4, on=_PROFILE, least=1)
+    depth: Optional[int] = _flag(None, on=_SAMPLE)
+    alpha_depth: Optional[int] = _flag(None, on=_COCYCLE, least=1)
+    trunc: Optional[int] = _flag(None, on=_COCYCLE, least=1)
+    precision_bits: int = _flag(128, on=_MPF, least=64)
+    family: str = _flag("pp", on=("target", "audit", "dimension"), choices=tuple(FAMILY_CODES))
+    x: Optional[str] = _flag(None, on=("eval", "sum", "orbit", "probe"))
+    seed: int = _flag(0, on=("probe",))
+    out: str = _flag("csv", on=_TABLE, choices=("csv", "json"))
     config: Optional[str] = None  # the --config file itself, never a key in it
     upto: int = _flag(10, on=("cf",), least=0)
     check: bool = _flag(False, on=("cf",))
-    m: Optional[int] = _flag(None, on=("sum", "audit"))
-    m_range: Optional[str] = _flag(None, on=("sum", "audit"))
+    m: Optional[int] = _flag(None, on=_M_VALUES)
+    m_range: Optional[str] = _flag(None, on=_M_VALUES)
     level: int = _flag(1, on=("target",))
     j: Optional[int] = _flag(None, on=("target",))
-    policy: str = _flag("center", on=("target", "audit"), choices=("center", "leftmost"))
+    policy: str = _flag("center", on=_SAMPLE, choices=("center", "leftmost"))
     max_rows: int = _flag(100000, on=("target",))
     mode: str = _flag("formula", on=("dimension",), choices=("formula", "measured"))
     kind: str = _flag("sensitivity", on=("probe",),
@@ -134,7 +144,7 @@ class RunConfig:
     box_level: int = _flag(1, on=("dimension",))
     height: str = _flag("3", on=("probe",))
     samples: int = _flag(8, on=("probe",), least=1)
-    t0: str = _flag("0", on=("orbit", "probe"))
+    t0: str = _flag("0", on=_MPF)
     steps: int = _flag(100, on=("orbit",), least=1)
     store_every: int = _flag(1, on=("orbit",), least=1)
 
@@ -151,14 +161,14 @@ class RunConfig:
         return parse_rational(self.x, "--x")
 
     def cocycle(self) -> CocycleSpec:
-        return make_cocycle(
-            self.spec(),
-            self.strategy,
-            self.variant,
-            self.n,
-            n_levels=self.trunc,
-            alpha_depth=self.alpha_depth,
-        )
+        spec = self.spec()
+        try:
+            return make_cocycle(spec, self.strategy, self.variant, self.n,
+                                n_levels=self.trunc, alpha_depth=self.alpha_depth)
+        except ValueError as e:  # with the counts checked, only a shallow alpha_depth
+            if self.alpha_depth is None:
+                raise
+            raise UsageError(f"--alpha-depth {self.alpha_depth}: {e}") from None
 
     def m_values(self) -> list[int]:
         if self.m_range:
@@ -395,7 +405,7 @@ def cmd_probe(cfg: RunConfig, stream) -> int:
     from . import dynamics as dyn_mod
 
     cspec = cfg.cocycle()
-    x = parse_rational(cfg.x, "--x") if cfg.x else Fraction(1, 4)
+    x = Fraction(1, 4) if cfg.x is None else parse_rational(cfg.x, "--x")
     if cfg.kind == "sensitivity":
         res = dyn_mod.sensitivity_probe(
             cspec,

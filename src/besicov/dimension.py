@@ -273,32 +273,22 @@ def box_count(
     return BoxCountResult(family=fam, n=n, counts=counts, slope=slope)
 
 
-def nesting_rows_csv(stats: NestingStats, bounds: Optional[DimensionBounds] = None) -> list[dict]:
+def nesting_rows_csv(stats: NestingStats, bounds: DimensionBounds) -> list[dict]:
     """Plot-ready rows: exact rationals as num/den strings, enclosures as
-    decimal midpoints."""
-    out = []
-    for r in stats.rows:
-        row = {
+    decimal midpoints (blank at n = 1, where ``bounds`` has no row)."""
+    fmt = lambda e: "" if e is None else f"{float(e.mid):.12g}"
+    blank = DimensionRow(1, None, None, None, None)
+    return [
+        {
             "n": r.n,
             "delta": str(r.delta),
             "epsilon": str(r.eps),
             "m": "" if r.m_formula is None else str(stats.m(r.n)),
             "mbar": "" if r.mbar_formula is None else str(stats.mbar(r.n)),
-            "lower": "",
-            "upper": "",
-            "closed_lower": "",
-            "closed_upper": "",
+            "lower": fmt(b.lower),
+            "upper": fmt(b.upper),
+            "closed_lower": fmt(b.closed_lower),
+            "closed_upper": fmt(b.closed_upper),
         }
-        if bounds is not None:
-            try:
-                b = bounds.row(r.n)
-            except KeyError:
-                b = None
-            if b is not None:
-                fmt = lambda e: "" if e is None else f"{float(e.mid):.12g}"
-                row["lower"] = fmt(b.lower)
-                row["upper"] = fmt(b.upper)
-                row["closed_lower"] = fmt(b.closed_lower)
-                row["closed_upper"] = fmt(b.closed_upper)
-        out.append(row)
-    return out
+        for r, b in zip(stats.rows, (blank,) + bounds.rows, strict=True)
+    ]

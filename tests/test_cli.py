@@ -10,7 +10,7 @@ from typing import get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from besicov.cli import COMMANDS, RunConfig, main, parse_alpha
+from besicov.cli import COMMANDS, RunConfig, build_parser, config_from_args, main, parse_alpha
 from besicov.levels import LevelParams, Profile
 
 
@@ -274,6 +274,10 @@ def test_orbit_json_error_bound(capsys):
         ("--precision-bits", ("orbit", "--x", "1/7", "--precision-bits", "10")),
         ("--precision-bits", ("probe", "--kind", "classify", "--precision-bits", "10")),
         ("--grid", ("probe", "--kind", "coverage", "--horizon", "10", "--grid", "0")),
+        ("--x", ("probe", "--kind", "classify", "--x=", "--horizon", "10")),
+        ("--alpha-depth", ("eval", "--x", "1/3", "--alpha-depth", "-1")),
+        ("--alpha-depth", ("eval", "--x", "1/3", "--alpha-depth", "0")),
+        ("--alpha-depth", ("eval", "--x", "1/3", "--alpha-depth", "3")),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, flag, argv):
@@ -335,6 +339,48 @@ def test_config_takes_null_for_optional_keys(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 5
 
 
+def _offered(cmd):
+    """The RunConfig fields whose flags ``cmd`` offers."""
+    return [f for f in fields(RunConfig)
+            if f.metadata.get("on") is None or cmd in f.metadata["on"]]
+
+
+#: Argvs that between them take every branch of a handler that reads a flag.
+_BRANCHES = [
+    ["cf", "--upto", "3", "--check"],
+    ["levels", "--n", "2"],
+    ["eval", "--x", "1/3", "--n", "2"],
+    ["sum", "--x", "1/3", "--n", "2", "--m-range", "1:2"],
+    ["sum", "--x", "1/3", "--n", "2", "--m", "2"],
+    ["target", "--n", "2", "--depth", "2"],
+    ["target", "--n", "2", "--j", "0"],
+    ["target", "--n", "2"],
+    ["dimension", "--n", "2", "--box", "--grid", "10"],
+    ["audit", "--m", "1"],
+    ["orbit", "--x", "1/7", "--n", "2", "--steps", "2"],
+] + [["probe", "--kind", kind, "--n", "2", "--horizon", "5"]
+     for kind in ("sensitivity", "nonrecurrence", "coverage", "classify")]
+
+
+def test_each_subcommand_offers_the_flags_it_reads():
+    names = {f.name for f in fields(RunConfig)}
+    seen: set = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            seen.add(name)
+            return super().__getattribute__(name)
+
+    read = {cmd: set() for cmd in COMMANDS}
+    for argv in _BRANCHES:
+        cfg = config_from_args(build_parser().parse_args(argv))
+        recording = Recording(**{name: getattr(cfg, name) for name in names})
+        seen.clear()
+        assert COMMANDS[argv[0]][0](recording, io.StringIO()) == 0, argv
+        read[argv[0]] |= seen & names
+    assert read == {cmd: {f.name for f in _offered(cmd)} - {"config"} for cmd in COMMANDS}
+
+
 # ------------------------------------------------------------ generated argv
 
 #: Upper bounds on the integer flags whose cost grows with their value.
@@ -393,9 +439,7 @@ def _argv_after(head):
     any flag or a junk token."""
     part = _ANY_TOKEN
     if head and head[0] in COMMANDS:
-        offered = [_flag_tokens(f) for f in fields(RunConfig)
-                   if f.metadata.get("on") is None or head[0] in f.metadata["on"]]
-        part = _mostly(st.one_of(offered), _ANY_TOKEN)
+        part = _mostly(st.one_of([_flag_tokens(f) for f in _offered(head[0])]), _ANY_TOKEN)
     return st.lists(part, max_size=6).map(lambda parts: head + [t for p in parts for t in p])
 
 
