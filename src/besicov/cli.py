@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Each subcommand takes only the flags it reads, and --config PATH (a JSON file
-whose keys are flag names of any subcommand; explicit flags win).  All but
-probe, which always prints JSON, take --out {csv|json}.  Rationals are printed
-as "numerator/denominator" strings, big integers as decimal strings; outputs
-are byte-identical for identical configurations.  Exit codes: 0 success, 1
-usage error, 2 certificate failure.
+Each subcommand offers only the flags it reads, and --config PATH (a JSON file
+whose keys are flag names of any subcommand; explicit flags win).  Where what
+a subcommand reads depends on its mode (the probe --kind, dimension with or
+without --box, target with --depth, --j or neither, sum and audit with
+--m-range), a flag given explicitly that the mode does not read is a usage
+error that names the flag and the mode.  All but probe, which always prints
+JSON, take --out {csv|json}.  Rationals are printed as "numerator/denominator"
+strings, big integers as decimal strings; outputs are byte-identical for
+identical configurations.  Exit codes: 0 success, 1 usage error, 2
+certificate failure.
 
 The dimension and orbit/probe subcommands import their modules (and ``mpmath``)
 inside their handlers, so the certificate subcommands never load them.
@@ -85,13 +89,16 @@ def _flag(
     default,
     *,
     on: Optional[tuple[str, ...]] = None,
+    only: Optional[tuple[str, ...]] = None,
     choices: Optional[tuple] = None,
     least: Optional[int] = None,
 ):
     """A RunConfig field whose flag is offered only by the subcommands ``on``
-    (None: by every subcommand) and only takes ``choices``, or integers from
-    ``least`` up."""
-    return field(default=default, metadata={"on": on, "choices": choices, "least": least})
+    (None: by every subcommand), read only in the modes ``only`` (see
+    :func:`_mode`; None: in every mode), and only takes ``choices``, or
+    integers from ``least`` up."""
+    return field(default=default,
+                 metadata={"on": on, "only": only, "choices": choices, "least": least})
 
 
 #: The subcommands that read a group of flags (_TABLE: all but probe, always JSON).
@@ -101,6 +108,14 @@ _M_VALUES = ("sum", "audit")
 _SAMPLE = ("target", "audit")
 _MPF = ("orbit", "probe")
 _TABLE = ("cf", "levels", "eval", "sum", "target", "audit", "dimension", "orbit")
+#: Modes, as :func:`_mode` names them, that some flags are read in only.
+_SENSITIVITY = "probe --kind sensitivity"
+_COVERAGE = "probe --kind coverage"
+_NONRECURRENCE = "probe --kind nonrecurrence"
+_BOX = "dimension --box"
+_SAMPLED = "target --depth"
+_ONE_ROW = "target --j"
+_ALL_ROWS = "target without --depth or --j"
 
 
 @dataclass
@@ -122,29 +137,30 @@ class RunConfig:
     precision_bits: int = _flag(128, on=_MPF, least=64)
     family: str = _flag("pp", on=("target", "audit", "dimension"), choices=tuple(FAMILY_CODES))
     x: Optional[str] = _flag(None, on=("eval", "sum", "orbit", "probe"))
-    seed: int = _flag(0, on=("probe",))
+    seed: int = _flag(0, on=("probe",), only=(_SENSITIVITY,))
     out: str = _flag("csv", on=_TABLE, choices=("csv", "json"))
     config: Optional[str] = None  # the --config file itself, never a key in it
     upto: int = _flag(10, on=("cf",), least=0)
     check: bool = _flag(False, on=("cf",))
-    m: Optional[int] = _flag(None, on=_M_VALUES)
+    m: Optional[int] = _flag(None, on=_M_VALUES, only=_M_VALUES)
     m_range: Optional[str] = _flag(None, on=_M_VALUES)
-    level: int = _flag(1, on=("target",))
-    j: Optional[int] = _flag(None, on=("target",))
-    policy: str = _flag("center", on=_SAMPLE, choices=("center", "leftmost"))
-    max_rows: int = _flag(100000, on=("target",))
+    level: int = _flag(1, on=("target",), only=(_ONE_ROW, _ALL_ROWS))
+    j: Optional[int] = _flag(None, on=("target",), only=(_ONE_ROW, _ALL_ROWS))
+    policy: str = _flag("center", on=_SAMPLE, only=(_SAMPLED, "audit", "audit --m-range"),
+                        choices=("center", "leftmost"))
+    max_rows: int = _flag(100000, on=("target",), only=(_ALL_ROWS,))
     mode: str = _flag("formula", on=("dimension",), choices=("formula", "measured"))
     kind: str = _flag("sensitivity", on=("probe",),
                       choices=("sensitivity", "nonrecurrence", "coverage", "classify"))
-    eps: str = _flag("1/10", on=("probe",))
-    delta: str = _flag("1/1000", on=("probe",))
+    eps: str = _flag("1/10", on=("probe",), only=(_SENSITIVITY, _NONRECURRENCE))
+    delta: str = _flag("1/1000", on=("probe",), only=(_SENSITIVITY,))
     horizon: int = _flag(1000, on=("probe",), least=1)
-    grid: int = _flag(1000, on=("dimension", "probe"), least=1)
+    grid: int = _flag(1000, on=("dimension", "probe"), only=(_BOX, _COVERAGE), least=1)
     box: bool = _flag(False, on=("dimension",))
-    box_level: int = _flag(1, on=("dimension",))
-    height: str = _flag("3", on=("probe",))
-    samples: int = _flag(8, on=("probe",), least=1)
-    t0: str = _flag("0", on=_MPF)
+    box_level: int = _flag(1, on=("dimension",), only=(_BOX,))
+    height: str = _flag("3", on=("probe",), only=(_COVERAGE,))
+    samples: int = _flag(8, on=("probe",), only=(_SENSITIVITY,), least=1)
+    t0: str = _flag("0", on=_MPF, only=("orbit", _NONRECURRENCE, _COVERAGE))
     steps: int = _flag(100, on=("orbit",), least=1)
     store_every: int = _flag(1, on=("orbit",), least=1)
 
@@ -186,6 +202,22 @@ class RunConfig:
         if self.m is None:
             raise ValueError("provide --m or --m-range lo:hi")
         return [self.m]
+
+
+def _mode(command: str, cfg: RunConfig) -> str:
+    """The mode of a run, named as its argv selects it; the ``only`` of a
+    RunConfig flag lists the modes that read it."""
+    if command == "probe":
+        return f"probe --kind {cfg.kind}"
+    if command == "dimension":
+        return _BOX if cfg.box else "dimension without --box"
+    if command == "target":
+        if cfg.depth is not None:
+            return _SAMPLED
+        return _ONE_ROW if cfg.j is not None else _ALL_ROWS
+    if command in _M_VALUES and cfg.m_range:
+        return f"{command} --m-range"
+    return command
 
 
 def _emit_csv(rows: list[dict], stream) -> None:
@@ -365,7 +397,7 @@ def cmd_dimension(cfg: RunConfig, stream) -> int:
 
 
 def cmd_orbit(cfg: RunConfig, stream) -> int:
-    from mpmath import mp
+    from mpmath import mp, mpf
 
     from . import dynamics as dyn_mod
 
@@ -382,15 +414,12 @@ def cmd_orbit(cfg: RunConfig, stream) -> int:
         checkpoints=marks,
     )
     dps = int(cfg.precision_bits * 0.302) + 2
+    rows = []
     with mp.workprec(cfg.precision_bits):
-        rows = [
-            {
-                "step": i,
-                "x": mp.nstr(dyn_mod._frac_to_mpf((x + i * cspec.alpha_hat) % 1), dps),
-                "t": rec.checkpoints[i],
-            }
-            for i in marks
-        ]
+        for i in marks:
+            xi = (x + i * cspec.alpha_hat) % 1
+            rows.append({"step": i, "x": mp.nstr(mpf(xi.numerator) / mpf(xi.denominator), dps),
+                         "t": rec.checkpoints[i]})
     payload = {
         "steps": rec.steps,
         "precision_bits": rec.precision_bits,
@@ -474,10 +503,22 @@ _TYPES = {key: get_args(hint) or (hint,) for key, hint in get_type_hints(RunConf
 _JSON_NAMES = {bool: "true/false", int: "an integer", str: "a string", type(None): "null"}
 _CHOICES = {f.name: f.metadata.get("choices") for f in fields(RunConfig)}
 _LEAST = {f.name: f.metadata.get("least") for f in fields(RunConfig)}
+_ONLY = {f.name: f.metadata.get("only") for f in fields(RunConfig)}
+
+#: What ``besicov --help`` says above the list of subcommands.
+DESCRIPTION = (
+    "Build Besicovitch cylinder cocycles over irrational rotations and "
+    "certify them in exact arithmetic: convergents, level profiles, cocycle "
+    "values and ergodic sums, target sets, divergence audits and dimension "
+    "bounds, with orbit simulations and chaos probes in floating point. "
+    "Each subcommand takes only the flags it reads (see besicov <command> "
+    "--help) and --config FILE, a JSON object of flag names; explicit flags "
+    "win. Exit codes: 0 success, 1 usage error, 2 certificate failure."
+)
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="besicov", description=__doc__)
+    p = _Parser(prog="besicov", description=DESCRIPTION)
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
@@ -512,9 +553,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             choices = ", ".join(_CHOICES[key])
             raise UsageError(f"--config key {key!r} expects one of {choices}, got {value!r}")
         setattr(cfg, key, value)
-    for key, value in vars(args).items():
-        if key != "command":
-            setattr(cfg, key, value)
+    explicit = [key for key in vars(args) if key != "command"]
+    for key in explicit:
+        setattr(cfg, key, getattr(args, key))
+    mode = _mode(args.command, cfg)
+    for key in explicit:
+        if _ONLY[key] is not None and mode not in _ONLY[key]:
+            raise UsageError(f"--{key.replace('_', '-')} is not read by {mode}")
     for key, least in _LEAST.items():
         value = getattr(cfg, key)
         if least is not None and value is not None and value < least:

@@ -20,11 +20,9 @@ fixed integer |m| times.  The two share the lattice but not the route, so the
 identity phi_m == birkhoff still compares two different evaluations of the
 same sum.
 
-:func:`unit_position` folds x onto [0, 1) with one exact integer ``%``, and
-:func:`bump` writes the same shapes on that unit period in the arithmetic of
-its argument.  The orbit lane in :mod:`besicov.dynamics` feeds bump the exact
-unit position as an mpf; kept in Fractions, the pair is the tests'
-independent oracle for the lattice kernel.
+The orbit lane in :mod:`besicov.dynamics` walks the same lattice, rounding
+each bump in mpf.  The unit-period ``unit_position``/``bump`` pair lives in
+the tests, as the independent oracle of both lanes.
 
 The cocycle itself is the series of coboundary-like differences
 f_l(x + alpha) - f_l(x).  The library replaces alpha by one deep convergent
@@ -50,40 +48,12 @@ from .levels import LevelParams, Profile, select_levels
 DEFAULT_GUARD = 10**6
 
 
-def unit_position(level: LevelParams, x: Fraction) -> Fraction:
-    """x / P mod 1 = x A_n q_{k_n} mod 1, exact: where x sits in its period."""
-    den = x.denominator
-    return Fraction(x.numerator * level.cell_count % den, den)
-
-
-def bump(u, variant: str, peak):
-    """The level bump at unit position u in [0, 1), scaled to ``peak``.
-
-    Computed in the arithmetic of ``u`` and ``peak``: ``mpf`` for the orbits,
-    ``Fraction`` in the tests that check the lattice kernel against it.  The
-    tent rises as 2 peak u; the main bump is 3 peak (u - 1/12) clamped to
-    [0, peak].  Both are folded onto [0, 1/2] first, since each is even about
-    0 and about 1/2.  In mpf each operation rounds, and the orbit and probe
-    digits depend on exactly this sequence: 1 - u, 1/12, 5/12, then
-    peak * ((u - 1/12) * 3).
-    """
-    if u * 2 > 1:
-        u = 1 - u
-    if variant == "tent":
-        return peak * (u * 2)
-    twelfth = type(u)(1) / 12
-    if u <= twelfth:
-        return type(u)(0)
-    if u >= type(u)(5) / 12:
-        return peak
-    return peak * ((u - twelfth) * 3)
-
-
 def _bump_num(r: int, d: int, variant: str) -> int:
-    """:func:`bump` at u = r/d in integer numerators, for 0 <= r < d.
+    """The level bump at unit position u = r/d, 0 <= r < d, in integer numerators.
 
-    The value is peak * _bump_num / (4d): the same fold (2r > d stands for
-    u*2 > 1), then clamp(12s - d, 0, 4d) for main and 8s (2u over 4d) for tent.
+    The value is peak * _bump_num / (4d): s folds r onto [0, d/2], then main
+    3 peak (u - 1/12) clamped to [0, peak] is clamp(12s - d, 0, 4d) and tent
+    2 peak u is 8s.
     """
     s = d - r if 2 * r > d else r
     if variant == "tent":

@@ -1,12 +1,11 @@
 """Orbit simulation of the cylinder map and empirical chaos probes.
 
 The cylinder map sends (x, t) to (x + alpha_hat mod 1, t + phi(x)).  The base
-coordinate is advanced *exactly* (alpha_hat is rational, so x never leaves a
-fixed denominator lattice); only the fiber coordinate t is floating point, at
-a configurable binary precision with per-step error accounting.  The levels
-are evaluated by :func:`besicov.cocycle.bump` in mpf, the orbit lane's own
-evaluator (the certificates use the cocycle's integer-lattice kernel, which
-the tests check against the same bump in Fractions).  Distances use the
+coordinate is advanced *exactly*, on the integer lattice that
+:func:`besicov.cocycle.birkhoff` walks; only the fiber coordinate t is
+floating point, at a configurable binary precision with per-step error
+accounting.  Each level's bump is rounded from its integer lattice position
+by mpmath's raw ``libmp`` operations in one fixed order.  Distances use the
 taxicab metric: circle distance in x plus |difference| in t.
 
 Probes are diagnostics, not certificates: each one carries its accumulated
@@ -22,11 +21,16 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
-from mpmath import mp, mpf
+from mpmath import mp
+from mpmath.libmp import (
+    fhalf, fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_ge, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_sub, to_float,
+)
 
-from .cocycle import CocycleSpec, bump, level_max, unit_position
+from .cocycle import CocycleSpec, _on_lattice, level_max
 from .errors import ErrorBudgetBlown
 
 #: orbit refuses a declared error bound above ERROR_CAP; classify_orbit treats
@@ -36,36 +40,65 @@ SETTLE = 0.5
 ESCAPE_LEVEL = 1.0
 
 
-def _frac_to_mpf(x: Fraction) -> mpf:
-    return mpf(x.numerator) / mpf(x.denominator)
+def _ratio(n: int, d: int, prec: int, rnd: str) -> tuple:
+    """Raw mpf of n/d, d > 0: bit for bit ``mpf(a) / mpf(b)`` for the reduced
+    a/b = n/d.  Operands of at most ``prec`` bits convert exactly, so one
+    division rounds n/d correctly whatever factor they share; a wider pair is
+    reduced first, and each operand rounds as ``mpf()`` rounds it."""
+    if (abs(n) | d).bit_length() > prec:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    return mpf_div(from_int(n, prec, rnd), from_int(d, prec, rnd), prec, rnd)
 
 
 def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
-    """Yield (i, x_i, t_i - t_0) for i = 0..steps at working precision.
+    """Yield (i, u_i, t_i - t_0) for i = 0..steps: x_i = u_i/D on the lattice
+    ``_on_lattice(x0 % 1, alpha_hat)``, t a raw mpf at the precision in force
+    when the generator is first advanced.
 
     Because x advances exactly, the ergodic sum telescopes per level to
     f_l(x_i) - f_l(x_0); each t_i is assembled fresh from one evaluation per
-    level, so the float error never accumulates across steps.  Each level is
-    the cocycle's own :func:`bump`, fed the exact unit position converted to
-    mpf; with the unit-slope normalization its error stays below
-    peak * 2^(4 - prec).
+    level, so the float error never accumulates across steps.  A level of c
+    cells sits at u = r/D of its period, r = u_i c mod D stepping by a fixed
+    integer, and its bump rounds in this order: u (:func:`_ratio`), 1 - u
+    past 1/2, then peak * (u * 2) for tent; for main 0 up to 1/12, the peak
+    from 5/12, else peak * ((u - 1/12) * 3), with 1/12 and 5/12 rounded once
+    per call.  Each level's error stays below peak * 2^(4 - prec).
     """
-    a = cspec.alpha_hat
-    variant = cspec.variant
-    peaks = [(lv, _frac_to_mpf(level_max(lv, variant))) for lv in cspec.levels]
+    prec, rnd = mp._prec_rounding
+    tent = cspec.variant == "tent"
+    twelfth = mpf_div(fone, from_int(12), prec, rnd)
+    five_twelfths = mpf_div(from_int(5), from_int(12), prec, rnd)
+    u, step, d = _on_lattice(x0 % 1, cspec.alpha_hat)
+    peaks = [_ratio(*level_max(lv, cspec.variant).as_integer_ratio(), prec, rnd)
+             for lv in cspec.levels]
+    rs = [u * lv.cell_count % d for lv in cspec.levels]
+    drs = [step * lv.cell_count % d for lv in cspec.levels]
 
-    def fiber(x: Fraction) -> mpf:
-        total = mpf(0)
-        for lv, peak in peaks:
-            total += bump(_frac_to_mpf(unit_position(lv, x)), variant, peak)
+    def fiber() -> tuple:
+        total = fzero
+        for r, peak in zip(rs, peaks):
+            v = _ratio(r, d, prec, rnd)
+            if mpf_cmp(v, fhalf) > 0:
+                v = mpf_sub(fone, v, prec, rnd)
+            if tent:
+                b = mpf_mul(peak, mpf_mul_int(v, 2, prec, rnd), prec, rnd)
+            elif mpf_cmp(v, twelfth) <= 0:
+                b = fzero
+            elif mpf_cmp(v, five_twelfths) >= 0:
+                b = peak
+            else:
+                b = mpf_mul(peak, mpf_mul_int(mpf_sub(v, twelfth, prec, rnd), 3, prec, rnd),
+                            prec, rnd)
+            total = mpf_add(total, b, prec, rnd)
         return total
 
-    x = x0 % 1
-    base = fiber(x)
-    yield 0, x, mpf(0)
+    base = fiber()
+    yield 0, u, fzero
     for i in range(1, steps + 1):
-        x = (x + a) % 1
-        yield i, x, fiber(x) - base
+        u = (u + step) % d
+        rs = [(r + dr) % d for r, dr in zip(rs, drs)]
+        yield i, u, mpf_sub(fiber(), base, prec, rnd)
 
 
 def orbit_error_bound(cspec: CocycleSpec, precision_bits: int) -> Fraction:
@@ -79,9 +112,7 @@ def orbit_error_bound(cspec: CocycleSpec, precision_bits: int) -> Fraction:
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
-    peaks = sum(
-        (level_max(lv, cspec.variant) for lv in cspec.levels), start=Fraction(0)
-    )
+    peaks = sum((level_max(lv, cspec.variant) for lv in cspec.levels), start=Fraction(0))
     n = len(cspec.levels)
     return peaks * Fraction(64 + 4 * n, 2**precision_bits)
 
@@ -137,26 +168,29 @@ def orbit(
     ts: list[float] = []
     marks: dict[int, str] = {}
     dps = int(precision_bits * 0.302) + 2
+    d = _on_lattice(x0 % 1, cspec.alpha_hat)[2]
+    t0 = Fraction(t0)
     with mp.workprec(precision_bits):
-        t_base = _frac_to_mpf(Fraction(t0))
-        for i, x, dt in _t_values(cspec, x0, steps):
-            t = t_base + dt
+        prec, rnd = mp._prec_rounding
+        t_base = _ratio(*t0.as_integer_ratio(), prec, rnd)
+        for i, u, dt in _t_values(cspec, x0, steps):
+            t = mpf_add(t_base, dt, prec, rnd)
             if i % store_every == 0:
-                xs.append(float(x))
-                ts.append(float(t))
+                xs.append(u / d)  # int true division rounds as float(Fraction) does
+                ts.append(to_float(t, rnd=rnd))
             if i in want:
-                marks[i] = mp.nstr(t, dps)
-        t_final = mp.nstr(t, dps)
+                marks[i] = mp.nstr(mp.make_mpf(t), dps)
+        t_final = mp.nstr(mp.make_mpf(t), dps)
     return OrbitRecord(
         steps=steps,
         precision_bits=precision_bits,
         store_every=store_every,
         x0=x0 % 1,
-        t0=Fraction(t0),
+        t0=t0,
         xs=xs,
         ts=ts,
         checkpoints=marks,
-        x_final=x,
+        x_final=Fraction(u, d),
         t_final=t_final,
         error_bound=bound,
     )
@@ -219,35 +253,34 @@ def nonrecurrence_test(
             f"error bound {float(bound):.3g} not below eps {float(eps):.3g}"
         )
     x0 = x % 1
+    u0, _, den = _on_lattice(x0, cspec.alpha_hat)
     best_k = 0
     best_val = None
     with mp.workprec(precision_bits):
-        for k, xc, t_cur in _t_values(cspec, x0, horizon):
+        prec, rnd = mp._prec_rounding
+        for k, u, t_cur in _t_values(cspec, x0, horizon):
             if k == 0:
                 continue
-            d = _frac_to_mpf(_circle_dist(xc, x0)) + abs(t_cur)
-            if best_val is None or d < best_val:
+            gap = (u - u0) % den  # circle distance min(gap, den - gap)/den
+            d = mpf_add(_ratio(min(gap, den - gap), den, prec, rnd), mpf_abs(t_cur, prec, rnd),
+                        prec, rnd)
+            if best_val is None or mpf_lt(d, best_val):
                 best_val = d
                 best_k = k
-        eps_f = _frac_to_mpf(eps)
-        bound_f = _frac_to_mpf(bound)
-        if best_val - bound_f >= eps_f:
+        eps_f = _ratio(*eps.as_integer_ratio(), prec, rnd)
+        bound_f = _ratio(*bound.as_integer_ratio(), prec, rnd)
+        if mpf_ge(mpf_sub(best_val, bound_f, prec, rnd), eps_f):
             outcome = "pass"
-        elif best_val + bound_f < eps_f:
+        elif mpf_lt(mpf_add(best_val, bound_f, prec, rnd), eps_f):
             outcome = "fail"
         else:
             raise ErrorBudgetBlown("minimum distance within error bound of eps")
     return ProbeResult(
         kind="nonrecurrence",
-        params={
-            "eps": str(eps),
-            "horizon": horizon,
-            "precision_bits": precision_bits,
-            "x": str(x0),
-            "t": str(Fraction(t)),
-        },
+        params={"eps": str(eps), "horizon": horizon, "precision_bits": precision_bits,
+                "x": str(x0), "t": str(Fraction(t))},
         outcome=outcome,
-        witness={"k": best_k, "min_distance": float(best_val)},
+        witness={"k": best_k, "min_distance": to_float(best_val, rnd=rnd)},
         error_bound=float(bound),
     )
 
@@ -325,26 +358,21 @@ def sensitivity_probe(
     def separation(y: Fraction, bits: int) -> tuple[int, float]:
         best_k, best_d = 0, float("-inf")
         with mp.workprec(bits):
-            basef = _frac_to_mpf(_circle_dist(x0, y))
+            prec, rnd = mp._prec_rounding
+            basef = _ratio(*_circle_dist(x0, y).as_integer_ratio(), prec, rnd)
             pair = zip(_t_values(cspec, x0, horizon), _t_values(cspec, y, horizon))
             for (k, _, tx), (_, _, ty) in pair:
                 if k == 0:
                     continue
-                d = float(basef + abs(tx - ty))
+                sep = mpf_abs(mpf_sub(tx, ty, prec, rnd), prec, rnd)
+                d = to_float(mpf_add(basef, sep, prec, rnd), rnd=rnd)
                 if d > best_d:
                     best_k, best_d = k, d
         return best_k, best_d
 
     bound = 2 * float(orbit_error_bound(cspec, precision_bits))
-    params = {
-        "delta": str(delta),
-        "eps": str(eps),
-        "horizon": horizon,
-        "samples": samples,
-        "seed": seed,
-        "precision_bits": precision_bits,
-        "x": str(x0),
-    }
+    params = {"delta": str(delta), "eps": str(eps), "horizon": horizon, "samples": samples,
+              "seed": seed, "precision_bits": precision_bits, "x": str(x0)}
     for y in candidates:
         k, d = separation(y, precision_bits)
         if d - bound > float(eps):

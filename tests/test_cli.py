@@ -10,7 +10,9 @@ from typing import get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from besicov.cli import COMMANDS, RunConfig, build_parser, config_from_args, main, parse_alpha
+from besicov.cli import (
+    COMMANDS, RunConfig, _mode, build_parser, config_from_args, main, parse_alpha,
+)
 from besicov.levels import LevelParams, Profile
 
 
@@ -345,7 +347,14 @@ def _offered(cmd):
             if f.metadata.get("on") is None or cmd in f.metadata["on"]]
 
 
-#: Argvs that between them take every branch of a handler that reads a flag.
+def _mode_reads(cmd, mode):
+    """The fields that ``cmd`` offers and, by their ``only``, reads in ``mode``."""
+    return {f.name for f in _offered(cmd)
+            if f.metadata.get("only") is None or mode in f.metadata["only"]} - {"config"}
+
+
+#: Argvs that between them take every branch of a handler that reads a flag,
+#: and every mode of a subcommand.
 _BRANCHES = [
     ["cf", "--upto", "3", "--check"],
     ["levels", "--n", "2"],
@@ -356,13 +365,25 @@ _BRANCHES = [
     ["target", "--n", "2", "--j", "0"],
     ["target", "--n", "2"],
     ["dimension", "--n", "2", "--box", "--grid", "10"],
+    ["dimension", "--n", "2"],
     ["audit", "--m", "1"],
+    ["audit", "--m-range", "1:2"],
     ["orbit", "--x", "1/7", "--n", "2", "--steps", "2"],
 ] + [["probe", "--kind", kind, "--n", "2", "--horizon", "5"]
      for kind in ("sensitivity", "nonrecurrence", "coverage", "classify")]
 
+#: A value each mode-dependent flag takes, for argvs that give it where unread.
+_MODE_FLAG_VALUES = {
+    "t0": "5", "seed": "9", "m": "2", "level": "2", "j": "0", "policy": "leftmost",
+    "max_rows": "5", "eps": "1", "delta": "2", "grid": "7", "box_level": "2", "height": "2",
+    "samples": "3",
+}
+
 
 def test_each_subcommand_offers_the_flags_it_reads():
+    """Per subcommand, the offered flags are those some mode reads; per mode,
+    the reads are those its ``only`` declarations name, so an explicit flag,
+    which must be read by the mode (next test), is always read."""
     names = {f.name for f in fields(RunConfig)}
     seen: set = set()
 
@@ -372,13 +393,41 @@ def test_each_subcommand_offers_the_flags_it_reads():
             return super().__getattribute__(name)
 
     read = {cmd: set() for cmd in COMMANDS}
+    modes = set()
     for argv in _BRANCHES:
         cfg = config_from_args(build_parser().parse_args(argv))
         recording = Recording(**{name: getattr(cfg, name) for name in names})
         seen.clear()
         assert COMMANDS[argv[0]][0](recording, io.StringIO()) == 0, argv
+        mode = _mode(argv[0], cfg)
+        modes.add(mode)
+        assert seen & names == _mode_reads(argv[0], mode), argv
         read[argv[0]] |= seen & names
     assert read == {cmd: {f.name for f in _offered(cmd)} - {"config"} for cmd in COMMANDS}
+    declared = {m for f in fields(RunConfig) for m in f.metadata.get("only") or ()}
+    assert declared <= modes
+
+
+@pytest.mark.parametrize("argv", _BRANCHES, ids=" ".join)
+def test_an_explicit_flag_its_mode_does_not_read_is_a_usage_error(capsys, argv):
+    mode = _mode(argv[0], config_from_args(build_parser().parse_args(argv)))
+    unread = {f.name for f in _offered(argv[0])} - {"config"} - _mode_reads(argv[0], mode)
+    for name in sorted(unread):
+        flag = "--" + name.replace("_", "-")
+        code, out, err = run(capsys, *argv, flag, _MODE_FLAG_VALUES[name])
+        assert (code, out) == (1, ""), (argv, flag)
+        assert err.endswith(f"usage error: {flag} is not read by {mode}\n"), err
+
+
+def test_config_keys_are_not_held_to_the_mode(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 9, "grid": 7, "box_level": 2, "policy": "leftmost"}))
+    quiet = [run(capsys, *argv)[:2] for argv in (["probe", "--kind", "classify", "--n", "2",
+                                                  "--horizon", "5"], ["dimension", "--n", "2"])]
+    loud = [run(capsys, *argv, "--config", str(cfg))[:2]
+            for argv in (["probe", "--kind", "classify", "--n", "2", "--horizon", "5"],
+                         ["dimension", "--n", "2"])]
+    assert loud == quiet and all(code == 0 for code, _ in quiet)
 
 
 # ------------------------------------------------------------ generated argv

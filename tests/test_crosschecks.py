@@ -2,9 +2,10 @@
 
 Each check here recomputes a quantity through a second, structurally
 different route (closed-form piecewise arithmetic, the unit-period
-``unit_position``/``bump`` pair in Fractions, a Fraction walk along the orbit,
-or high-precision floats of the underlying quadratic irrational) and compares
-against the library's exact machinery, which works on an integer lattice.
+``unit_position``/``bump`` pair of ``oracles`` in Fractions, a Fraction
+walk along the orbit, or high-precision floats of the underlying quadratic
+irrational) and compares against the library's exact machinery, which works
+on an integer lattice.
 """
 
 import random
@@ -29,9 +30,12 @@ from besicov import (
     sample_point,
 )
 from besicov.cf import certify_offset
-from besicov.cocycle import _bump_num, bump, level_max, term, unit_position
+from besicov.cocycle import _bump_num, level_max, term
 from besicov.levels import LevelParams
 from besicov.targets import FAMILIES, TWELFTHS, member_level
+
+import oracles
+from oracles import bump, unit_position
 
 
 def eval_main_closed(lv: LevelParams, x: Fraction) -> Fraction:
@@ -160,7 +164,11 @@ def test_bump_numerators_match_bump_at_the_nodes(variant):
 
 def test_certificate_lane_never_calls_the_fraction_bump(greedy_cocycle, tent_cocycle, monkeypatch):
     import besicov.cocycle as cocycle_mod
+    import besicov.dynamics as dynamics_mod
 
+    # the library neither defines nor imports the oracle's evaluator
+    for mod in (cocycle_mod, dynamics_mod):
+        assert not {"unit_position", "bump"} & set(vars(mod)), mod.__name__
     x, lv, a = Fraction(3, 7), greedy_cocycle.levels[2], greedy_cocycle.alpha_hat
     _, aligned = sample_point(greedy_cocycle.profile, "++", "center", 5)
     _, mixed = sample_point(tent_cocycle.profile, "-+", "center", 6)
@@ -183,8 +191,8 @@ def test_certificate_lane_never_calls_the_fraction_bump(greedy_cocycle, tent_coc
     def refuse(*args):
         raise RuntimeError("the certificate lane went through unit_position/bump")
 
-    monkeypatch.setattr(cocycle_mod, "unit_position", refuse)
-    monkeypatch.setattr(cocycle_mod, "bump", refuse)
+    monkeypatch.setattr(oracles, "unit_position", refuse)
+    monkeypatch.setattr(oracles, "bump", refuse)
     assert run() == expected
 
 

@@ -1,11 +1,13 @@
 """Orbit simulation, error accounting, chaos probes."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from besicov import (
+    IrrationalSpec,
     classify_orbit,
     coverage,
     dynamics,
@@ -17,12 +19,66 @@ from besicov import (
     sample_point,
     sensitivity_probe,
 )
+from besicov.cocycle import _on_lattice
 from besicov.errors import ErrorBudgetBlown
 from besicov.targets import member_level
 
+import oracles
+from oracles import to_mpf
 
-def to_mpf(fr: Fraction) -> mpf:
-    return mpf(fr.numerator) / mpf(fr.denominator)
+#: A start whose lattice denominator (3^170 > 2^269) is wider than every
+#: tested precision, with a factor 3 shared by about a third of the positions,
+#: so rounding the unreduced pair would differ from mpf(a)/mpf(b).
+WIDE_X0 = Fraction(random.Random(5).getrandbits(300) | 1, 3**170)
+
+
+def _lane_and_oracle(cspec, x0, steps, bits):
+    """[(x_i, t_i - t_0 as an _mpf_ tuple)] from the lattice walk and from the
+    oracle's Fraction-and-bump replay, both at ``bits``."""
+    d = _on_lattice(x0 % 1, cspec.alpha_hat)[2]
+    with mp.workprec(bits):
+        lane = [(Fraction(u, d), t) for _, u, t in dynamics._t_values(cspec, x0, steps)]
+        oracle = [(x, t._mpf_) for x, t in oracles.t_values(cspec, x0, steps)]
+    return lane, oracle
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("variant", ["main", "tent"])
+@pytest.mark.parametrize("alpha", ["golden", "sqrt2m1"])
+def test_lattice_walk_has_the_bits_of_the_bump_oracle(alpha, variant, bits):
+    cspec = make_cocycle(IrrationalSpec.from_preset(alpha), "greedy", variant, 3)
+    rng = random.Random(bits)
+    starts = [Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(2)]
+    starts.append(sample_point(cspec.profile, "-+" if variant == "tent" else "++", "center", 3)[0])
+    # the first or the last level exactly at u = 1/12, 5/12 and 1/2, where the
+    # branches meet (the last level's peak is the largest term of the sum)
+    for lv in (cspec.levels[0], cspec.levels[-1]):
+        starts += [Fraction(k, 12 * lv.cell_count) for k in (1, 5, 6)]
+    starts.append(WIDE_X0)
+    assert _on_lattice(WIDE_X0, cspec.alpha_hat)[2].bit_length() > bits
+    for x0 in starts:
+        lane, oracle = _lane_and_oracle(cspec, x0, 80, bits)
+        for i, (got, want) in enumerate(zip(lane, oracle, strict=True)):
+            assert got == want, (x0, i)
+
+
+@pytest.mark.parametrize("t0", [Fraction(-5, 3), Fraction(7, 3**170)])
+def test_orbit_and_nonrecurrence_have_the_bits_of_the_bump_oracle(tent_cocycle, t0):
+    """t_base + dt and the circle distance round as mpf objects would."""
+    x0, bits = WIDE_X0, 64
+    rec = orbit(tent_cocycle, x0, t0, steps=40, precision_bits=bits, checkpoints=(7, 40))
+    res = nonrecurrence_test(tent_cocycle, x0, t0, Fraction(1, 10), 40, precision_bits=bits)
+    with mp.workprec(bits):
+        replay = list(oracles.t_values(tent_cocycle, x0, 40))
+        ts = [to_mpf(t0) + t for _, t in replay]
+        dist = [to_mpf(dynamics._circle_dist(x, x0 % 1)) + abs(t) for x, t in replay[1:]]
+        dps = int(bits * 0.302) + 2
+        assert rec.checkpoints == {k: mp.nstr(ts[k], dps) for k in (7, 40)}
+        assert rec.t_final == mp.nstr(ts[-1], dps)
+    assert rec.ts == [float(t) for t in ts]
+    assert rec.xs == [float(x) for x, _ in replay]
+    assert rec.x_final == replay[-1][0]
+    assert res.witness["min_distance"] == float(min(dist))
 
 
 def test_single_step(tent_cocycle):
