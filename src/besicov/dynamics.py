@@ -4,9 +4,10 @@ The cylinder map sends (x, t) to (x + alpha_hat mod 1, t + phi(x)).  The base
 coordinate is advanced *exactly*, on the integer lattice that
 :func:`besicov.cocycle.birkhoff` walks; only the fiber coordinate t is
 floating point, at a configurable binary precision with per-step error
-accounting.  Each level's bump is rounded from its integer lattice position
-by mpmath's raw ``libmp`` operations in one fixed order.  Distances use the
-taxicab metric: circle distance in x plus |difference| in t.
+accounting.  Each level's bump is computed in integers from its lattice
+position and rounded by one integer routine at each point where mpmath's raw
+``libmp`` operations round, in one fixed order, so t has mpmath's bits.
+Distances use the taxicab metric: circle distance in x plus |difference| in t.
 
 Probes are diagnostics, not certificates: each one carries its accumulated
 error bound and refuses to assert anything the bound could explain away.
@@ -25,13 +26,10 @@ from math import gcd
 from typing import Optional, Sequence
 
 from mpmath import mp
-from mpmath.libmp import (
-    fhalf, fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_ge, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_sub, to_float,
-)
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_ge, mpf_lt, mpf_sub, to_float
 
 from .cocycle import CocycleSpec, _on_lattice, level_max
-from .errors import ErrorBudgetBlown
+from .errors import ErrorBudgetBlown, InvariantBroken
 
 #: orbit refuses a declared error bound above ERROR_CAP; classify_orbit treats
 #: the first SETTLE of the horizon as transient and needs |t| > ESCAPE_LEVEL.
@@ -40,15 +38,81 @@ SETTLE = 0.5
 ESCAPE_LEVEL = 1.0
 
 
-def _ratio(n: int, d: int, prec: int, rnd: str) -> tuple:
-    """Raw mpf of n/d, d > 0: bit for bit ``mpf(a) / mpf(b)`` for the reduced
+def _working_precision() -> tuple[int, str]:
+    """The precision and rounding in force; the lane rounds to nearest only."""
+    prec, rnd = mp._prec_rounding
+    if rnd != "n":
+        raise InvariantBroken(f"the orbit lane rounds to nearest only, not {rnd!r}")
+    return prec, rnd
+
+
+def _round(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m * 2^e, m >= 0, rounded to ``prec`` significant bits, nearest with
+    ties to even, as the pair (m', e') for m' * 2^e'.  This is the lane's one
+    rounding: every libmp operation it replaces rounds its exact result so."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    q = m >> n
+    half = 1 << (n - 1)
+    low = m & (2 * half - 1)
+    if low > half or low == half and q & 1:
+        q += 1
+    return q, e + n
+
+
+def _div(a: int, b: int, prec: int) -> tuple[int, int]:
+    """a/b, a >= 0 < b, correctly rounded to ``prec`` bits, as ``mpf_div``
+    rounds it: a quotient of prec + 2 or prec + 3 bits, its last bit made
+    sticky by a nonzero remainder, then one rounding."""
+    if not a:
+        return 0, 0
+    k = prec + 2 - a.bit_length() + b.bit_length()
+    q, rem = divmod(a << k, b) if k >= 0 else divmod(a, b << -k)
+    return _round(q | (rem > 0), -k, prec)
+
+
+def _quotient(n: int, d: int, prec: int) -> tuple[int, int]:
+    """n/d, n >= 0 < d, bit for bit ``mpf(a) / mpf(b)`` for the reduced
     a/b = n/d.  Operands of at most ``prec`` bits convert exactly, so one
     division rounds n/d correctly whatever factor they share; a wider pair is
     reduced first, and each operand rounds as ``mpf()`` rounds it."""
-    if (abs(n) | d).bit_length() > prec:
-        g = gcd(n, d)
-        n, d = n // g, d // g
-    return mpf_div(from_int(n, prec, rnd), from_int(d, prec, rnd), prec, rnd)
+    if (n | d).bit_length() <= prec:
+        return _div(n, d, prec)
+    g = gcd(n, d)
+    a, ea = _round(n // g, 0, prec)
+    b, eb = _round(d // g, 0, prec)
+    m, e = _div(a, b, prec)
+    return m, e + ea - eb
+
+
+def _mpf(sign: int, m: int, e: int) -> tuple:
+    """The normalised raw mpf of (-1)^sign m 2^e: odd mantissa and its bit
+    count, or ``fzero``."""
+    if not m:
+        return fzero
+    z = (m & -m).bit_length() - 1
+    m >>= z
+    return sign, m, e + z, m.bit_length()
+
+
+def _ratio(n: int, d: int, prec: int) -> tuple:
+    """Raw mpf of n/d, d > 0: bit for bit ``mpf(a) / mpf(b)`` for the reduced
+    a/b = n/d, as :func:`_quotient` rounds |n|/d.  ``mpf_div`` rounds its
+    exact quotient once to nearest, ties to even, and so does :func:`_div`,
+    so the bits agree; the rounding mode must be ``'n'``, which callers check
+    with :func:`_working_precision`."""
+    return _mpf(int(n < 0), *_quotient(abs(n), d, prec))
+
+
+def _difference(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple:
+    """Raw mpf of a - b for pairs a, b >= 0, rounded once as ``mpf_sub``
+    rounds it: the operands meet exactly at the smaller exponent (``mpf_sub``
+    perturbs a far operand instead, which rounds to the same value)."""
+    (ma, ea), (mb, eb) = a, b
+    e = min(ea, eb)
+    m = (ma << (ea - e)) - (mb << (eb - e))
+    return _mpf(int(m < 0), *_round(abs(m), e, prec))
 
 
 def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
@@ -60,45 +124,68 @@ def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
     f_l(x_i) - f_l(x_0); each t_i is assembled fresh from one evaluation per
     level, so the float error never accumulates across steps.  A level of c
     cells sits at u = r/D of its period, r = u_i c mod D stepping by a fixed
-    integer, and its bump rounds in this order: u (:func:`_ratio`), 1 - u
+    integer, and its bump rounds in this order: u (:func:`_quotient`), 1 - u
     past 1/2, then peak * (u * 2) for tent; for main 0 up to 1/12, the peak
     from 5/12, else peak * ((u - 1/12) * 3), with 1/12 and 5/12 rounded once
-    per call.  Each level's error stays below peak * 2^(4 - prec).
+    per call; then the running sum, level by level, and fiber - base.
+
+    These are the roundings mpmath's ``mpf_div``, ``mpf_sub``, ``mpf_mul``,
+    ``mpf_mul_int`` and ``mpf_add`` make in that order, and each of those
+    rounds its exact result once to nearest, ties to even (``mpf_div`` with
+    a sticky bit, ``mpf_add`` with a perturbation of a far operand that acts
+    as one).  So each step here computes the exact result in integers, m 2^e,
+    and rounds it with :func:`_round` where libmp rounds, and the bits are
+    libmp's; only the rounding mode ``'n'`` is implemented, and any other
+    raises :class:`~besicov.errors.InvariantBroken`.  Each level's error
+    stays below peak * 2^(4 - prec).
     """
-    prec, rnd = mp._prec_rounding
+    prec = _working_precision()[0]
     tent = cspec.variant == "tent"
-    twelfth = mpf_div(fone, from_int(12), prec, rnd)
-    five_twelfths = mpf_div(from_int(5), from_int(12), prec, rnd)
+    m12, e12 = _div(1, 12, prec)
+    m512, e512 = _div(5, 12, prec)
     u, step, d = _on_lattice(x0 % 1, cspec.alpha_hat)
-    peaks = [_ratio(*level_max(lv, cspec.variant).as_integer_ratio(), prec, rnd)
+    peaks = [_quotient(*level_max(lv, cspec.variant).as_integer_ratio(), prec)
              for lv in cspec.levels]
     rs = [u * lv.cell_count % d for lv in cspec.levels]
     drs = [step * lv.cell_count % d for lv in cspec.levels]
+    # every position r < D, so the pair (r, D) is as wide as D at every step
+    quotient = _div if d.bit_length() <= prec else _quotient
 
-    def fiber() -> tuple:
-        total = fzero
-        for r, peak in zip(rs, peaks):
-            v = _ratio(r, d, prec, rnd)
-            if mpf_cmp(v, fhalf) > 0:
-                v = mpf_sub(fone, v, prec, rnd)
+    def fiber() -> tuple[int, int]:
+        mt, et = 0, 0
+        for r, (pm, pe) in zip(rs, peaks):
+            mv, ev = quotient(r, d, prec)
+            if mv << (ev + 1) > 1 if ev >= -1 else mv > 1 << (-1 - ev):
+                mv, ev = _round((1 << -ev) - mv, ev, prec)
             if tent:
-                b = mpf_mul(peak, mpf_mul_int(v, 2, prec, rnd), prec, rnd)
-            elif mpf_cmp(v, twelfth) <= 0:
-                b = fzero
-            elif mpf_cmp(v, five_twelfths) >= 0:
-                b = peak
+                mb, eb = _round(pm * mv, pe + ev + 1, prec)
+            elif mv << (ev - e12) <= m12 if ev >= e12 else mv <= m12 << (e12 - ev):
+                continue
+            elif mv << (ev - e512) >= m512 if ev >= e512 else mv >= m512 << (e512 - ev):
+                mb, eb = pm, pe
             else:
-                b = mpf_mul(peak, mpf_mul_int(mpf_sub(v, twelfth, prec, rnd), 3, prec, rnd),
-                            prec, rnd)
-            total = mpf_add(total, b, prec, rnd)
-        return total
+                if ev >= e12:
+                    mw, ew = _round((mv << (ev - e12)) - m12, e12, prec)
+                else:
+                    mw, ew = _round(mv - (m12 << (e12 - ev)), ev, prec)
+                mw, ew = _round(3 * mw, ew, prec)
+                mb, eb = _round(pm * mw, pe + ew, prec)
+            if not mb:
+                continue
+            if not mt:
+                mt, et = mb, eb
+            elif et >= eb:
+                mt, et = _round((mt << (et - eb)) + mb, eb, prec)
+            else:
+                mt, et = _round(mt + (mb << (eb - et)), et, prec)
+        return mt, et
 
     base = fiber()
     yield 0, u, fzero
     for i in range(1, steps + 1):
         u = (u + step) % d
         rs = [(r + dr) % d for r, dr in zip(rs, drs)]
-        yield i, u, mpf_sub(fiber(), base, prec, rnd)
+        yield i, u, _difference(fiber(), base, prec)
 
 
 def orbit_error_bound(cspec: CocycleSpec, precision_bits: int) -> Fraction:
@@ -171,8 +258,8 @@ def orbit(
     d = _on_lattice(x0 % 1, cspec.alpha_hat)[2]
     t0 = Fraction(t0)
     with mp.workprec(precision_bits):
-        prec, rnd = mp._prec_rounding
-        t_base = _ratio(*t0.as_integer_ratio(), prec, rnd)
+        prec, rnd = _working_precision()
+        t_base = _ratio(*t0.as_integer_ratio(), prec)
         for i, u, dt in _t_values(cspec, x0, steps):
             t = mpf_add(t_base, dt, prec, rnd)
             if i % store_every == 0:
@@ -257,18 +344,18 @@ def nonrecurrence_test(
     best_k = 0
     best_val = None
     with mp.workprec(precision_bits):
-        prec, rnd = mp._prec_rounding
+        prec, rnd = _working_precision()
         for k, u, t_cur in _t_values(cspec, x0, horizon):
             if k == 0:
                 continue
             gap = (u - u0) % den  # circle distance min(gap, den - gap)/den
-            d = mpf_add(_ratio(min(gap, den - gap), den, prec, rnd), mpf_abs(t_cur, prec, rnd),
+            d = mpf_add(_ratio(min(gap, den - gap), den, prec), mpf_abs(t_cur, prec, rnd),
                         prec, rnd)
             if best_val is None or mpf_lt(d, best_val):
                 best_val = d
                 best_k = k
-        eps_f = _ratio(*eps.as_integer_ratio(), prec, rnd)
-        bound_f = _ratio(*bound.as_integer_ratio(), prec, rnd)
+        eps_f = _ratio(*eps.as_integer_ratio(), prec)
+        bound_f = _ratio(*bound.as_integer_ratio(), prec)
         if mpf_ge(mpf_sub(best_val, bound_f, prec, rnd), eps_f):
             outcome = "pass"
         elif mpf_lt(mpf_add(best_val, bound_f, prec, rnd), eps_f):
@@ -355,13 +442,16 @@ def sensitivity_probe(
         if y != x0:
             candidates.append(y)
 
+    x_walks: dict[int, list] = {}  # x0's fiber values per precision, for this call only
+
     def separation(y: Fraction, bits: int) -> tuple[int, float]:
         best_k, best_d = 0, float("-inf")
         with mp.workprec(bits):
-            prec, rnd = mp._prec_rounding
-            basef = _ratio(*_circle_dist(x0, y).as_integer_ratio(), prec, rnd)
-            pair = zip(_t_values(cspec, x0, horizon), _t_values(cspec, y, horizon))
-            for (k, _, tx), (_, _, ty) in pair:
+            prec, rnd = _working_precision()
+            if bits not in x_walks:
+                x_walks[bits] = [t for _, _, t in _t_values(cspec, x0, horizon)]
+            basef = _ratio(*_circle_dist(x0, y).as_integer_ratio(), prec)
+            for tx, (k, _, ty) in zip(x_walks[bits], _t_values(cspec, y, horizon)):
                 if k == 0:
                     continue
                 sep = mpf_abs(mpf_sub(tx, ty, prec, rnd), prec, rnd)

@@ -1,0 +1,161 @@
+"""Mutation corpus: small faults the tests must notice, kept as data.
+
+Each entry names a file under the repository root, a text that occurs in it
+exactly once, its replacement, and the test files that must fail once the
+replacement is made.  An entry with ``equivalent`` set is a mutant no output
+can tell from the original; the reason says why, and it is expected to survive.
+Mutation analysis follows DeMillo, Lipton and Sayward, "Hints on test data
+selection" (1978).
+
+    python tests/mutants.py                 # every mutant
+    python tests/mutants.py div-no-sticky   # the named ones
+
+Each mutant is applied to a fresh temporary copy of ``src/``, ``tests/`` and
+``pyproject.toml``, whose kill files are then run with pytest.  The report has
+one line per mutant, followed by the tests that failed; the exit status is 0
+when every mutant met its expectation.  Standard library only: pytest runs in
+the child process.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parents[1]
+DYNAMICS = "src/besicov/dynamics.py"
+TEST_DYNAMICS = ("tests/test_dynamics.py",)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    kills: tuple[str, ...]
+    equivalent: Optional[str] = None
+
+
+MUTANTS = (
+    Mutant(
+        "round-ties-away",
+        DYNAMICS,
+        "if low > half or low == half and q & 1:",
+        "if low >= half:",
+        TEST_DYNAMICS,
+    ),
+    Mutant(
+        "div-no-sticky",
+        DYNAMICS,
+        "return _round(q | (rem > 0), -k, prec)",
+        "return _round(q, -k, prec)",
+        TEST_DYNAMICS,
+    ),
+    Mutant(
+        "div-quotient-one-bit-short",
+        DYNAMICS,
+        "k = prec + 2 - a.bit_length() + b.bit_length()",
+        "k = prec + 1 - a.bit_length() + b.bit_length()",
+        TEST_DYNAMICS,
+    ),
+    Mutant(
+        "quotient-no-gcd-fallback",
+        DYNAMICS,
+        "    g = gcd(n, d)\n",
+        "    g = 1\n",
+        TEST_DYNAMICS,
+    ),
+    Mutant(
+        "walk-no-gcd-fallback",
+        DYNAMICS,
+        "quotient = _div if d.bit_length() <= prec else _quotient",
+        "quotient = _div",
+        TEST_DYNAMICS,
+    ),
+    Mutant(
+        "walk-drops-the-fold",
+        DYNAMICS,
+        "                mv, ev = _round((1 << -ev) - mv, ev, prec)\n",
+        "                pass\n",
+        TEST_DYNAMICS + ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "walk-5/12-strict",
+        DYNAMICS,
+        "mv << (ev - e512) >= m512 if ev >= e512 else mv >= m512 << (e512 - ev)",
+        "mv << (ev - e512) > m512 if ev >= e512 else mv > m512 << (e512 - ev)",
+        TEST_DYNAMICS,
+    ),
+    Mutant(
+        "walk-fold-at-1/2",
+        DYNAMICS,
+        "if mv << (ev + 1) > 1 if ev >= -1 else mv > 1 << (-1 - ev):",
+        "if mv << (ev + 1) >= 1 if ev >= -1 else mv >= 1 << (-1 - ev):",
+        TEST_DYNAMICS,
+        equivalent="at u = 1/2 the fold gives 1 - u = 1/2 = u, so folding or not "
+        "leaves the same value",
+    ),
+    Mutant(
+        "walk-1/12-strict",
+        DYNAMICS,
+        "mv << (ev - e12) <= m12 if ev >= e12 else mv <= m12 << (e12 - ev)",
+        "mv << (ev - e12) < m12 if ev >= e12 else mv < m12 << (e12 - ev)",
+        TEST_DYNAMICS,
+        equivalent="at u = 1/12 the ramp gives peak * ((u - 1/12) * 3) = 0, the "
+        "same zero the early exit adds",
+    ),
+)
+
+
+def run(mutant: Mutant) -> tuple[str, list[str]]:
+    """('killed', 'survived' or 'error', the ids of the tests that failed);
+    'error' means the old text was not found once or pytest could not run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "error", []
+        target.write_text(text.replace(mutant.old, mutant.new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             *mutant.kills],
+            cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
+            capture_output=True, text=True,
+        )
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error"), failed
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    ok = True
+    for mutant in chosen:
+        verdict, failed = run(mutant)
+        want = "survived" if mutant.equivalent else "killed"
+        ok &= verdict == want
+        note = f"  (equivalent: {mutant.equivalent})" if mutant.equivalent else ""
+        print(f"{mutant.name:28} {verdict:9} {'ok' if verdict == want else 'UNEXPECTED'}{note}",
+              flush=True)
+        for test in failed:
+            print(f"    {test}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_sub
 
 from besicov import (
     IrrationalSpec,
@@ -20,7 +22,7 @@ from besicov import (
     sensitivity_probe,
 )
 from besicov.cocycle import _on_lattice
-from besicov.errors import ErrorBudgetBlown
+from besicov.errors import ErrorBudgetBlown, InvariantBroken
 from besicov.targets import member_level
 
 import oracles
@@ -79,6 +81,66 @@ def test_orbit_and_nonrecurrence_have_the_bits_of_the_bump_oracle(tent_cocycle, 
     assert rec.xs == [float(x) for x, _ in replay]
     assert rec.x_final == replay[-1][0]
     assert res.witness["min_distance"] == float(min(dist))
+
+
+PRECS = st.sampled_from([53, 64, 128, 256])
+#: narrow (at most 53 bits, so within every tested precision) or wide
+WIDTHS = st.one_of(st.integers(1, 2**53), st.integers(1, 2**600))
+
+
+@settings(max_examples=400, deadline=None)
+@given(PRECS, st.one_of(st.just(0), WIDTHS), WIDTHS)
+def test_div_rounds_as_mpf_div(prec, a, b):
+    """The exact operands divided and rounded once, as mpf_div rounds them."""
+    want = mpf_div(from_int(a), from_int(b), prec, "n")
+    assert dynamics._mpf(0, *dynamics._div(a, b, prec)) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(PRECS, st.one_of(st.just(0), WIDTHS, WIDTHS.map(lambda v: -v)), WIDTHS)
+def test_ratio_rounds_as_mpf_of_the_reduced_pair(prec, n, d):
+    """Narrow pairs divide exactly; wide ones are reduced and each operand
+    rounded first, as mpf(a) / mpf(b) rounds them."""
+    g = Fraction(n, d)
+    a, b = from_int(g.numerator, prec, "n"), from_int(g.denominator, prec, "n")
+    assert dynamics._ratio(n, d, prec) == mpf_div(a, b, prec, "n")
+
+
+@st.composite
+def _ties(draw):
+    """(m, prec): m = q 10...0 in binary, q of prec bits, odd or even."""
+    prec = draw(PRECS)
+    q = draw(st.integers(2 ** (prec - 1), 2**prec - 1)) | 1
+    q -= draw(st.booleans())
+    n = draw(st.integers(1, 300))
+    return q << n | 1 << (n - 1), prec
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_ties(), st.tuples(st.integers(0, 2**600), PRECS)), st.integers(-400, 400))
+def test_round_matches_from_man_exp_with_ties_to_even(case, e):
+    m, prec = case
+    assert dynamics._mpf(0, *dynamics._round(m, e, prec)) == from_man_exp(m, e, prec, "n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(PRECS, st.data())
+def test_difference_rounds_as_mpf_sub(prec, data):
+    """Signed a - b of prec-bit operands, exponents near (the aligned
+    subtraction) or far apart (mpf_add's perturbed far operand)."""
+    mant = st.integers(0, 2**prec - 1)
+    ea, eb = data.draw(st.integers(-500, 500)), data.draw(st.integers(-500, 500))
+    a, b = (data.draw(mant), ea), (data.draw(mant), eb)
+    if data.draw(st.booleans()):
+        b = (b[0], ea + data.draw(st.integers(-3, 3)))
+    want = mpf_sub(from_man_exp(*a), from_man_exp(*b), prec, "n")
+    assert dynamics._difference(a, b, prec) == want
+
+
+def test_walk_refuses_a_rounding_mode_other_than_nearest(tent_cocycle, monkeypatch):
+    monkeypatch.setattr(mp, "_prec_rounding", [mp.prec, "f"])
+    with pytest.raises(InvariantBroken, match="rounds to nearest only"):
+        next(dynamics._t_values(tent_cocycle, Fraction(1, 7), 3))
 
 
 def test_single_step(tent_cocycle):
@@ -222,6 +284,30 @@ def test_sensitivity_unreachable_eps(tent_cocycle):
         seed=3,
     )
     assert res.outcome == "not-found"
+
+
+def test_sensitivity_walks_x_once_per_precision(tent_cocycle, monkeypatch):
+    """A not-found probe of 8 candidates walks x once and each candidate once."""
+    walk, calls = dynamics._t_values, []
+
+    def spy(cspec, x0, steps):
+        calls.append(x0)
+        return walk(cspec, x0, steps)
+
+    monkeypatch.setattr(dynamics, "_t_values", spy)
+    res = sensitivity_probe(tent_cocycle, Fraction(1, 4), delta=Fraction(1, 1000),
+                            eps=Fraction(10**9), horizon=1, samples=8, seed=3)
+    assert len(calls) == 9 and calls.count(Fraction(1, 4)) == 1
+    # as recorded when every candidate walked x again
+    assert res.as_dict() == {
+        "kind": "sensitivity",
+        "params": {"delta": "1/1000", "eps": "1000000000", "horizon": 1, "samples": 8,
+                   "seed": 3, "precision_bits": 128, "x": "1/4"},
+        "outcome": "not-found",
+        "witness": None,
+        "error_bound": 3.563042828462809e-29,
+        "details": {"note": "absence of a witness is not a disproof"},
+    }
 
 
 def test_sensitivity_deterministic(tent_cocycle):
