@@ -26,7 +26,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_ge, mpf_lt, mpf_sub, to_float
+from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_add, mpf_ge, mpf_lt, mpf_sub, to_float
 
 from .cocycle import CocycleSpec, _on_lattice, level_max
 from .errors import ErrorBudgetBlown, InvariantBroken
@@ -86,23 +86,14 @@ def _quotient(n: int, d: int, prec: int) -> tuple[int, int]:
     return m, e + ea - eb
 
 
-def _mpf(sign: int, m: int, e: int) -> tuple:
-    """The normalised raw mpf of (-1)^sign m 2^e: odd mantissa and its bit
-    count, or ``fzero``."""
-    if not m:
-        return fzero
-    z = (m & -m).bit_length() - 1
-    m >>= z
-    return sign, m, e + z, m.bit_length()
-
-
 def _ratio(n: int, d: int, prec: int) -> tuple:
     """Raw mpf of n/d, d > 0: bit for bit ``mpf(a) / mpf(b)`` for the reduced
     a/b = n/d, as :func:`_quotient` rounds |n|/d.  ``mpf_div`` rounds its
     exact quotient once to nearest, ties to even, and so does :func:`_div`,
     so the bits agree; the rounding mode must be ``'n'``, which callers check
     with :func:`_working_precision`."""
-    return _mpf(int(n < 0), *_quotient(abs(n), d, prec))
+    m, e = _quotient(abs(n), d, prec)
+    return from_man_exp(-m if n < 0 else m, e)
 
 
 def _difference(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple:
@@ -112,7 +103,8 @@ def _difference(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple:
     (ma, ea), (mb, eb) = a, b
     e = min(ea, eb)
     m = (ma << (ea - e)) - (mb << (eb - e))
-    return _mpf(int(m < 0), *_round(abs(m), e, prec))
+    r, e = _round(abs(m), e, prec)
+    return from_man_exp(-r if m < 0 else r, e)
 
 
 def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
@@ -155,6 +147,7 @@ def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
         mt, et = 0, 0
         for r, (pm, pe) in zip(rs, peaks):
             mv, ev = quotient(r, d, prec)
+            # u = mv 2^ev against 1/2, 1/12 and 5/12: exact, on shifted mantissas
             if mv << (ev + 1) > 1 if ev >= -1 else mv > 1 << (-1 - ev):
                 mv, ev = _round((1 << -ev) - mv, ev, prec)
             if tent:
