@@ -11,8 +11,9 @@ strings, big integers as decimal strings; outputs are byte-identical for
 identical configurations.  Exit codes: 0 success, 1 usage error, 2
 certificate failure.
 
-The dimension and orbit/probe subcommands import their modules (and ``mpmath``)
-inside their handlers, so the certificate subcommands never load them.
+The dimension and orbit/probe subcommands import their modules inside their
+handlers, so the certificate subcommands never load them, nor ``mpmath``, which
+only ``dynamics`` imports.
 """
 
 from __future__ import annotations
@@ -397,8 +398,6 @@ def cmd_dimension(cfg: RunConfig, stream) -> int:
 
 
 def cmd_orbit(cfg: RunConfig, stream) -> int:
-    from mpmath import mp, mpf
-
     from . import dynamics as dyn_mod
 
     x = cfg.point()
@@ -413,13 +412,12 @@ def cmd_orbit(cfg: RunConfig, stream) -> int:
         store_every=cfg.store_every,
         checkpoints=marks,
     )
-    dps = int(cfg.precision_bits * 0.302) + 2
+    bits = cfg.precision_bits
     rows = []
-    with mp.workprec(cfg.precision_bits):
-        for i in marks:
-            xi = (x + i * cspec.alpha_hat) % 1
-            rows.append({"step": i, "x": mp.nstr(mpf(xi.numerator) / mpf(xi.denominator), dps),
-                         "t": rec.checkpoints[i]})
+    for i in marks:
+        xi = (x + i * cspec.alpha_hat) % 1
+        x_text = dyn_mod._decimal(dyn_mod._ratio(xi.numerator, xi.denominator, bits), bits)
+        rows.append({"step": i, "x": x_text, "t": rec.checkpoints[i]})
     payload = {
         "steps": rec.steps,
         "precision_bits": rec.precision_bits,

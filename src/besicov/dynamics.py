@@ -3,10 +3,12 @@
 The cylinder map sends (x, t) to (x + alpha_hat mod 1, t + phi(x)).  The base
 coordinate is advanced *exactly*, on the integer lattice that
 :func:`besicov.cocycle.birkhoff` walks; only the fiber coordinate t is
-floating point, at a configurable binary precision with per-step error
-accounting.  Each level's bump is computed in integers from its lattice
-position and rounded by one integer routine at each point where mpmath's raw
-``libmp`` operations round, in one fixed order, so t has mpmath's bits.
+floating point, at a binary precision that the caller passes in, with
+per-step error accounting; the lane reads and sets no mpmath context, so
+threads may run it at different precisions at once.  Each level's bump is
+computed in integers from its lattice position and rounded by one integer
+routine at each point where mpmath's raw ``libmp`` operations round, in one
+fixed order, so t has mpmath's bits.
 Distances use the taxicab metric: circle distance in x plus |difference| in t.
 
 Probes are diagnostics, not certificates: each one carries its accumulated
@@ -25,25 +27,17 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_add, mpf_ge, mpf_lt, mpf_sub, to_float
+from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_ge, mpf_lt, mpf_sub,
+                          to_float, to_str)
 
 from .cocycle import CocycleSpec, _on_lattice, level_max
-from .errors import ErrorBudgetBlown, InvariantBroken
+from .errors import ErrorBudgetBlown
 
 #: orbit refuses a declared error bound above ERROR_CAP; classify_orbit treats
 #: the first SETTLE of the horizon as transient and needs |t| > ESCAPE_LEVEL.
 ERROR_CAP = Fraction(1, 10**6)
 SETTLE = 0.5
 ESCAPE_LEVEL = 1.0
-
-
-def _working_precision() -> tuple[int, str]:
-    """The precision and rounding in force; the lane rounds to nearest only."""
-    prec, rnd = mp._prec_rounding
-    if rnd != "n":
-        raise InvariantBroken(f"the orbit lane rounds to nearest only, not {rnd!r}")
-    return prec, rnd
 
 
 def _round(m: int, e: int, prec: int) -> tuple[int, int]:
@@ -90,8 +84,7 @@ def _ratio(n: int, d: int, prec: int) -> tuple:
     """Raw mpf of n/d, d > 0: bit for bit ``mpf(a) / mpf(b)`` for the reduced
     a/b = n/d, as :func:`_quotient` rounds |n|/d.  ``mpf_div`` rounds its
     exact quotient once to nearest, ties to even, and so does :func:`_div`,
-    so the bits agree; the rounding mode must be ``'n'``, which callers check
-    with :func:`_working_precision`."""
+    so the bits agree."""
     m, e = _quotient(abs(n), d, prec)
     return from_man_exp(-m if n < 0 else m, e)
 
@@ -107,10 +100,15 @@ def _difference(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple:
     return from_man_exp(-r if m < 0 else r, e)
 
 
-def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
+def _decimal(raw: tuple, bits: int) -> str:
+    """A raw mpf in decimal, as ``mp.nstr`` prints it at a precision of ``bits``
+    (int(bits * 0.302) + 2 significant digits)."""
+    return to_str(raw, int(bits * 0.302) + 2)
+
+
+def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int, prec: int):
     """Yield (i, u_i, t_i - t_0) for i = 0..steps: x_i = u_i/D on the lattice
-    ``_on_lattice(x0 % 1, alpha_hat)``, t a raw mpf at the precision in force
-    when the generator is first advanced.
+    ``_on_lattice(x0 % 1, alpha_hat)``, t a raw mpf rounded to ``prec`` bits.
 
     Because x advances exactly, the ergodic sum telescopes per level to
     f_l(x_i) - f_l(x_0); each t_i is assembled fresh from one evaluation per
@@ -127,11 +125,9 @@ def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int):
     a sticky bit, ``mpf_add`` with a perturbation of a far operand that acts
     as one).  So each step here computes the exact result in integers, m 2^e,
     and rounds it with :func:`_round` where libmp rounds, and the bits are
-    libmp's; only the rounding mode ``'n'`` is implemented, and any other
-    raises :class:`~besicov.errors.InvariantBroken`.  Each level's error
-    stays below peak * 2^(4 - prec).
+    libmp's in rounding mode ``'n'``, the only one implemented.  Each level's
+    error stays below peak * 2^(4 - prec).
     """
-    prec = _working_precision()[0]
     tent = cspec.variant == "tent"
     m12, e12 = _div(1, 12, prec)
     m512, e512 = _div(5, 12, prec)
@@ -247,20 +243,16 @@ def orbit(
     xs: list[float] = []
     ts: list[float] = []
     marks: dict[int, str] = {}
-    dps = int(precision_bits * 0.302) + 2
     d = _on_lattice(x0 % 1, cspec.alpha_hat)[2]
     t0 = Fraction(t0)
-    with mp.workprec(precision_bits):
-        prec, rnd = _working_precision()
-        t_base = _ratio(*t0.as_integer_ratio(), prec)
-        for i, u, dt in _t_values(cspec, x0, steps):
-            t = mpf_add(t_base, dt, prec, rnd)
-            if i % store_every == 0:
-                xs.append(u / d)  # int true division rounds as float(Fraction) does
-                ts.append(to_float(t, rnd=rnd))
-            if i in want:
-                marks[i] = mp.nstr(mp.make_mpf(t), dps)
-        t_final = mp.nstr(mp.make_mpf(t), dps)
+    t_base = _ratio(*t0.as_integer_ratio(), precision_bits)
+    for i, u, dt in _t_values(cspec, x0, steps, precision_bits):
+        t = mpf_add(t_base, dt, precision_bits, "n")
+        if i % store_every == 0:
+            xs.append(u / d)  # int true division rounds as float(Fraction) does
+            ts.append(to_float(t, rnd="n"))
+        if i in want:
+            marks[i] = _decimal(t, precision_bits)
     return OrbitRecord(
         steps=steps,
         precision_bits=precision_bits,
@@ -271,7 +263,7 @@ def orbit(
         ts=ts,
         checkpoints=marks,
         x_final=Fraction(u, d),
-        t_final=t_final,
+        t_final=_decimal(t, precision_bits),
         error_bound=bound,
     )
 
@@ -334,33 +326,32 @@ def nonrecurrence_test(
         )
     x0 = x % 1
     u0, _, den = _on_lattice(x0, cspec.alpha_hat)
+    prec = precision_bits
     best_k = 0
     best_val = None
-    with mp.workprec(precision_bits):
-        prec, rnd = _working_precision()
-        for k, u, t_cur in _t_values(cspec, x0, horizon):
-            if k == 0:
-                continue
-            gap = (u - u0) % den  # circle distance min(gap, den - gap)/den
-            d = mpf_add(_ratio(min(gap, den - gap), den, prec), mpf_abs(t_cur, prec, rnd),
-                        prec, rnd)
-            if best_val is None or mpf_lt(d, best_val):
-                best_val = d
-                best_k = k
-        eps_f = _ratio(*eps.as_integer_ratio(), prec)
-        bound_f = _ratio(*bound.as_integer_ratio(), prec)
-        if mpf_ge(mpf_sub(best_val, bound_f, prec, rnd), eps_f):
-            outcome = "pass"
-        elif mpf_lt(mpf_add(best_val, bound_f, prec, rnd), eps_f):
-            outcome = "fail"
-        else:
-            raise ErrorBudgetBlown("minimum distance within error bound of eps")
+    for k, u, t_cur in _t_values(cspec, x0, horizon, prec):
+        if k == 0:
+            continue
+        gap = (u - u0) % den  # circle distance min(gap, den - gap)/den
+        d = mpf_add(_ratio(min(gap, den - gap), den, prec), mpf_abs(t_cur, prec, "n"),
+                    prec, "n")
+        if best_val is None or mpf_lt(d, best_val):
+            best_val = d
+            best_k = k
+    eps_f = _ratio(*eps.as_integer_ratio(), prec)
+    bound_f = _ratio(*bound.as_integer_ratio(), prec)
+    if mpf_ge(mpf_sub(best_val, bound_f, prec, "n"), eps_f):
+        outcome = "pass"
+    elif mpf_lt(mpf_add(best_val, bound_f, prec, "n"), eps_f):
+        outcome = "fail"
+    else:
+        raise ErrorBudgetBlown("minimum distance within error bound of eps")
     return ProbeResult(
         kind="nonrecurrence",
         params={"eps": str(eps), "horizon": horizon, "precision_bits": precision_bits,
                 "x": str(x0), "t": str(Fraction(t))},
         outcome=outcome,
-        witness={"k": best_k, "min_distance": to_float(best_val, rnd=rnd)},
+        witness={"k": best_k, "min_distance": to_float(best_val, rnd="n")},
         error_bound=float(bound),
     )
 
@@ -437,29 +428,25 @@ def sensitivity_probe(
 
     x_walks: dict[int, list] = {}  # x0's fiber values per precision, for this call only
 
-    def separation(y: Fraction, bits: int) -> tuple[int, float]:
-        best_k, best_d = 0, float("-inf")
-        with mp.workprec(bits):
-            prec, rnd = _working_precision()
-            if bits not in x_walks:
-                x_walks[bits] = [t for _, _, t in _t_values(cspec, x0, horizon)]
-            basef = _ratio(*_circle_dist(x0, y).as_integer_ratio(), prec)
-            for tx, (k, _, ty) in zip(x_walks[bits], _t_values(cspec, y, horizon)):
-                if k == 0:
-                    continue
-                sep = mpf_abs(mpf_sub(tx, ty, prec, rnd), prec, rnd)
-                d = to_float(mpf_add(basef, sep, prec, rnd), rnd=rnd)
-                if d > best_d:
-                    best_k, best_d = k, d
-        return best_k, best_d
+    def separation(y: Fraction, bits: int):
+        """Yield (k, distance of the orbits of x0 and y at step k) for k = 1..horizon."""
+        if bits not in x_walks:
+            x_walks[bits] = [t for _, _, t in _t_values(cspec, x0, horizon, bits)]
+        basef = _ratio(*_circle_dist(x0, y).as_integer_ratio(), bits)
+        for tx, (k, _, ty) in zip(x_walks[bits], _t_values(cspec, y, horizon, bits)):
+            if k:
+                sep = mpf_abs(mpf_sub(tx, ty, bits, "n"), bits, "n")
+                yield k, to_float(mpf_add(basef, sep, bits, "n"), rnd="n")
 
     bound = 2 * float(orbit_error_bound(cspec, precision_bits))
     params = {"delta": str(delta), "eps": str(eps), "horizon": horizon, "samples": samples,
               "seed": seed, "precision_bits": precision_bits, "x": str(x0)}
     for y in candidates:
-        k, d = separation(y, precision_bits)
-        if d - bound > float(eps):
-            k2, d2 = separation(y, 2 * precision_bits)
+        # float subtraction is monotone, so a step clears eps + bound iff the
+        # farthest one does: the first such step decides
+        if any(d - bound > float(eps) for _, d in separation(y, precision_bits)):
+            # max keeps the first of equal distances, the step reported
+            k2, d2 = max(separation(y, 2 * precision_bits), key=lambda kd: kd[1])
             bound2 = 2 * float(orbit_error_bound(cspec, 2 * precision_bits))
             if d2 - bound2 > float(eps):
                 return ProbeResult(

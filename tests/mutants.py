@@ -111,6 +111,13 @@ MUTANTS = (
         equivalent="at u = 1/12 the ramp gives peak * ((u - 1/12) * 3) = 0, the "
         "same zero the early exit adds",
     ),
+    Mutant(
+        "reverify-at-base-precision",
+        DYNAMICS,
+        "max(separation(y, 2 * precision_bits)",
+        "max(separation(y, precision_bits)",
+        TEST_DYNAMICS,
+    ),
 )
 
 

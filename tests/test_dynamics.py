@@ -1,6 +1,8 @@
 """Orbit simulation, error accounting, chaos probes."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from besicov import (
     sensitivity_probe,
 )
 from besicov.cocycle import _on_lattice
-from besicov.errors import ErrorBudgetBlown, InvariantBroken
+from besicov.errors import ErrorBudgetBlown
 from besicov.targets import member_level
 
 import oracles
@@ -38,8 +40,8 @@ def _lane_and_oracle(cspec, x0, steps, bits):
     """[(x_i, t_i - t_0 as an _mpf_ tuple)] from the lattice walk and from the
     oracle's Fraction-and-bump replay, both at ``bits``."""
     d = _on_lattice(x0 % 1, cspec.alpha_hat)[2]
+    lane = [(Fraction(u, d), t) for _, u, t in dynamics._t_values(cspec, x0, steps, bits)]
     with mp.workprec(bits):
-        lane = [(Fraction(u, d), t) for _, u, t in dynamics._t_values(cspec, x0, steps)]
         oracle = [(x, t._mpf_) for x, t in oracles.t_values(cspec, x0, steps)]
     return lane, oracle
 
@@ -137,12 +139,6 @@ def test_difference_rounds_as_mpf_sub(prec, data):
     assert dynamics._difference(a, b, prec) == want
 
 
-def test_walk_refuses_a_rounding_mode_other_than_nearest(tent_cocycle, monkeypatch):
-    monkeypatch.setattr(mp, "_prec_rounding", [mp.prec, "f"])
-    with pytest.raises(InvariantBroken, match="rounds to nearest only"):
-        next(dynamics._t_values(tent_cocycle, Fraction(1, 7), 3))
-
-
 def test_single_step(tent_cocycle):
     x0 = Fraction(1, 7)
     rec = orbit(tent_cocycle, x0, Fraction(0), steps=1, checkpoints=(1,))
@@ -174,6 +170,39 @@ def test_vertical_translation_commutes(tent_cocycle):
     with mp.workprec(200):
         shift = mpf(b.checkpoints[40]) - mpf(a.checkpoints[40])
         assert abs(shift - mpf(5) / 2) <= 2 * to_mpf(a.error_bound)
+
+
+def test_orbits_at_different_precisions_run_in_threads(tent_cocycle):
+    """Four threads alternating 64 and 256 bits get their single-thread
+    records, and the caller's mpmath precision is left as it was."""
+    starts = [Fraction(1, 7 + j) for j in range(4)]
+
+    def run(x0, bits):
+        return orbit(tent_cocycle, x0, steps=3, precision_bits=bits, checkpoints=(3,))
+
+    want = {(x0, bits): run(x0, bits) for x0 in starts for bits in (64, 256)}
+    got: dict[Fraction, list] = {x0: [] for x0 in starts}
+
+    def worker(x0):
+        for i in range(200):
+            bits = (64, 256)[i % 2]
+            got[x0].append((bits, run(x0, bits)))
+
+    prec, interval = mp.prec, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(x0,)) for x0 in starts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mp.prec == prec
+    for x0 in starts:
+        assert len(got[x0]) == 200
+        assert all(rec == want[x0, bits] for bits, rec in got[x0])
 
 
 def test_orbit_error_cap(golden):
@@ -286,18 +315,28 @@ def test_sensitivity_unreachable_eps(tent_cocycle):
     assert res.outcome == "not-found"
 
 
-def test_sensitivity_walks_x_once_per_precision(tent_cocycle, monkeypatch):
-    """A not-found probe of 8 candidates walks x once and each candidate once."""
+def _spy_walks(monkeypatch):
+    """Record [x0, prec, last step yielded] for each walk of _t_values."""
     walk, calls = dynamics._t_values, []
 
-    def spy(cspec, x0, steps):
-        calls.append(x0)
-        return walk(cspec, x0, steps)
+    def spy(cspec, x0, steps, prec):
+        call = [x0, prec, None]
+        calls.append(call)
+        for item in walk(cspec, x0, steps, prec):
+            call[2] = item[0]
+            yield item
 
     monkeypatch.setattr(dynamics, "_t_values", spy)
+    return calls
+
+
+def test_sensitivity_walks_x_once_per_precision(tent_cocycle, monkeypatch):
+    """A not-found probe of 8 candidates walks x once and each candidate once."""
+    calls = _spy_walks(monkeypatch)
     res = sensitivity_probe(tent_cocycle, Fraction(1, 4), delta=Fraction(1, 1000),
                             eps=Fraction(10**9), horizon=1, samples=8, seed=3)
-    assert len(calls) == 9 and calls.count(Fraction(1, 4)) == 1
+    starts = [x0 for x0, _, _ in calls]
+    assert len(starts) == 9 and starts.count(Fraction(1, 4)) == 1
     # as recorded when every candidate walked x again
     assert res.as_dict() == {
         "kind": "sensitivity",
@@ -308,6 +347,29 @@ def test_sensitivity_walks_x_once_per_precision(tent_cocycle, monkeypatch):
         "error_bound": 3.563042828462809e-29,
         "details": {"note": "absence of a witness is not a disproof"},
     }
+
+
+def test_sensitivity_base_pass_stops_at_the_first_decisive_step(tent_cocycle, monkeypatch):
+    calls = _spy_walks(monkeypatch)
+    horizon = 100
+    res = sensitivity_probe(tent_cocycle, Fraction(1, 4), delta=Fraction(1, 1000),
+                            eps=Fraction(1), horizon=horizon, samples=4, seed=7)
+    assert res.outcome == "witness-found"
+    y = Fraction(res.witness["y"])
+    base = [last for x0, prec, last in calls if x0 == y and prec == 128]
+    assert len(base) == 1 and base[0] < horizon
+    # the witness itself comes from a walk of the whole horizon
+    assert [last for x0, prec, last in calls if prec == 256] == [horizon, horizon]
+
+
+def test_sensitivity_reverifies_at_doubled_precision(tent_cocycle, monkeypatch):
+    calls = _spy_walks(monkeypatch)
+    res = sensitivity_probe(tent_cocycle, Fraction(1, 4), delta=Fraction(1, 1000),
+                            eps=Fraction(1), horizon=100, samples=4, seed=7,
+                            precision_bits=96)
+    assert res.outcome == "witness-found" and res.witness["reverified_bits"] == 192
+    y = Fraction(res.witness["y"])
+    assert [x0 for x0, prec, _ in calls if prec == 192] == [Fraction(1, 4), y]
 
 
 def test_sensitivity_deterministic(tent_cocycle):
