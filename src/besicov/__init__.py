@@ -6,69 +6,51 @@ the divergence of ergodic sums on the nested Cantor-type target sets with
 exact rational arithmetic, and computes nested-interval bounds on the
 Hausdorff dimension of those sets.
 
-The exact certificate core (``cf``, ``cocycle``, ``levels``, ``targets``,
-``audit``) is imported with the package.  The dimension lane (``dimension``,
-``certlog``) and the float lane (``dynamics``, which needs ``mpmath``) load on
-first use: the names in ``_LAZY`` (``BoxCountResult``, ``DimensionBounds``,
-``NestingStats``, ``box_count``, ``falconer_bounds``, ``nesting_stats``,
-``OrbitRecord``, ``ProbeResult``, ``classify_orbit``, ``coverage``,
-``nonrecurrence_test``, ``orbit``, ``sensitivity_probe`` and the three
-submodules) import their module when first looked up.
+Importing the package loads none of its submodules.  Every public name
+resolves on first lookup through ``_LAZY``, which imports the one submodule
+that defines it, so a caller pays only for the modules it uses:
+``besicov.convergent`` loads ``cf``; ``besicov.audit`` loads ``audit`` and
+what it imports (``cf``, ``levels``, ``cocycle``, ``targets``);
+``besicov.orbit`` loads ``dynamics`` and with it ``mpmath``.  The submodules
+themselves (``besicov.cf``, ``besicov.dimension``, ...) resolve the same way.
+``besicov.audit`` is the function ``audit.audit`` in every import order: the
+import system binds each submodule it loads to the package attribute of the
+same name, and the package module keeps the function in place of that one.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
-from .cf import (
-    Convergent,
-    GapCertificate,
-    IrrationalSpec,
-    alpha_bracket,
-    convergent,
-    gap_bounds_check,
-)
-from .cocycle import (
-    CocycleSpec,
-    birkhoff,
-    eval_level,
-    level_max,
-    make_cocycle,
-    phi,
-    phi_m,
-    term,
-)
-from .levels import (
-    Certificate,
-    LevelParams,
-    Profile,
-    ValidationReport,
-    profile_from_json,
-    profile_to_json,
-    select_levels,
-    validate_levels,
-)
-from .targets import (
-    DigitPath,
-    TargetInterval,
-    family_kind,
-    interval,
-    member,
-    sample_point,
-)
-from .audit import (  # eager: a lazy ``audit`` would be shadowed by the submodule
-    DivergenceReport,
-    WindowIndex,
-    audit,
-    audit_aligned,
-    audit_mixed,
-    discreteness_scan,
-    window,
-)
+#: Submodules, imported and bound as package attributes on first lookup.
+_SUBMODULES = ("certlog", "cf", "cocycle", "dimension", "dynamics", "errors", "levels", "targets")
 
-#: Exported name -> the submodule that defines it, imported on first access.
+#: Exported name -> the submodule that defines it, imported on first lookup.
 _LAZY = {
-    "certlog": "certlog",
-    "dimension": "dimension",
-    "dynamics": "dynamics",
+    **dict.fromkeys(
+        ("Convergent", "GapCertificate", "IrrationalSpec", "alpha_bracket", "convergent",
+         "gap_bounds_check"),
+        "cf",
+    ),
+    **dict.fromkeys(
+        ("CocycleSpec", "birkhoff", "eval_level", "level_max", "make_cocycle", "phi", "phi_m",
+         "term"),
+        "cocycle",
+    ),
+    **dict.fromkeys(
+        ("Certificate", "LevelParams", "Profile", "ValidationReport", "profile_from_json",
+         "profile_to_json", "select_levels", "validate_levels"),
+        "levels",
+    ),
+    **dict.fromkeys(
+        ("DigitPath", "TargetInterval", "family_kind", "interval", "member", "sample_point"),
+        "targets",
+    ),
+    **dict.fromkeys(
+        ("DivergenceReport", "WindowIndex", "audit", "audit_aligned", "audit_mixed",
+         "discreteness_scan", "window"),
+        "audit",
+    ),
     **dict.fromkeys(
         ("BoxCountResult", "DimensionBounds", "NestingStats", "box_count",
          "falconer_bounds", "nesting_stats"),
@@ -82,18 +64,32 @@ _LAZY = {
 }
 
 
+class _Package(_ModuleType):
+    """The package module, whose ``audit`` stays the function: the submodule
+    ``besicov.audit`` is bound here as its ``audit`` function instead."""
+
+    def __setattr__(self, name, value):
+        if name == "audit" and isinstance(value, _ModuleType):
+            value = value.audit
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package
+
+
 def __getattr__(name):
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)  # the import binds it here
     owner = _LAZY.get(name)
     if owner is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = _import_module(f".{owner}", __name__)
-    value = module if name == owner else getattr(module, name)
+    value = getattr(_import_module(f".{owner}", __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(_SUBMODULES) | set(_LAZY))
 
 
 __version__ = "0.1.0"

@@ -11,9 +11,17 @@ strings, big integers as decimal strings; outputs are byte-identical for
 identical configurations.  Exit codes: 0 success, 1 usage error, 2
 certificate failure.
 
-The dimension and orbit/probe subcommands import their modules inside their
-handlers, so the certificate subcommands never load them, nor ``mpmath``, which
-only ``dynamics`` imports.
+Each handler imports the modules it runs inside its body, so a cold call loads
+only what its subcommand runs.  Importing this module loads ``errors`` and
+``targets`` (whose ``FAMILY_CODES`` are the --family choices) and no other
+submodule, which is all that --help and a usage error need.  Beyond those:
+
+    cf                       cf
+    levels, target           cf, levels
+    eval, sum                cf, levels, cocycle
+    audit                    cf, levels, cocycle, audit
+    dimension                cf, levels, dimension, certlog
+    orbit, probe             cf, levels, cocycle, dynamics, and mpmath
 """
 
 from __future__ import annotations
@@ -26,22 +34,15 @@ import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, get_args, get_type_hints
+from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
-from .audit import audit as run_audit
-from .audit import window as window_of
-from .cf import IrrationalSpec, convergent, gap_bounds_check
-from .cocycle import CocycleSpec, eval_level, make_cocycle, phi, phi_m, birkhoff, term
 from .errors import BesicovError, InvariantBroken, ValidationFailure
-from .levels import Profile, profile_to_dict, select_levels, validate_levels
-from .targets import (
-    FAMILY_CODES,
-    canonical_family,
-    family_kind,
-    interval_row,
-    interval_rows,
-    sample_point,
-)
+from .targets import FAMILY_CODES, canonical_family
+
+if TYPE_CHECKING:
+    from .cf import IrrationalSpec
+    from .cocycle import CocycleSpec
+    from .levels import Profile
 
 USAGE_ERROR = 1
 CERT_FAILURE = 2
@@ -64,6 +65,8 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_alpha(text: str) -> IrrationalSpec:
     """--alpha accepts golden | sqrt2m1 | quotients=a1,a2,... | periodic=head;tail."""
+    from .cf import IrrationalSpec
+
     if text in ("golden", "sqrt2m1"):
         return IrrationalSpec.from_preset(text)
     kind, eq, body = text.partition("=")
@@ -84,6 +87,15 @@ def parse_rational(text: str, flag: str) -> Fraction:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError):
         raise UsageError(f"{flag} expects a rational like 3/7, got {text!r}") from None
+
+
+def _as_float(value: Fraction, flag: str, text: str) -> float:
+    """``value`` as a float, for a flag the float lane reads as one; ``text``
+    is the flag's value as given."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError(f"{flag} is too large for a float, got {text!r}") from None
 
 
 def _flag(
@@ -169,6 +181,8 @@ class RunConfig:
         return parse_alpha(self.alpha)
 
     def profile(self) -> Profile:
+        from .levels import select_levels
+
         return select_levels(self.spec(), self.strategy, self.variant, self.n)
 
     def point(self) -> Fraction:
@@ -178,6 +192,8 @@ class RunConfig:
         return parse_rational(self.x, "--x")
 
     def cocycle(self) -> CocycleSpec:
+        from .cocycle import make_cocycle
+
         spec = self.spec()
         try:
             return make_cocycle(spec, self.strategy, self.variant, self.n,
@@ -242,6 +258,8 @@ def _emit(cfg: RunConfig, rows: list[dict], payload: dict, stream) -> None:
 
 
 def cmd_cf(cfg: RunConfig, stream) -> int:
+    from .cf import convergent, gap_bounds_check
+
     spec = cfg.spec()
     rows = []
     for n in range(cfg.upto + 1):
@@ -257,6 +275,8 @@ def cmd_cf(cfg: RunConfig, stream) -> int:
 
 
 def cmd_levels(cfg: RunConfig, stream) -> int:
+    from .levels import profile_to_dict, validate_levels
+
     profile = cfg.profile()
     report = validate_levels(profile)
     profile_dict = profile_to_dict(profile)
@@ -269,6 +289,8 @@ def cmd_levels(cfg: RunConfig, stream) -> int:
 
 
 def cmd_eval(cfg: RunConfig, stream) -> int:
+    from .cocycle import eval_level, phi, term
+
     x = cfg.point() % 1
     cspec = cfg.cocycle()
     rows = []
@@ -290,6 +312,8 @@ def cmd_eval(cfg: RunConfig, stream) -> int:
 
 
 def cmd_sum(cfg: RunConfig, stream) -> int:
+    from .cocycle import birkhoff, phi_m
+
     x = cfg.point() % 1
     cspec = cfg.cocycle()
     rows = []
@@ -311,6 +335,8 @@ def _check_level(flag: str, value: int, profile: Profile) -> int:
 
 
 def cmd_target(cfg: RunConfig, stream) -> int:
+    from .targets import interval_row, interval_rows, sample_point
+
     profile = cfg.profile()
     fam = canonical_family(cfg.family)
     if cfg.depth is not None:
@@ -343,6 +369,10 @@ def cmd_target(cfg: RunConfig, stream) -> int:
 
 
 def cmd_audit(cfg: RunConfig, stream) -> int:
+    from .audit import audit as run_audit
+    from .audit import window as window_of
+    from .targets import family_kind, sample_point
+
     cspec = cfg.cocycle()
     fam = canonical_family(cfg.family)
     kind = family_kind(fam)
@@ -434,11 +464,14 @@ def cmd_probe(cfg: RunConfig, stream) -> int:
     cspec = cfg.cocycle()
     x = Fraction(1, 4) if cfg.x is None else parse_rational(cfg.x, "--x")
     if cfg.kind == "sensitivity":
+        delta = parse_rational(cfg.delta, "--delta")
+        eps = parse_rational(cfg.eps, "--eps")
+        _as_float(eps, "--eps", cfg.eps)  # the probe compares separations with float(eps)
         res = dyn_mod.sensitivity_probe(
             cspec,
             x,
-            parse_rational(cfg.delta, "--delta"),
-            parse_rational(cfg.eps, "--eps"),
+            delta,
+            eps,
             cfg.horizon,
             samples=cfg.samples,
             seed=cfg.seed,
@@ -457,11 +490,12 @@ def cmd_probe(cfg: RunConfig, stream) -> int:
         height = parse_rational(cfg.height, "--height")
         if height <= 0:
             raise UsageError(f"--height must be > 0, got {cfg.height!r}")
+        box_height = _as_float(height, "--height", cfg.height)
         rec = dyn_mod.orbit(
             cspec, x, parse_rational(cfg.t0, "--t0"), steps=cfg.horizon,
             precision_bits=cfg.precision_bits,
         )
-        frac = dyn_mod.coverage(rec, float(height), cfg.grid)
+        frac = dyn_mod.coverage(rec, box_height, cfg.grid)
         res = dyn_mod.ProbeResult(
             kind="coverage",
             params={"horizon": cfg.horizon, "grid": cfg.grid, "height": cfg.height,

@@ -25,7 +25,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_ge, mpf_lt, mpf_sub,
                           to_float, to_str)
@@ -322,7 +322,7 @@ def nonrecurrence_test(
     bound = orbit_error_bound(cspec, precision_bits)
     if bound >= eps:
         raise ErrorBudgetBlown(
-            f"error bound {float(bound):.3g} not below eps {float(eps):.3g}"
+            f"error bound {float(bound):.3g} not below eps {eps}"
         )
     x0 = x % 1
     u0, _, den = _on_lattice(x0, cspec.alpha_hat)
@@ -426,14 +426,24 @@ def sensitivity_probe(
         if y != x0:
             candidates.append(y)
 
-    x_walks: dict[int, list] = {}  # x0's fiber values per precision, for this call only
+    # x0's walk per precision, for this call only: the fiber values read so far
+    # and the walk that extends them
+    x_walks: dict[int, tuple[list, Iterator]] = {}
+
+    def x_values(bits: int):
+        """x0's fiber values at ``bits``, each step walked once, when first read."""
+        if bits not in x_walks:
+            x_walks[bits] = ([], _t_values(cspec, x0, horizon, bits))
+        seen, walk = x_walks[bits]
+        for i in range(horizon + 1):
+            if i == len(seen):
+                seen.append(next(walk)[2])
+            yield seen[i]
 
     def separation(y: Fraction, bits: int):
         """Yield (k, distance of the orbits of x0 and y at step k) for k = 1..horizon."""
-        if bits not in x_walks:
-            x_walks[bits] = [t for _, _, t in _t_values(cspec, x0, horizon, bits)]
         basef = _ratio(*_circle_dist(x0, y).as_integer_ratio(), bits)
-        for tx, (k, _, ty) in zip(x_walks[bits], _t_values(cspec, y, horizon, bits)):
+        for tx, (k, _, ty) in zip(x_values(bits), _t_values(cspec, y, horizon, bits)):
             if k:
                 sep = mpf_abs(mpf_sub(tx, ty, bits, "n"), bits, "n")
                 yield k, to_float(mpf_add(basef, sep, bits, "n"), rnd="n")

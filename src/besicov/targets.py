@@ -29,10 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath, InvariantBroken
-from .levels import Profile
+
+if TYPE_CHECKING:  # annotations only: the CLI imports this module for FAMILY_CODES
+    from .levels import Profile
 
 FAMILIES = ("++", "--", "+-", "-+")
 

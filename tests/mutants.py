@@ -31,6 +31,9 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parents[1]
 DYNAMICS = "src/besicov/dynamics.py"
 TEST_DYNAMICS = ("tests/test_dynamics.py",)
+CLI = "src/besicov/cli.py"
+INIT = "src/besicov/__init__.py"
+TEST_IMPORTS = ("tests/test_imports.py",)
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,42 @@ MUTANTS = (
         "max(separation(y, 2 * precision_bits)",
         "max(separation(y, precision_bits)",
         TEST_DYNAMICS,
+    ),
+    # import layout: a cold call loads only what its subcommand runs
+    Mutant(
+        "cli-eager-audit",
+        CLI,
+        "from .targets import FAMILY_CODES, canonical_family\n",
+        "from .targets import FAMILY_CODES, canonical_family\n"
+        "from .audit import audit as run_audit\n",
+        TEST_IMPORTS,
+    ),
+    Mutant(
+        "cli-eager-dynamics",
+        CLI,
+        "from .errors import BesicovError, InvariantBroken, ValidationFailure\n",
+        "from .errors import BesicovError, InvariantBroken, ValidationFailure\n"
+        "from . import dynamics as dyn_mod\n",
+        TEST_IMPORTS,
+    ),
+    Mutant(
+        "init-eager-core",
+        INIT,
+        "_sys.modules[__name__].__class__ = _Package\n",
+        "_sys.modules[__name__].__class__ = _Package\n"
+        "from .cf import IrrationalSpec, convergent, gap_bounds_check\n"
+        "from .cocycle import CocycleSpec, make_cocycle, phi_m\n"
+        "from .levels import Profile, select_levels, validate_levels\n"
+        "from .targets import DigitPath, sample_point\n"
+        "from .audit import audit, window\n",
+        TEST_IMPORTS,
+    ),
+    Mutant(
+        "init-audit-module-shadows",
+        INIT,
+        "            value = value.audit\n",
+        "            pass\n",
+        TEST_IMPORTS,
     ),
 )
 

@@ -140,10 +140,12 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_certificate_failure_exit_two(capsys, monkeypatch):
-    import besicov.cli as cli
+    import besicov.levels as levels_mod
+
+    select_levels = levels_mod.select_levels
 
     def tampered(spec, strategy, variant, n_max):
-        good = cli.select_levels(spec, strategy, variant, n_max)
+        good = select_levels(spec, strategy, variant, n_max)
         lv = good.levels[-1]
         bad = LevelParams(n=lv.n, k=lv.k, p=lv.p, q=lv.q, q_next=lv.q_next, a=lv.a + 1)
         return Profile(
@@ -151,8 +153,7 @@ def test_certificate_failure_exit_two(capsys, monkeypatch):
             n_max=good.n_max, levels=good.levels[:-1] + (bad,),
         )
 
-    monkeypatch.setattr(cli.RunConfig, "profile", lambda self: tampered(
-        self.spec(), self.strategy, self.variant, self.n))
+    monkeypatch.setattr(levels_mod, "select_levels", tampered)  # RunConfig.profile's lookup
     code, _, err = run(capsys, "levels", "--alpha", "golden", "--n", "3")
     assert code == 2
     assert "failed" in err

@@ -362,6 +362,19 @@ def test_sensitivity_base_pass_stops_at_the_first_decisive_step(tent_cocycle, mo
     assert [last for x0, prec, last in calls if prec == 256] == [horizon, horizon]
 
 
+def test_sensitivity_walks_x_only_as_far_as_a_candidate_reads(golden, monkeypatch):
+    """README's probe: the base pass decides at step 18 of 3000, and x's
+    128-bit walk stops there with the witness's; only the re-run at doubled
+    precision walks the whole horizon (6036 steps, not 9018)."""
+    calls = _spy_walks(monkeypatch)
+    res = sensitivity_probe(make_cocycle(golden, "greedy", "tent", 4), Fraction(1, 4),
+                            delta=Fraction(1, 1000), eps=Fraction(1), horizon=3000, seed=7)
+    y = Fraction(63245989, 252983944)
+    assert res.witness["y"] == str(y) and res.witness["k"] == 3000
+    assert calls == [[Fraction(1, 4), 128, 18], [y, 128, 18],
+                     [Fraction(1, 4), 256, 3000], [y, 256, 3000]]
+
+
 def test_sensitivity_reverifies_at_doubled_precision(tent_cocycle, monkeypatch):
     calls = _spy_walks(monkeypatch)
     res = sensitivity_probe(tent_cocycle, Fraction(1, 4), delta=Fraction(1, 1000),

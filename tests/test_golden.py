@@ -24,7 +24,8 @@ from besicov import cli
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
 
-#: argparse-level errors (usage line on stderr, exit 1), by file-name slug.
+#: Usage and input errors (exit 1), by file-name slug: argparse-level ones print
+#: the usage line on stderr.
 ERRORS = {
     "no-command": [],
     "unknown-command": ["bogus"],
@@ -40,6 +41,9 @@ ERRORS = {
     "probe-kind-bad": ["probe", "--kind", "lyapunov"],
     "orbit-steps-abc": ["orbit", "--x", "1/7", "--steps", "abc"],
     "levels-upto-not-a-levels-flag": ["levels", "--upto", "3"],
+    "probe-coverage-height-1e400": ["probe", "--kind", "coverage", "--height", "1e400"],
+    "probe-sensitivity-eps-1e400": ["probe", "--kind", "sensitivity", "--eps", "1e400"],
+    "probe-nonrecurrence-eps-1e-400": ["probe", "--kind", "nonrecurrence", "--eps", "1e-400"],
 }
 
 #: Growth-certificate JSON beyond README's greedy main example, by slug.

@@ -1,10 +1,12 @@
-"""What each entry point imports: the float and dimension lanes load on first use.
+"""What each entry point imports: ``import besicov`` loads no submodule, and
+each subcommand loads only the modules it runs.
 
 Each check runs in a fresh interpreter, so ``sys.modules`` starts empty.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +46,70 @@ def run_python(code: str):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+#: The modules a cold ``python -m besicov.cli <subcommand>`` call loads beyond
+#: CLI_CORE (None: ``--help`` or a usage error, which run no handler).  runpy
+#: imports the package before it runs ``cli``, and ``cli`` itself imports
+#: ``errors`` and ``targets``, whose ``FAMILY_CODES`` are the --family choices.
+CLI_CORE = {"besicov", "besicov.errors", "besicov.targets"}
+CLI_LOADS = {
+    None: set(),
+    "cf": {"besicov.cf"},
+    "levels": {"besicov.cf", "besicov.levels"},
+    "eval": {"besicov.cf", "besicov.levels", "besicov.cocycle"},
+    "sum": {"besicov.cf", "besicov.levels", "besicov.cocycle"},
+    "target": {"besicov.cf", "besicov.levels"},
+    "audit": {"besicov.cf", "besicov.levels", "besicov.cocycle", "besicov.audit"},
+    "dimension": {"besicov.cf", "besicov.levels", "besicov.dimension", "besicov.certlog"},
+    "orbit": {"besicov.cf", "besicov.levels", "besicov.cocycle", "besicov.dynamics", "mpmath"},
+    "probe": {"besicov.cf", "besicov.levels", "besicov.cocycle", "besicov.dynamics", "mpmath"},
+}
+#: One argv per subcommand and probe kind, and two that run no handler, each
+#: with its CLI_LOADS key.
+CLI_ARGVS = [
+    (None, ["--help"]),
+    (None, ["cf", "--bogus"]),
+    ("cf", ["cf", "--alpha", "golden", "--upto", "5", "--check"]),
+    ("levels", ["levels", "--n", "3"]),
+    ("eval", ["eval", "--x", "3/7"]),
+    ("sum", ["sum", "--x", "1/7", "--m-range", "1:3"]),
+    ("target", ["target", "--level", "2", "--j", "3"]),
+    ("target", ["target", "--depth", "3", "--out", "json"]),
+    ("audit", ["audit", "--variant", "tent", "--n", "6", "--family", "mp", "--m", "83"]),
+    ("dimension", ["dimension", "--n", "2", "--box"]),
+    ("orbit", ["orbit", "--x", "1/7", "--steps", "3"]),
+    ("probe", ["probe", "--kind", "sensitivity", "--variant", "tent", "--horizon", "20"]),
+    ("probe", ["probe", "--kind", "nonrecurrence", "--variant", "tent", "--horizon", "20"]),
+    ("probe", ["probe", "--kind", "coverage", "--horizon", "20"]),
+    ("probe", ["probe", "--kind", "classify", "--x", "1/7", "--horizon", "20"]),
+]
+_IMPORT_LINE = re.compile(r"^import '(besicov(?:\.\w+)?|mpmath)' #", re.MULTILINE)
+
+
+def loaded_by_cold_cli(argv) -> set[str]:
+    """The ``besicov`` modules and ``mpmath`` that ``python -m besicov.cli argv``
+    imports, read from ``-v``, which reports every import, lazy ones too."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-v", "-m", "besicov.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    return set(_IMPORT_LINE.findall(proc.stderr))
+
+
+@pytest.mark.parametrize("command, argv", CLI_ARGVS, ids=["_".join(a) for _, a in CLI_ARGVS])
+def test_cold_cli_loads_only_its_subcommands_modules(command, argv):
+    assert loaded_by_cold_cli(argv) == CLI_CORE | CLI_LOADS[command]
+
+
+def test_cli_argvs_cover_every_subcommand():
+    from besicov.cli import COMMANDS
+
+    assert set(CLI_LOADS) == {None} | set(COMMANDS)
+    assert {command for command, _ in CLI_ARGVS} == set(CLI_LOADS)
 
 
 def loaded_after_cli(*argvs) -> list[str]:
@@ -89,12 +155,13 @@ def test_float_subcommands_load_dynamics(argv):
     assert "besicov.dynamics" in loaded and "mpmath" in loaded
 
 
-def test_import_besicov_loads_only_the_certificate_core():
+def test_import_besicov_loads_no_submodule():
     code = (
         "import json, sys, besicov\n"
-        f"print(json.dumps([m for m in {LAZY_MODULES!r} if m in sys.modules]))\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('besicov.') or m in ('besicov', 'mpmath'))))\n"
     )
-    assert run_python(code) == []
+    assert run_python(code) == ["besicov"]
 
 
 def test_public_names_are_unchanged_and_resolve():
@@ -108,19 +175,38 @@ def test_public_names_are_unchanged_and_resolve():
     assert missing == []
 
 
+#: Ways a process can first load the submodule ``besicov.audit`` or look up the
+#: function ``besicov.audit``, each run before the checks below.
+AUDIT_ORDERS = [
+    "import besicov.audit\nfrom besicov import *\n",
+    "from besicov import audit\nimport besicov.audit\nfrom besicov import *\n",
+    "import contextlib, io\n"
+    "from besicov.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(['audit', '--family', 'pp', '--m', '1']) == 0\n"
+    "assert 'besicov.audit' in sys.modules and 'audit' in vars(besicov)\n"
+    "from besicov import audit\n"
+    "from besicov import *\n",
+]
+
+
 def test_lazy_names_bind_their_definitions():
-    code = (
-        "import json, types, besicov\n"
-        "import besicov.audit\n"
-        "from besicov import *\n"
-        "print(json.dumps([\n"
-        "    isinstance(besicov.audit, types.FunctionType),\n"
-        "    besicov.orbit is besicov.dynamics.orbit,\n"
-        "    nesting_stats is besicov.dimension.nesting_stats,\n"
-        "    isinstance(certlog, types.ModuleType),\n"
-        "]))\n"
-    )
-    assert run_python(code) == [True, True, True, True]
+    for order in AUDIT_ORDERS:
+        code = (
+            "import importlib, json, sys, types, besicov\n"
+            + order
+            + "module = importlib.import_module('besicov.audit')\n"
+            "print(json.dumps([\n"
+            "    isinstance(besicov.audit, types.FunctionType),\n"
+            "    audit is besicov.audit is module.audit,\n"
+            "    isinstance(module, types.ModuleType) and module is sys.modules['besicov.audit'],\n"
+            "    besicov.orbit is besicov.dynamics.orbit,\n"
+            "    nesting_stats is besicov.dimension.nesting_stats,\n"
+            "    isinstance(certlog, types.ModuleType),\n"
+            "    besicov.cf is importlib.import_module('besicov.cf'),\n"
+            "]))\n"
+        )
+        assert run_python(code) == [True] * 7, order
 
 
 def test_unknown_attribute_raises_attribute_error():
