@@ -451,7 +451,7 @@ def cmd_orbit(cfg: RunConfig, stream) -> int:
     payload = {
         "steps": rec.steps,
         "precision_bits": rec.precision_bits,
-        "error_bound": f"{rec.error_bound_float():.6g}",
+        "error_bound": f"{float(rec.error_bound):.6g}",
         "points": rows,
     }
     _emit(cfg, rows, payload, stream)
@@ -501,7 +501,7 @@ def cmd_probe(cfg: RunConfig, stream) -> int:
             params={"horizon": cfg.horizon, "grid": cfg.grid, "height": cfg.height,
                     "x": str(x % 1)},
             outcome=f"{frac:.6f}",
-            error_bound=rec.error_bound_float(),
+            error_bound=float(rec.error_bound),
         )
     elif cfg.kind == "classify":
         label = dyn_mod.classify_orbit(cspec, x, cfg.horizon, precision_bits=cfg.precision_bits)

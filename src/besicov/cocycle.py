@@ -15,14 +15,12 @@ and a shift s/q (alpha_hat, or m alpha_hat), x and x + shift are u/D and
 integer r = u A_n q_{k_n} mod D, each bump an integer numerator over 4D
 (:func:`_bump_num`), and each level's value one Fraction built at the end.
 :func:`term`, :func:`phi` and :func:`phi_m` evaluate each level once at x and
-once at x + shift; :func:`birkhoff` walks the orbit instead, stepping r by a
-fixed integer |m| times.  The two share the lattice but not the route, so the
-identity phi_m == birkhoff still compares two different evaluations of the
-same sum.
-
-The orbit lane in :mod:`besicov.dynamics` walks the same lattice, rounding
-each bump in mpf.  The unit-period ``unit_position``/``bump`` pair lives in
-the tests, as the independent oracle of both lanes.
+once at x + shift; :func:`birkhoff` sums along the orbit instead, so the
+identity phi_m == birkhoff compares two routes to the same sum.  :func:`walk`
+is the one routine that steps an orbit, for ``birkhoff`` and for the orbit
+lane in :mod:`besicov.dynamics`, which rounds each bump along it in mpf.  The
+unit-period ``unit_position``/``bump`` pair lives in the tests, as the
+independent oracle of both lanes.
 
 The cocycle itself is the series of coboundary-like differences
 f_l(x + alpha) - f_l(x).  The library replaces alpha by one deep convergent
@@ -38,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Iterator, Optional
 
 from .cf import IrrationalSpec, convergent
 from .levels import LevelParams, Profile, select_levels
@@ -233,35 +231,44 @@ def phi_m(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
     return _telescoped(cspec, x, m * cspec.alpha_hat)
 
 
-def birkhoff(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
-    """m-th ergodic sum by direct orbit summation, on the integer lattice.
+def walk(cspec: CocycleSpec, x: Fraction, steps: int) -> tuple[int, list[Iterator[int]]]:
+    """(d, walks) for the orbit x_j = x + j alpha_hat mod 1, j = 0..|steps|
+    (backward for steps < 0), each x_j = u_j/d with d = lcm(den x, q_N).
 
-    Every orbit point x + j alpha_hat mod 1 is u_j/D with D = lcm(den x, q_N),
-    and u steps by p_N D/q_N mod D (backward for m < 0).  Per level, the
-    position r = u A_n q_{k_n} mod D steps by a fixed integer, and the bump
-    differences f_l(y_{j+1}) - f_l(y_j) along the orbit add up as one integer
-    numerator; one Fraction per level is built at the end.  Agrees with
-    :func:`phi_m` bit for bit because the same alpha_hat is used throughout and
-    each f_l has period dividing 1; since phi_m evaluates each level once at
-    x and once at x + m alpha_hat while this walks all |m| steps, the equality
-    is the module's master correctness check.
+    ``walks[0]`` yields u_j and ``walks[l]`` level l's position u_j A_l q_{k_l}
+    mod d (r/d of its period), each stepped by one fixed integer mod d.
     """
-    u, step, d = _on_lattice(x, cspec.alpha_hat)
-    u %= d
-    if m < 0:
-        step = -step
-    v = cspec.variant
-    total = Fraction(0)
-    for lv in cspec.levels:
-        c = lv.cell_count
-        dr = step * c % d
-        r = u * c % d
-        g = _bump_num(r, d, v)
-        acc = 0
-        for _ in range(abs(m)):
+    u, step, d = _on_lattice(x, cspec.alpha_hat if steps >= 0 else -cspec.alpha_hat)
+
+    def positions(c: int) -> Iterator[int]:
+        r, dr = u * c % d, step * c % d
+        yield r
+        for _ in range(abs(steps)):
             r += dr
             if r >= d:
                 r -= d
+            yield r
+
+    return d, [positions(c) for c in (1, *(lv.cell_count for lv in cspec.levels))]
+
+
+def birkhoff(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
+    """m-th ergodic sum by direct orbit summation along :func:`walk`.
+
+    Per level, the bump differences f_l(x_{j+1}) - f_l(x_j) add up as one
+    integer numerator, made one Fraction at the end.  Agrees with :func:`phi_m`
+    bit for bit because the same alpha_hat is used throughout and each f_l has
+    period dividing 1; since phi_m evaluates each level once at x and once at
+    x + m alpha_hat while this walks all |m| steps, the equality is the
+    module's master correctness check.
+    """
+    d, walks = walk(cspec, x, m)
+    v = cspec.variant
+    total = Fraction(0)
+    for lv, rs in zip(cspec.levels, walks[1:]):
+        g = _bump_num(next(rs), d, v)
+        acc = 0
+        for r in rs:
             g_next = _bump_num(r, d, v)
             acc += g_next - g
             g = g_next

@@ -1,8 +1,8 @@
 """Orbit simulation of the cylinder map and empirical chaos probes.
 
 The cylinder map sends (x, t) to (x + alpha_hat mod 1, t + phi(x)).  The base
-coordinate is advanced *exactly*, on the integer lattice that
-:func:`besicov.cocycle.birkhoff` walks; only the fiber coordinate t is
+coordinate is advanced *exactly*, by :func:`besicov.cocycle.walk`, which
+:func:`besicov.cocycle.birkhoff` also sums along; only the fiber coordinate t is
 floating point, at a binary precision that the caller passes in, with
 per-step error accounting; the lane reads and sets no mpmath context, so
 threads may run it at different precisions at once.  Each level's bump is
@@ -22,15 +22,17 @@ twelfths; this module keeps no interval geometry of its own.
 from __future__ import annotations
 
 import random
+from copy import copy
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import chain, tee
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_ge, mpf_lt, mpf_sub,
                           to_float, to_str)
 
-from .cocycle import CocycleSpec, _on_lattice, level_max
+from .cocycle import CocycleSpec, level_max, walk
 from .errors import ErrorBudgetBlown
 
 #: orbit refuses a declared error bound above ERROR_CAP; classify_orbit treats
@@ -107,15 +109,14 @@ def _decimal(raw: tuple, bits: int) -> str:
 
 
 def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int, prec: int):
-    """Yield (i, u_i, t_i - t_0) for i = 0..steps: x_i = u_i/D on the lattice
-    ``_on_lattice(x0 % 1, alpha_hat)``, t a raw mpf rounded to ``prec`` bits.
+    """(d, values), values yielding (i, u_i, t_i - t_0) for i = 0..steps along
+    :func:`besicov.cocycle.walk` (x_i = u_i/d), t a raw mpf rounded to ``prec`` bits.
 
     Because x advances exactly, the ergodic sum telescopes per level to
     f_l(x_i) - f_l(x_0); each t_i is assembled fresh from one evaluation per
-    level, so the float error never accumulates across steps.  A level of c
-    cells sits at u = r/D of its period, r = u_i c mod D stepping by a fixed
-    integer, and its bump rounds in this order: u (:func:`_quotient`), 1 - u
-    past 1/2, then peak * (u * 2) for tent; for main 0 up to 1/12, the peak
+    level, so the float error never accumulates across steps.  A level at
+    u = r/d of its period rounds its bump in this order: u (:func:`_quotient`),
+    1 - u past 1/2, then peak * (u * 2) for tent; for main 0 up to 1/12, the peak
     from 5/12, else peak * ((u - 1/12) * 3), with 1/12 and 5/12 rounded once
     per call; then the running sum, level by level, and fiber - base.
 
@@ -131,15 +132,13 @@ def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int, prec: int):
     tent = cspec.variant == "tent"
     m12, e12 = _div(1, 12, prec)
     m512, e512 = _div(5, 12, prec)
-    u, step, d = _on_lattice(x0 % 1, cspec.alpha_hat)
+    d, walks = walk(cspec, x0, steps)
     peaks = [_quotient(*level_max(lv, cspec.variant).as_integer_ratio(), prec)
              for lv in cspec.levels]
-    rs = [u * lv.cell_count % d for lv in cspec.levels]
-    drs = [step * lv.cell_count % d for lv in cspec.levels]
-    # every position r < D, so the pair (r, D) is as wide as D at every step
+    # every position r < d, so the pair (r, d) is as wide as d at every step
     quotient = _div if d.bit_length() <= prec else _quotient
 
-    def fiber() -> tuple[int, int]:
+    def fiber(rs: list[int]) -> tuple[int, int]:
         mt, et = 0, 0
         for r, (pm, pe) in zip(rs, peaks):
             mv, ev = quotient(r, d, prec)
@@ -169,12 +168,11 @@ def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int, prec: int):
                 mt, et = _round(mt + (mb << (eb - et)), et, prec)
         return mt, et
 
-    base = fiber()
-    yield 0, u, fzero
-    for i in range(1, steps + 1):
-        u = (u + step) % d
-        rs = [(r + dr) % d for r, dr in zip(rs, drs)]
-        yield i, u, _difference(fiber(), base, prec)
+    rows = zip(*walks)
+    u, *rs = next(rows)
+    base = fiber(rs)
+    later = ((i, u, _difference(fiber(rs), base, prec)) for i, (u, *rs) in enumerate(rows, 1))
+    return d, chain([(0, u, fzero)], later)
 
 
 def orbit_error_bound(cspec: CocycleSpec, precision_bits: int) -> Fraction:
@@ -215,9 +213,6 @@ class OrbitRecord:
     t_final: str
     error_bound: Fraction
 
-    def error_bound_float(self) -> float:
-        return float(self.error_bound)
-
 
 def orbit(
     cspec: CocycleSpec,
@@ -243,10 +238,10 @@ def orbit(
     xs: list[float] = []
     ts: list[float] = []
     marks: dict[int, str] = {}
-    d = _on_lattice(x0 % 1, cspec.alpha_hat)[2]
     t0 = Fraction(t0)
     t_base = _ratio(*t0.as_integer_ratio(), precision_bits)
-    for i, u, dt in _t_values(cspec, x0, steps, precision_bits):
+    d, values = _t_values(cspec, x0, steps, precision_bits)
+    for i, u, dt in values:
         t = mpf_add(t_base, dt, precision_bits, "n")
         if i % store_every == 0:
             xs.append(u / d)  # int true division rounds as float(Fraction) does
@@ -319,19 +314,20 @@ def nonrecurrence_test(
     if horizon < 1:
         raise ValueError("horizon must be >= 1 (a vacuous test is rejected)")
     eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     bound = orbit_error_bound(cspec, precision_bits)
     if bound >= eps:
         raise ErrorBudgetBlown(
             f"error bound {float(bound):.3g} not below eps {eps}"
         )
     x0 = x % 1
-    u0, _, den = _on_lattice(x0, cspec.alpha_hat)
     prec = precision_bits
+    den, values = _t_values(cspec, x0, horizon, prec)
+    _, u0, _ = next(values)
     best_k = 0
     best_val = None
-    for k, u, t_cur in _t_values(cspec, x0, horizon, prec):
-        if k == 0:
-            continue
+    for k, u, t_cur in values:
         gap = (u - u0) % den  # circle distance min(gap, den - gap)/den
         d = mpf_add(_ratio(min(gap, den - gap), den, prec), mpf_abs(t_cur, prec, "n"),
                     prec, "n")
@@ -413,37 +409,34 @@ def sensitivity_probe(
     delta, eps = Fraction(delta), Fraction(eps)
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
+    scale = 1 << 20
+    if (delta / scale).denominator == 1:
+        raise ValueError("delta must not be a multiple of 2^20 (each offset is a whole turn)")
     rng = random.Random(seed)
     x0 = x % 1
     candidates: list[Fraction] = []
     tgt = _target_candidate(cspec, x0, delta)
     if tgt is not None and tgt != x0:
         candidates.append(tgt)
-    scale = 1 << 20
     while len(candidates) < samples:
         off = Fraction(rng.randint(-scale, scale), scale) * delta
         y = (x0 + off) % 1
         if y != x0:
             candidates.append(y)
 
-    # x0's walk per precision, for this call only: the fiber values read so far
-    # and the walk that extends them
-    x_walks: dict[int, tuple[list, Iterator]] = {}
+    # x0's fiber values per precision, for this call only: a tee left at step 0
+    x_walks: dict[int, Iterator] = {}
 
-    def x_values(bits: int):
+    def x_values(bits: int) -> Iterator:
         """x0's fiber values at ``bits``, each step walked once, when first read."""
         if bits not in x_walks:
-            x_walks[bits] = ([], _t_values(cspec, x0, horizon, bits))
-        seen, walk = x_walks[bits]
-        for i in range(horizon + 1):
-            if i == len(seen):
-                seen.append(next(walk)[2])
-            yield seen[i]
+            x_walks[bits] = tee((t for _, _, t in _t_values(cspec, x0, horizon, bits)[1]), 1)[0]
+        return copy(x_walks[bits])
 
     def separation(y: Fraction, bits: int):
         """Yield (k, distance of the orbits of x0 and y at step k) for k = 1..horizon."""
         basef = _ratio(*_circle_dist(x0, y).as_integer_ratio(), bits)
-        for tx, (k, _, ty) in zip(x_values(bits), _t_values(cspec, y, horizon, bits)):
+        for tx, (k, _, ty) in zip(x_values(bits), _t_values(cspec, y, horizon, bits)[1]):
             if k:
                 sep = mpf_abs(mpf_sub(tx, ty, bits, "n"), bits, "n")
                 yield k, to_float(mpf_add(basef, sep, bits, "n"), rnd="n")

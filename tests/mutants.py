@@ -29,6 +29,8 @@ from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
+COCYCLE = "src/besicov/cocycle.py"
+TEST_COCYCLE = ("tests/test_cocycle.py",)
 DYNAMICS = "src/besicov/dynamics.py"
 TEST_DYNAMICS = ("tests/test_dynamics.py",)
 CLI = "src/besicov/cli.py"
@@ -47,6 +49,28 @@ class Mutant:
 
 
 MUTANTS = (
+    # the orbit walk that birkhoff and the orbit lane share
+    Mutant(
+        "walk-no-backward-negation",
+        COCYCLE,
+        "cspec.alpha_hat if steps >= 0 else -cspec.alpha_hat",
+        "cspec.alpha_hat",
+        TEST_COCYCLE,
+    ),
+    Mutant(
+        "walk-level-step-unscaled",
+        COCYCLE,
+        "r, dr = u * c % d, step * c % d",
+        "r, dr = u * c % d, step % d",
+        TEST_COCYCLE,
+    ),
+    Mutant(
+        "walk-wrap-strict",
+        COCYCLE,
+        "            if r >= d:\n",
+        "            if r > d:\n",
+        TEST_COCYCLE,
+    ),
     Mutant(
         "round-ties-away",
         DYNAMICS,

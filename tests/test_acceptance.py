@@ -259,5 +259,5 @@ def test_c10_orbit_matches_exact_sums():
     report(
         10,
         f"128-bit orbit matches exact sums at m=10,100,1000; worst |diff| = {worst:.2e} "
-        f"within declared bound {rec.error_bound_float():.2e}",
+        f"within declared bound {float(rec.error_bound):.2e}",
     )

@@ -3,13 +3,18 @@
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import besicov
 from besicov.cli import (
     COMMANDS, RunConfig, _mode, build_parser, config_from_args, main, parse_alpha,
 )
@@ -288,6 +293,36 @@ def test_bad_flag_values_are_usage_errors(capsys, flag, argv):
     assert code == 1
     assert out == ""
     assert flag in err and "Traceback" not in err
+
+
+def _cold(*argv):
+    """``besicov`` in a fresh process with a timeout, so a probe that loops
+    fails the test instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(besicov.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "besicov.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # every random offset k/2^20 * delta is a whole turn, so y == x always
+        (("--kind", "sensitivity", "--delta", "1048576"), "delta must not be a multiple of 2^20"),
+        (("--kind", "sensitivity", "--delta", "1e400"), "delta must not be a multiple of 2^20"),
+        (("--kind", "nonrecurrence", "--eps", "-1/10"), "eps must be positive"),
+        (("--kind", "nonrecurrence", "--eps", "0"), "eps must be positive"),
+    ],
+)
+def test_probe_inputs_that_cannot_run_exit_1(argv, message):
+    proc = _cold("probe", *argv, "--horizon", "5")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {message}") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("delta", ["1", "1048575", "2097151/2"])
+def test_sensitivity_runs_for_a_delta_off_the_offset_grid(delta):
+    proc = _cold("probe", "--kind", "sensitivity", "--delta", delta, "--horizon", "5")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["kind"] == "sensitivity"
 
 
 def test_negative_values_after_a_space(capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from besicov import (
     phi_m,
     term,
 )
+from besicov.cocycle import walk
 
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=10**4)
 
@@ -123,6 +125,38 @@ def test_cocycle_identity(greedy_cocycle, a, b, x):
     lhs = phi_m(greedy_cocycle, x, a + b)
     step = (x + a * greedy_cocycle.alpha_hat) % 1
     assert lhs == phi_m(greedy_cocycle, x, a) + phi_m(greedy_cocycle, step, b)
+
+
+@given(
+    num=st.integers(-(10**40), 10**40),
+    den=st.integers(1, 10**40),
+    steps=st.integers(-300, 300),
+    tent=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_walk_steps_the_orbit_on_one_lattice(greedy_cocycle, tent_cocycle, num, den, steps, tent):
+    """walks[0] is x + j alpha_hat mod 1 over d, j signed; walks[l] is level l's
+    position u_j c_l mod d; every walk yields |steps| + 1 values."""
+    cs = tent_cocycle if tent else greedy_cocycle
+    x = Fraction(num, den)
+    d, walks = walk(cs, x, steps)
+    assert d == lcm(x.denominator, cs.alpha_hat.denominator)
+    assert len(walks) == cs.n_levels + 1
+    us, *levels = [list(w) for w in walks]
+    sign = -1 if steps < 0 else 1
+    assert [Fraction(u, d) for u in us] == [
+        (x + sign * j * cs.alpha_hat) % 1 for j in range(abs(steps) + 1)
+    ]
+    for lv, rs in zip(cs.levels, levels, strict=True):
+        assert rs == [u * lv.cell_count % d for u in us]
+
+
+@pytest.mark.parametrize("start, steps", [(-1, 1), (1, -1)])
+def test_walk_lands_on_zero_as_zero(greedy_cocycle, start, steps):
+    """An orbit that reaches x = 0 exactly reads u = 0 there, not u = d."""
+    cs = greedy_cocycle
+    d, walks = walk(cs, start * cs.alpha_hat, steps)
+    assert [Fraction(u, d) for u in walks[0]] == [start * cs.alpha_hat % 1, 0]
 
 
 def test_half_period_flip(greedy_cocycle):

@@ -23,7 +23,7 @@ from besicov import (
     sample_point,
     sensitivity_probe,
 )
-from besicov.cocycle import _on_lattice
+from besicov.cocycle import walk
 from besicov.errors import ErrorBudgetBlown
 from besicov.targets import member_level
 
@@ -39,8 +39,8 @@ WIDE_X0 = Fraction(random.Random(5).getrandbits(300) | 1, 3**170)
 def _lane_and_oracle(cspec, x0, steps, bits):
     """[(x_i, t_i - t_0 as an _mpf_ tuple)] from the lattice walk and from the
     oracle's Fraction-and-bump replay, both at ``bits``."""
-    d = _on_lattice(x0 % 1, cspec.alpha_hat)[2]
-    lane = [(Fraction(u, d), t) for _, u, t in dynamics._t_values(cspec, x0, steps, bits)]
+    d, values = dynamics._t_values(cspec, x0, steps, bits)
+    lane = [(Fraction(u, d), t) for _, u, t in values]
     with mp.workprec(bits):
         oracle = [(x, t._mpf_) for x, t in oracles.t_values(cspec, x0, steps)]
     return lane, oracle
@@ -59,7 +59,7 @@ def test_lattice_walk_has_the_bits_of_the_bump_oracle(alpha, variant, bits):
     for lv in (cspec.levels[0], cspec.levels[-1]):
         starts += [Fraction(k, 12 * lv.cell_count) for k in (1, 5, 6)]
     starts.append(WIDE_X0)
-    assert _on_lattice(WIDE_X0, cspec.alpha_hat)[2].bit_length() > bits
+    assert walk(cspec, WIDE_X0, 0)[0].bit_length() > bits
     for x0 in starts:
         lane, oracle = _lane_and_oracle(cspec, x0, 80, bits)
         for i, (got, want) in enumerate(zip(lane, oracle, strict=True)):
@@ -317,14 +317,19 @@ def test_sensitivity_unreachable_eps(tent_cocycle):
 
 def _spy_walks(monkeypatch):
     """Record [x0, prec, last step yielded] for each walk of _t_values."""
-    walk, calls = dynamics._t_values, []
+    t_values, calls = dynamics._t_values, []
 
     def spy(cspec, x0, steps, prec):
         call = [x0, prec, None]
         calls.append(call)
-        for item in walk(cspec, x0, steps, prec):
-            call[2] = item[0]
-            yield item
+        d, values = t_values(cspec, x0, steps, prec)
+
+        def recorded():
+            for item in values:
+                call[2] = item[0]
+                yield item
+
+        return d, recorded()
 
     monkeypatch.setattr(dynamics, "_t_values", spy)
     return calls
