@@ -2,8 +2,9 @@
 
 Each ``tests/golden/*.json`` holds one argv and what ``cli.main`` printed for
 it: every README CLI example, every ``--help`` page at 80 columns,
-argparse-level errors and the growth certificates of three more level
-profiles.  The replay test runs each argv again and wants the same bytes.
+argparse-level errors, the growth certificates of three more level
+profiles and float-lane rows at the edges of decimal printing.  The replay
+test runs each argv again and wants the same bytes.
 ``PYTHONPATH=src python tests/test_golden.py`` records the cases whose argv
 has no file yet; it never rewrites an existing one.  README's
 Python quick start is run as written too, so an API change cannot break it.
@@ -55,6 +56,19 @@ VALIDATION = {
     ],
 }
 
+#: Float-lane rows at the edges of decimal printing, by slug: more digits than
+#: ``str(int)`` prints at once, and values below 2^-3500, whose digits come
+#: from a decimal rescaling.
+FLOAT_EDGES = {
+    "orbit-20000-bits": ["orbit", "--x", "1/7", "--steps", "3", "--precision-bits", "20000"],
+    "orbit-tiny-x": ["orbit", "--x", "7/3" + "0" * 2000, "--steps", "1"],
+    "orbit-tiny-negative-t0": ["orbit", "--x", "1/7", "--steps", "2", "--t0", "-1e-1100"],
+    "nonrecurrence-64-bits": ["probe", "--kind", "nonrecurrence", "--precision-bits", "64"],
+    "nonrecurrence-512-bits": ["probe", "--kind", "nonrecurrence", "--precision-bits", "512"],
+    "sensitivity-64-bits": ["probe", "--kind", "sensitivity", "--precision-bits", "64"],
+    "sensitivity-512-bits": ["probe", "--kind", "sensitivity", "--precision-bits", "512"],
+}
+
 
 def readme_examples() -> list[list[str]]:
     """Every ``besicov ...`` command in README's CLI block, as an argv."""
@@ -98,6 +112,7 @@ def cases() -> dict[str, list[str]]:
     named.update((f"help-{cmd}", [cmd, "--help"]) for cmd in cli.COMMANDS)
     named.update((f"error-{slug}", argv) for slug, argv in ERRORS.items())
     named.update((f"validation-{slug}", argv) for slug, argv in VALIDATION.items())
+    named.update((f"float-{slug}", argv) for slug, argv in FLOAT_EDGES.items())
     return named
 
 
