@@ -57,12 +57,13 @@ VALIDATION = {
 }
 
 #: Float-lane rows at the edges of decimal printing, by slug: more digits than
-#: ``str(int)`` prints at once, and values below 2^-3500, whose digits come
-#: from a decimal rescaling.
+#: ``str(int)`` prints at once, values below 2^-3500, whose digits come from a
+#: decimal rescaling, and fiber values beyond the float range.
 FLOAT_EDGES = {
     "orbit-20000-bits": ["orbit", "--x", "1/7", "--steps", "3", "--precision-bits", "20000"],
     "orbit-tiny-x": ["orbit", "--x", "7/3" + "0" * 2000, "--steps", "1"],
     "orbit-tiny-negative-t0": ["orbit", "--x", "1/7", "--steps", "2", "--t0", "-1e-1100"],
+    "coverage-t0-beyond-float": ["probe", "--kind", "coverage", "--t0", "1e400", "--horizon", "5"],
     "nonrecurrence-64-bits": ["probe", "--kind", "nonrecurrence", "--precision-bits", "64"],
     "nonrecurrence-512-bits": ["probe", "--kind", "nonrecurrence", "--precision-bits", "512"],
     "sensitivity-64-bits": ["probe", "--kind", "sensitivity", "--precision-bits", "64"],
