@@ -11,8 +11,9 @@ resolves on first lookup through ``_LAZY``, which imports the one submodule
 that defines it, so a caller pays only for the modules it uses:
 ``besicov.convergent`` loads ``cf``; ``besicov.audit`` loads ``audit`` and
 what it imports (``cf``, ``levels``, ``cocycle``, ``targets``);
-``besicov.orbit`` loads ``dynamics`` and with it ``mpmath``.  The submodules
-themselves (``besicov.cf``, ``besicov.dimension``, ...) resolve the same way.
+``besicov.orbit`` loads ``dynamics`` and what it imports, but not ``mpmath``.
+The submodules themselves (``besicov.cf``, ``besicov.dimension``, ...)
+resolve the same way.
 ``besicov.audit`` is the function ``audit.audit`` in every import order: the
 import system binds each submodule it loads to the package attribute of the
 same name, and the package module keeps the function in place of that one.

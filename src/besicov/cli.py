@@ -11,17 +11,22 @@ strings, big integers as decimal strings; outputs are byte-identical for
 identical configurations.  Exit codes: 0 success, 1 usage error, 2
 certificate failure.
 
-Each handler imports the modules it runs inside its body, so a cold call loads
-only what its subcommand runs.  Importing this module loads ``errors`` and
-``targets`` (whose ``FAMILY_CODES`` are the --family choices) and no other
-submodule, which is all that --help and a usage error need.  Beyond those:
+Each handler imports the modules it runs inside its body, and :func:`main`
+adds flags only to the subparser its argv names, so a cold call loads and
+builds only what its subcommand runs.  Importing this module loads ``errors``
+and no other submodule, which is all that --help and a usage error need.
+Beyond it:
 
     cf                       cf
-    levels, target           cf, levels
+    levels                   cf, levels
+    target                   cf, levels, targets
     eval, sum                cf, levels, cocycle
-    audit                    cf, levels, cocycle, audit
-    dimension                cf, levels, dimension, certlog
-    orbit, probe             cf, levels, cocycle, dynamics, and mpmath
+    audit                    cf, levels, cocycle, targets, audit
+    dimension                cf, levels, targets, dimension, certlog
+    orbit, probe             cf, levels, cocycle, dynamics
+
+No subcommand loads mpmath, except to print a float-lane value beyond
+2^±3500 in decimal (see ``dynamics._decimal``).
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
 from .errors import BesicovError, InvariantBroken, ValidationFailure
-from .targets import FAMILY_CODES, canonical_family
 
 if TYPE_CHECKING:
     from .cf import IrrationalSpec
@@ -148,7 +152,9 @@ class RunConfig:
     alpha_depth: Optional[int] = _flag(None, on=_COCYCLE, least=1)
     trunc: Optional[int] = _flag(None, on=_COCYCLE, least=1)
     precision_bits: int = _flag(128, on=_MPF, least=64)
-    family: str = _flag("pp", on=("target", "audit", "dimension"), choices=tuple(FAMILY_CODES))
+    # targets.FAMILY_CODES, written out so that building the parser loads no targets
+    family: str = _flag("pp", on=("target", "audit", "dimension"),
+                        choices=("pp", "mm", "pm", "mp"))
     x: Optional[str] = _flag(None, on=("eval", "sum", "orbit", "probe"))
     seed: int = _flag(0, on=("probe",), only=(_SENSITIVITY,))
     out: str = _flag("csv", on=_TABLE, choices=("csv", "json"))
@@ -335,7 +341,7 @@ def _check_level(flag: str, value: int, profile: Profile) -> int:
 
 
 def cmd_target(cfg: RunConfig, stream) -> int:
-    from .targets import interval_row, interval_rows, sample_point
+    from .targets import canonical_family, interval_row, interval_rows, sample_point
 
     profile = cfg.profile()
     fam = canonical_family(cfg.family)
@@ -371,7 +377,7 @@ def cmd_target(cfg: RunConfig, stream) -> int:
 def cmd_audit(cfg: RunConfig, stream) -> int:
     from .audit import audit as run_audit
     from .audit import window as window_of
-    from .targets import family_kind, sample_point
+    from .targets import canonical_family, family_kind, sample_point
 
     cspec = cfg.cocycle()
     fam = canonical_family(cfg.family)
@@ -398,6 +404,7 @@ def cmd_audit(cfg: RunConfig, stream) -> int:
 
 def cmd_dimension(cfg: RunConfig, stream) -> int:
     from . import dimension as dim_mod
+    from .targets import canonical_family
 
     profile = cfg.profile()
     fam = canonical_family(cfg.family)
@@ -549,11 +556,16 @@ DESCRIPTION = (
 )
 
 
-def build_parser() -> _Parser:
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser with every subcommand, and the flags of ``command`` (None:
+    of every subcommand).  The others parse nothing, but are listed as the
+    --help page and an invalid-choice error list them."""
     p = _Parser(prog="besicov", description=DESCRIPTION)
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         for f in fields(RunConfig):
             on, choices = f.metadata.get("on"), f.metadata.get("choices")
             if on is not None and name not in on:
@@ -600,7 +612,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a first argument that names a subcommand is the one argparse runs
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         cfg = config_from_args(args)

@@ -18,9 +18,9 @@ integer r = u A_n q_{k_n} mod D, each bump an integer numerator over 4D
 once at x + shift; :func:`birkhoff` sums along the orbit instead, so the
 identity phi_m == birkhoff compares two routes to the same sum.  :func:`walk`
 is the one routine that steps an orbit, for ``birkhoff`` and for the orbit
-lane in :mod:`besicov.dynamics`, which rounds each bump along it in mpf.  The
-unit-period ``unit_position``/``bump`` pair lives in the tests, as the
-independent oracle of both lanes.
+lane in :mod:`besicov.dynamics`, which rounds each bump along it as mpf
+would.  The unit-period ``unit_position``/``bump`` pair lives in the tests,
+as the independent oracle of both lanes.
 
 The cocycle itself is the series of coboundary-like differences
 f_l(x + alpha) - f_l(x).  The library replaces alpha by one deep convergent

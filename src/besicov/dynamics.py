@@ -4,11 +4,13 @@ The cylinder map sends (x, t) to (x + alpha_hat mod 1, t + phi(x)).  The base
 coordinate is advanced *exactly*, by :func:`besicov.cocycle.walk`, which
 :func:`besicov.cocycle.birkhoff` also sums along; only the fiber coordinate t is
 floating point, at a binary precision that the caller passes in, with
-per-step error accounting; the lane reads and sets no mpmath context, so
-threads may run it at different precisions at once.  Each level's bump is
-computed in integers from its lattice position and rounded by one integer
-routine at each point where mpmath's raw ``libmp`` operations round, in one
-fixed order, so t has mpmath's bits.
+per-step error accounting.  Each level's bump is computed in integers from
+its lattice position and rounded by one integer routine at each point where
+mpmath's raw ``libmp`` operations round, in one fixed order, so t has
+mpmath's bits.  Values are signed pairs (m, e) for m 2^e; their sums,
+compares, floats and decimal strings are made in integers as libmp makes
+them, so the lane imports no mpmath (but for a decimal beyond 2^±3500) and,
+having no context, threads may run it at different precisions at once.
 Distances use the taxicab metric: circle distance in x plus |difference| in t.
 
 Probes are diagnostics, not certificates: each one carries its accumulated
@@ -26,11 +28,8 @@ from copy import copy
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain, tee
-from math import gcd
+from math import gcd, inf, ldexp, log
 from typing import Iterator, Optional, Sequence
-
-from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_ge, mpf_lt, mpf_sub,
-                          to_float, to_str)
 
 from .cocycle import CocycleSpec, level_max, walk
 from .errors import ErrorBudgetBlown
@@ -82,35 +81,115 @@ def _quotient(n: int, d: int, prec: int) -> tuple[int, int]:
     return m, e + ea - eb
 
 
-def _ratio(n: int, d: int, prec: int) -> tuple:
-    """Raw mpf of n/d, d > 0: bit for bit ``mpf(a) / mpf(b)`` for the reduced
-    a/b = n/d, as :func:`_quotient` rounds |n|/d.  ``mpf_div`` rounds its
-    exact quotient once to nearest, ties to even, and so does :func:`_div`,
+def _ratio(n: int, d: int, prec: int) -> tuple[int, int]:
+    """n/d, d > 0, as a signed pair: bit for bit ``mpf(a) / mpf(b)`` for the
+    reduced a/b = n/d, as :func:`_quotient` rounds |n|/d.  ``mpf_div`` rounds
+    its exact quotient once to nearest, ties to even, and so does :func:`_div`,
     so the bits agree."""
     m, e = _quotient(abs(n), d, prec)
-    return from_man_exp(-m if n < 0 else m, e)
+    return -m if n < 0 else m, e
 
 
-def _difference(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple:
-    """Raw mpf of a - b for pairs a, b >= 0, rounded once as ``mpf_sub``
-    rounds it: the operands meet exactly at the smaller exponent (``mpf_sub``
-    perturbs a far operand instead, which rounds to the same value)."""
+def _add(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a + b for signed pairs, rounded once as ``mpf_add`` rounds it: the
+    operands meet exactly at the smaller exponent (``mpf_add`` perturbs a far
+    operand instead, which rounds to the same value for operands of at most
+    ``prec`` bits)."""
     (ma, ea), (mb, eb) = a, b
     e = min(ea, eb)
-    m = (ma << (ea - e)) - (mb << (eb - e))
+    m = (ma << (ea - e)) + (mb << (eb - e))
     r, e = _round(abs(m), e, prec)
-    return from_man_exp(-r if m < 0 else r, e)
+    return -r if m < 0 else r, e
 
 
-def _decimal(raw: tuple, bits: int) -> str:
-    """A raw mpf in decimal, as ``mp.nstr`` prints it at a precision of ``bits``
-    (int(bits * 0.302) + 2 significant digits)."""
-    return to_str(raw, int(bits * 0.302) + 2)
+def _sub(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a - b, rounded once as ``mpf_sub`` rounds it."""
+    return _add(a, (-b[0], b[1]), prec)
+
+
+def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a < b for signed pairs, exactly."""
+    (ma, ea), (mb, eb) = a, b
+    e = min(ea, eb)
+    return ma << (ea - e) < mb << (eb - e)
+
+
+def _float(a: tuple[int, int]) -> float:
+    """A signed pair as the nearest float, as ``to_float`` converts it: 53
+    bits, then ``ldexp``; beyond the float range, an infinity."""
+    m, e = a
+    r, e = _round(abs(m), e, 53)
+    try:
+        return ldexp(-r if m < 0 else r, e)
+    except OverflowError:
+        return -inf if m < 0 else inf
+
+
+#: ``math.log(10, 2)``, the float ``to_digits_exp`` sizes its binary fixed point by.
+_LOG2_10 = log(10, 2)
+
+
+def _numeral(n: int, size: int) -> str:
+    """n >= 0 in decimal, about ``size`` digits, split in halves as
+    ``libintmath.numeral`` splits it, since ``str`` prints at most 4300."""
+    if size < 250:
+        return str(n)
+    half = size // 2 + (size & 1)
+    high, low = divmod(n, 10**half)
+    return _numeral(high, half) + _numeral(low, half).rjust(half, "0")
+
+
+def _decimal(a: tuple[int, int], bits: int) -> str:
+    """A signed pair in decimal, as ``mp.nstr`` prints it at a precision of
+    ``bits``: ``to_str`` at int(bits * 0.302) + 2 significant digits.  As
+    there, the digits are first floored at 3 more digits, then rounded half
+    up, then laid out fixed or with an exponent and stripped of trailing zeros.
+    A value beyond 2^±3500, which ``to_digits_exp`` rescales by a power of
+    ten in mpf arithmetic first, is printed by ``to_str`` itself."""
+    m, e = a
+    dps = int(bits * 0.302) + 2
+    if not m:
+        return "0.0"
+    sign, m = ("-" if m < 0 else ""), abs(m)
+    if abs(e + m.bit_length()) > 3500:
+        from mpmath.libmp import from_man_exp, to_str
+
+        return to_str(from_man_exp(a[0], e), dps)
+    # to_digits_exp at dps + 3: a binary fixed point, then decimal digits, floored
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - e - m.bit_length(), 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = e + fixprec
+    fixed = m << shift if shift >= 0 else m >> -shift
+    digits = _numeral(fixed * 10**fixdps >> fixprec, dps + 3)
+    exponent = len(digits) - fixdps - 1
+    # to_str: round half up at dps digits, a carry past the first adding a digit
+    if len(digits) > dps and digits[dps] in "56789":
+        kept = digits[:dps].rstrip("9")
+        if kept:
+            digits = kept[:-1] + str(int(kept[-1]) + 1) + "0" * (dps - len(kept))
+        else:
+            digits, exponent = "1" + "0" * (dps - 1), exponent + 1
+    else:
+        digits = digits[:dps]
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits, split = "0" * -exponent + digits, 1
+        else:
+            split = exponent + 1
+        exponent = 0
+    else:
+        split = 1
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    if not exponent:
+        return sign + digits
+    return f"{sign}{digits}e{exponent:+d}"
 
 
 def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int, prec: int):
     """(d, values), values yielding (i, u_i, t_i - t_0) for i = 0..steps along
-    :func:`besicov.cocycle.walk` (x_i = u_i/d), t a raw mpf rounded to ``prec`` bits.
+    :func:`besicov.cocycle.walk` (x_i = u_i/d), t a signed pair rounded to ``prec`` bits.
 
     Because x advances exactly, the ergodic sum telescopes per level to
     f_l(x_i) - f_l(x_0); each t_i is assembled fresh from one evaluation per
@@ -171,8 +250,8 @@ def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int, prec: int):
     rows = zip(*walks)
     u, *rs = next(rows)
     base = fiber(rs)
-    later = ((i, u, _difference(fiber(rs), base, prec)) for i, (u, *rs) in enumerate(rows, 1))
-    return d, chain([(0, u, fzero)], later)
+    later = ((i, u, _sub(fiber(rs), base, prec)) for i, (u, *rs) in enumerate(rows, 1))
+    return d, chain([(0, u, (0, 0))], later)
 
 
 def orbit_error_bound(cspec: CocycleSpec, precision_bits: int) -> Fraction:
@@ -242,10 +321,10 @@ def orbit(
     t_base = _ratio(*t0.as_integer_ratio(), precision_bits)
     d, values = _t_values(cspec, x0, steps, precision_bits)
     for i, u, dt in values:
-        t = mpf_add(t_base, dt, precision_bits, "n")
+        t = _add(t_base, dt, precision_bits)
         if i % store_every == 0:
             xs.append(u / d)  # int true division rounds as float(Fraction) does
-            ts.append(to_float(t, rnd="n"))
+            ts.append(_float(t))
         if i in want:
             marks[i] = _decimal(t, precision_bits)
     return OrbitRecord(
@@ -329,16 +408,15 @@ def nonrecurrence_test(
     best_val = None
     for k, u, t_cur in values:
         gap = (u - u0) % den  # circle distance min(gap, den - gap)/den
-        d = mpf_add(_ratio(min(gap, den - gap), den, prec), mpf_abs(t_cur, prec, "n"),
-                    prec, "n")
-        if best_val is None or mpf_lt(d, best_val):
+        d = _add(_ratio(min(gap, den - gap), den, prec), (abs(t_cur[0]), t_cur[1]), prec)
+        if best_val is None or _less(d, best_val):
             best_val = d
             best_k = k
     eps_f = _ratio(*eps.as_integer_ratio(), prec)
     bound_f = _ratio(*bound.as_integer_ratio(), prec)
-    if mpf_ge(mpf_sub(best_val, bound_f, prec, "n"), eps_f):
+    if not _less(_sub(best_val, bound_f, prec), eps_f):
         outcome = "pass"
-    elif mpf_lt(mpf_add(best_val, bound_f, prec, "n"), eps_f):
+    elif _less(_add(best_val, bound_f, prec), eps_f):
         outcome = "fail"
     else:
         raise ErrorBudgetBlown("minimum distance within error bound of eps")
@@ -347,7 +425,7 @@ def nonrecurrence_test(
         params={"eps": str(eps), "horizon": horizon, "precision_bits": precision_bits,
                 "x": str(x0), "t": str(Fraction(t))},
         outcome=outcome,
-        witness={"k": best_k, "min_distance": to_float(best_val, rnd="n")},
+        witness={"k": best_k, "min_distance": _float(best_val)},
         error_bound=float(bound),
     )
 
@@ -438,8 +516,8 @@ def sensitivity_probe(
         basef = _ratio(*_circle_dist(x0, y).as_integer_ratio(), bits)
         for tx, (k, _, ty) in zip(x_values(bits), _t_values(cspec, y, horizon, bits)[1]):
             if k:
-                sep = mpf_abs(mpf_sub(tx, ty, bits, "n"), bits, "n")
-                yield k, to_float(mpf_add(basef, sep, bits, "n"), rnd="n")
+                ms, es = _sub(tx, ty, bits)
+                yield k, _float(_add(basef, (abs(ms), es), bits))
 
     bound = 2 * float(orbit_error_bound(cspec, precision_bits))
     params = {"delta": str(delta), "eps": str(eps), "horizon": horizon, "samples": samples,

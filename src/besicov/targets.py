@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath, InvariantBroken
 
-if TYPE_CHECKING:  # annotations only: the CLI imports this module for FAMILY_CODES
+if TYPE_CHECKING:  # annotations only
     from .levels import Profile
 
 FAMILIES = ("++", "--", "+-", "-+")

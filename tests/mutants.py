@@ -145,13 +145,43 @@ MUTANTS = (
         "max(separation(y, precision_bits)",
         TEST_DYNAMICS,
     ),
+    # the integer stand-ins for libmp's add, conversion to float and printing
+    Mutant(
+        "add-aligns-at-larger-exponent",
+        DYNAMICS,
+        "e = min(ea, eb)\n    m = (ma << (ea - e)) + (mb << (eb - e))",
+        "e = max(ea, eb)\n    m = (ma >> (e - ea)) + (mb >> (e - eb))",
+        TEST_DYNAMICS,
+    ),
+    Mutant(
+        "float-rounds-to-54-bits",
+        DYNAMICS,
+        "r, e = _round(abs(m), e, 53)",
+        "r, e = _round(abs(m), e, 54)",
+        TEST_DYNAMICS,
+    ),
+    Mutant(
+        "decimal-rounds-up-from-6",
+        DYNAMICS,
+        'digits[dps] in "56789"',
+        'digits[dps] in "6789"',
+        TEST_DYNAMICS,
+    ),
     # import layout: a cold call loads only what its subcommand runs
     Mutant(
         "cli-eager-audit",
         CLI,
-        "from .targets import FAMILY_CODES, canonical_family\n",
-        "from .targets import FAMILY_CODES, canonical_family\n"
+        "from typing import TYPE_CHECKING, Optional, get_args, get_type_hints\n",
+        "from typing import TYPE_CHECKING, Optional, get_args, get_type_hints\n"
         "from .audit import audit as run_audit\n",
+        TEST_IMPORTS,
+    ),
+    Mutant(
+        "cli-eager-targets",
+        CLI,
+        "from .errors import BesicovError, InvariantBroken, ValidationFailure\n\nif",
+        "from .errors import BesicovError, InvariantBroken, ValidationFailure\n"
+        "from .targets import FAMILY_CODES, canonical_family\n\nif",
         TEST_IMPORTS,
     ),
     Mutant(

@@ -1,5 +1,6 @@
 """CLI surface: flags, outputs, exit codes, determinism."""
 
+import argparse
 import importlib
 import io
 import json
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import besicov
+from besicov import cli
 from besicov.cli import (
     COMMANDS, RunConfig, _mode, build_parser, config_from_args, main, parse_alpha,
 )
 from besicov.levels import LevelParams, Profile
+from besicov.targets import FAMILY_CODES
 
 
 def run(capsys, *argv):
@@ -467,6 +470,59 @@ def test_config_keys_are_not_held_to_the_mode(tmp_path, capsys):
 
 
 # ------------------------------------------------------------ generated argv
+
+def test_family_choices_are_the_family_codes():
+    family = next(f for f in fields(RunConfig) if f.name == "family")
+    assert family.metadata["choices"] == tuple(FAMILY_CODES)
+
+
+def _flags_by_subcommand(parser) -> dict[str, set[str]]:
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {s for a in sp._actions for s in a.option_strings}
+            for name, sp in subparsers.choices.items()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_subcommands_parser_has_its_flags_only(command):
+    full, one = build_parser(), build_parser(command)
+    assert one.format_help() == full.format_help()
+    want = {name: {"-h", "--help"} for name in COMMANDS}
+    want[command] = _flags_by_subcommand(full)[command]
+    assert _flags_by_subcommand(one) == want
+
+
+#: Argvs whose subcommand, if any, is not their first token, and some that
+#: stop in argparse.
+_PARSER_EDGES = [
+    [], ["--help"], ["-h"], ["bogus"], ["--bogus", "cf", "--upto", "3"], ["-1/7", "cf"],
+    ["--", "cf", "--upto", "2"], ["cf", "--help"], ["probe", "--help"], ["cf", "--upto"],
+    ["levels", "--upto", "3"], ["audit", "--family", "zz", "--m", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_EDGES + _BRANCHES, ids=" ".join)
+def test_main_prints_what_the_parser_with_every_flag_prints(monkeypatch, argv):
+    """main builds only the flags of the subcommand its first token names,
+    and prints the same bytes as with every subcommand's flags."""
+    built = []
+
+    def outputs():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as e:
+                code = e.code
+        return code, out.getvalue(), err.getvalue()
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build_parser(command))
+    got = outputs()
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert got == outputs()
+    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+
 
 #: Upper bounds on the integer flags whose cost grows with their value.
 _INT_CAPS = {

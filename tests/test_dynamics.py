@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_sub
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_ge, mpf_lt, mpf_sub,
+                          to_float, to_str)
 
 from besicov import (
     IrrationalSpec,
@@ -40,7 +41,7 @@ def _lane_and_oracle(cspec, x0, steps, bits):
     """[(x_i, t_i - t_0 as an _mpf_ tuple)] from the lattice walk and from the
     oracle's Fraction-and-bump replay, both at ``bits``."""
     d, values = dynamics._t_values(cspec, x0, steps, bits)
-    lane = [(Fraction(u, d), t) for _, u, t in values]
+    lane = [(Fraction(u, d), from_man_exp(*t)) for _, u, t in values]
     with mp.workprec(bits):
         oracle = [(x, t._mpf_) for x, t in oracles.t_values(cspec, x0, steps)]
     return lane, oracle
@@ -105,7 +106,7 @@ def test_ratio_rounds_as_mpf_of_the_reduced_pair(prec, n, d):
     rounded first, as mpf(a) / mpf(b) rounds them."""
     g = Fraction(n, d)
     a, b = from_int(g.numerator, prec, "n"), from_int(g.denominator, prec, "n")
-    assert dynamics._ratio(n, d, prec) == mpf_div(a, b, prec, "n")
+    assert from_man_exp(*dynamics._ratio(n, d, prec)) == mpf_div(a, b, prec, "n")
 
 
 @st.composite
@@ -125,18 +126,99 @@ def test_round_matches_from_man_exp_with_ties_to_even(case, e):
     assert from_man_exp(*dynamics._round(m, e, prec)) == from_man_exp(m, e, prec, "n")
 
 
+#: precisions of the stand-ins for libmp's add, compare and conversions
+WIDE_PRECS = st.sampled_from([53, 64, 128, 256, 1000])
+#: exponents up to 20000 either way, or near 0
+EXPS = st.one_of(st.integers(-20000, 20000), st.integers(-300, 300))
+
+
+@st.composite
+def _pairs(draw, prec):
+    """A signed pair of at most ``prec`` bits, zero now and then, as the lane
+    makes them."""
+    m = draw(st.one_of(st.just(0), st.integers(1, 2**prec - 1)))
+    return (-m if draw(st.booleans()) else m), draw(EXPS)
+
+
+@st.composite
+def _operands(draw):
+    """(prec, a, b): b's exponent near a's (the aligned sum), anywhere (far
+    apart, where mpf_add perturbs the far operand) or equal with b = a or -a
+    (an exact cancellation)."""
+    prec = draw(WIDE_PRECS)
+    a, b = draw(_pairs(prec)), draw(_pairs(prec))
+    how = draw(st.sampled_from(["near", "far", "same"]))
+    if how == "near":
+        b = (b[0], a[1] + draw(st.integers(-3, 3)))
+    elif how == "same":
+        b = (a[0] * draw(st.sampled_from([1, -1])), a[1])
+    return prec, a, b
+
+
 @settings(max_examples=400, deadline=None)
-@given(PRECS, st.data())
-def test_difference_rounds_as_mpf_sub(prec, data):
-    """Signed a - b of prec-bit operands, exponents near (the aligned
-    subtraction) or far apart (mpf_add's perturbed far operand)."""
-    mant = st.integers(0, 2**prec - 1)
-    ea, eb = data.draw(st.integers(-500, 500)), data.draw(st.integers(-500, 500))
-    a, b = (data.draw(mant), ea), (data.draw(mant), eb)
-    if data.draw(st.booleans()):
-        b = (b[0], ea + data.draw(st.integers(-3, 3)))
-    want = mpf_sub(from_man_exp(*a), from_man_exp(*b), prec, "n")
-    assert dynamics._difference(a, b, prec) == want
+@given(_operands())
+def test_difference_rounds_as_mpf_sub(case):
+    """Signed a - b and a + b, each rounded once as mpf_sub and mpf_add round it."""
+    prec, a, b = case
+    fa, fb = from_man_exp(*a), from_man_exp(*b)
+    assert from_man_exp(*dynamics._sub(a, b, prec)) == mpf_sub(fa, fb, prec, "n")
+    assert from_man_exp(*dynamics._add(a, b, prec)) == mpf_add(fa, fb, prec, "n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operands())
+def test_less_compares_as_mpf_lt(case):
+    _, a, b = case
+    fa, fb = from_man_exp(*a), from_man_exp(*b)
+    assert dynamics._less(a, b) == mpf_lt(fa, fb)
+    assert (not dynamics._less(a, b)) == mpf_ge(fa, fb)
+
+
+@st.composite
+def _near_float_ties(draw):
+    """m = q 10...0 in binary with q of 53 bits, one less or one more: the
+    values that a rounding to 54 bits first would round twice."""
+    q = draw(st.integers(2**52, 2**53 - 1))
+    n = draw(st.integers(2, 200))
+    return (q << n | 1 << (n - 1)) + draw(st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_near_float_ties(), st.integers(0, 2**600)), st.booleans(),
+       st.one_of(st.integers(-1300, 1100), EXPS))
+def test_float_converts_as_to_float(m, negative, e):
+    """Nearest, ties to even, at 53 bits; subnormal, zero or infinite beyond
+    the float range."""
+    m = -m if negative else m
+    assert dynamics._float((m, e)) == to_float(from_man_exp(m, e), rnd="n")
+
+
+@st.composite
+def _decimals(draw):
+    """(m, e, bits), bits for up to 7000 printed digits: m of up to twice
+    that many bits with e up to 20000 either way, or an integer whose first
+    digit after the printed ones is 5, after printed ones that are all 9 now
+    and then, or 4 after all 9s."""
+    bits = draw(st.one_of(st.integers(64, 400), st.integers(64, 23170)))
+    dps = int(bits * 0.302) + 2
+    kind = draw(st.sampled_from(["binary", "half", "nines"]))
+    if kind == "binary":
+        size = draw(st.integers(1, 2 * bits))
+        m, e = draw(st.integers(0, 2**size)), draw(st.one_of(st.integers(-2 * size, size), EXPS))
+    else:
+        head = 10**dps - 1 if kind == "nines" else draw(st.integers(10 ** (dps - 1), 10**dps - 1))
+        last = draw(st.sampled_from([4, 5])) if kind == "nines" else 5
+        m, e = (10 * head + last) * 10 ** draw(st.integers(0, 3)), 0
+    return (-m if draw(st.booleans()) else m), e, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decimals())
+def test_decimal_prints_as_to_str(case):
+    """As ``mp.nstr`` at ``bits``: to_str's digits, rounding and layout,
+    above 4300 digits too."""
+    m, e, bits = case
+    assert dynamics._decimal((m, e), bits) == to_str(from_man_exp(m, e), int(bits * 0.302) + 2)
 
 
 def test_single_step(tent_cocycle):

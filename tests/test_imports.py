@@ -49,21 +49,27 @@ def run_python(code: str):
 
 
 #: The modules a cold ``python -m besicov.cli <subcommand>`` call loads beyond
-#: CLI_CORE (None: ``--help`` or a usage error, which run no handler).  runpy
-#: imports the package before it runs ``cli``, and ``cli`` itself imports
-#: ``errors`` and ``targets``, whose ``FAMILY_CODES`` are the --family choices.
-CLI_CORE = {"besicov", "besicov.errors", "besicov.targets"}
+#: CLI_CORE (None: ``--help`` or a usage error, which run no handler; a key
+#: with a flag: the subcommand's mode that loads more).  runpy imports the
+#: package before it runs ``cli``, and ``cli`` itself imports ``errors``.  No
+#: subcommand loads mpmath.
+CLI_CORE = {"besicov", "besicov.errors"}
+_FLOAT_LANE = {"besicov.cf", "besicov.levels", "besicov.cocycle", "besicov.dynamics"}
 CLI_LOADS = {
     None: set(),
     "cf": {"besicov.cf"},
     "levels": {"besicov.cf", "besicov.levels"},
     "eval": {"besicov.cf", "besicov.levels", "besicov.cocycle"},
     "sum": {"besicov.cf", "besicov.levels", "besicov.cocycle"},
-    "target": {"besicov.cf", "besicov.levels"},
-    "audit": {"besicov.cf", "besicov.levels", "besicov.cocycle", "besicov.audit"},
-    "dimension": {"besicov.cf", "besicov.levels", "besicov.dimension", "besicov.certlog"},
-    "orbit": {"besicov.cf", "besicov.levels", "besicov.cocycle", "besicov.dynamics", "mpmath"},
-    "probe": {"besicov.cf", "besicov.levels", "besicov.cocycle", "besicov.dynamics", "mpmath"},
+    "target": {"besicov.cf", "besicov.levels", "besicov.targets"},
+    "audit": {"besicov.cf", "besicov.levels", "besicov.cocycle", "besicov.targets",
+              "besicov.audit"},
+    "dimension": {"besicov.cf", "besicov.levels", "besicov.targets", "besicov.dimension",
+                  "besicov.certlog"},
+    "orbit": _FLOAT_LANE,
+    "probe": _FLOAT_LANE,
+    # the first candidate is descended on the target intervals
+    "probe --kind sensitivity": _FLOAT_LANE | {"besicov.targets"},
 }
 #: One argv per subcommand and probe kind, and two that run no handler, each
 #: with its CLI_LOADS key.
@@ -79,7 +85,8 @@ CLI_ARGVS = [
     ("audit", ["audit", "--variant", "tent", "--n", "6", "--family", "mp", "--m", "83"]),
     ("dimension", ["dimension", "--n", "2", "--box"]),
     ("orbit", ["orbit", "--x", "1/7", "--steps", "3"]),
-    ("probe", ["probe", "--kind", "sensitivity", "--variant", "tent", "--horizon", "20"]),
+    ("probe --kind sensitivity",
+     ["probe", "--kind", "sensitivity", "--variant", "tent", "--horizon", "20"]),
     ("probe", ["probe", "--kind", "nonrecurrence", "--variant", "tent", "--horizon", "20"]),
     ("probe", ["probe", "--kind", "coverage", "--horizon", "20"]),
     ("probe", ["probe", "--kind", "classify", "--x", "1/7", "--horizon", "20"]),
@@ -108,8 +115,19 @@ def test_cold_cli_loads_only_its_subcommands_modules(command, argv):
 def test_cli_argvs_cover_every_subcommand():
     from besicov.cli import COMMANDS
 
-    assert set(CLI_LOADS) == {None} | set(COMMANDS)
+    assert {key and key.split()[0] for key in CLI_LOADS} == {None} | set(COMMANDS)
     assert {command for command, _ in CLI_ARGVS} == set(CLI_LOADS)
+
+
+def test_importing_the_cli_loads_only_errors():
+    """All that ``--help`` and a usage error need: no ``targets`` for the
+    --family choices, no mpmath."""
+    code = (
+        "import json, sys, besicov.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('besicov') or m.startswith('mpmath'))))\n"
+    )
+    assert run_python(code) == ["besicov", "besicov.cli", "besicov.errors"]
 
 
 def loaded_after_cli(*argvs) -> list[str]:
@@ -152,7 +170,7 @@ def test_dimension_loads_dimension_but_not_mpmath():
 )
 def test_float_subcommands_load_dynamics(argv):
     loaded = loaded_after_cli(argv)
-    assert "besicov.dynamics" in loaded and "mpmath" in loaded
+    assert "besicov.dynamics" in loaded and "mpmath" not in loaded
 
 
 def test_import_besicov_loads_no_submodule():
