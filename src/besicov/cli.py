@@ -24,6 +24,7 @@ Beyond it:
     audit                    cf, levels, cocycle, targets, audit
     dimension                cf, levels, targets, dimension, certlog
     orbit, probe             cf, levels, cocycle, dynamics
+    probe --kind sensitivity cf, levels, cocycle, dynamics, targets
 
 No subcommand loads mpmath, except to print a float-lane value beyond
 2^±3500 in decimal (see ``dynamics._decimal``).

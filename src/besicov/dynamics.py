@@ -131,7 +131,8 @@ _LOG2_10 = log(10, 2)
 
 def _numeral(n: int, size: int) -> str:
     """n >= 0 in decimal, about ``size`` digits, split in halves as
-    ``libintmath.numeral`` splits it, since ``str`` prints at most 4300."""
+    ``libintmath.numeral`` splits it: ``str`` refuses an int of more than
+    4300 digits."""
     if size < 250:
         return str(n)
     half = size // 2 + (size & 1)
@@ -150,11 +151,11 @@ def _decimal(a: tuple[int, int], bits: int) -> str:
     dps = int(bits * 0.302) + 2
     if not m:
         return "0.0"
-    sign, m = ("-" if m < 0 else ""), abs(m)
     if abs(e + m.bit_length()) > 3500:
         from mpmath.libmp import from_man_exp, to_str
 
-        return to_str(from_man_exp(a[0], e), dps)
+        return to_str(from_man_exp(m, e), dps)
+    sign, m = ("-" if m < 0 else ""), abs(m)
     # to_digits_exp at dps + 3: a binary fixed point, then decimal digits, floored
     fixprec = max(int((dps + 3) * _LOG2_10) + 10 - e - m.bit_length(), 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)

@@ -147,7 +147,7 @@ MUTANTS = (
     ),
     # the integer stand-ins for libmp's add, conversion to float and printing
     Mutant(
-        "add-aligns-at-larger-exponent",
+        "add-aligns-at-max-exponent",
         DYNAMICS,
         "e = min(ea, eb)\n    m = (ma << (ea - e)) + (mb << (eb - e))",
         "e = max(ea, eb)\n    m = (ma >> (e - ea)) + (mb >> (e - eb))",
