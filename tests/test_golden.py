@@ -4,9 +4,11 @@ Each ``tests/golden/*.json`` holds one argv and what ``cli.main`` printed for
 it: every README CLI example, every ``--help`` page at 80 columns,
 argparse-level errors, the growth certificates of three more level
 profiles and float-lane rows at the edges of decimal printing.  The replay
-test runs each argv again and wants the same bytes.
-``PYTHONPATH=src python tests/test_golden.py`` records the cases whose argv
-has no file yet; it never rewrites an existing one.  README's
+test runs each argv again and wants the same bytes.  ``golden/results/``
+holds the JSON form of library results that no CLI run prints (gap-law
+certificates and discreteness scans), which the benchmark also hashes.
+``PYTHONPATH=src python tests/test_golden.py`` records the cases that have
+no file yet; it never rewrites an existing one.  README's
 Python quick start is run as written too, so an API change cannot break it.
 """
 
@@ -20,9 +22,11 @@ from pathlib import Path
 
 import pytest
 
-from besicov import cli
+from besicov import IrrationalSpec, cli, discreteness_scan, gap_bounds_check, make_cocycle
+from besicov import sample_point
 
 GOLDEN = Path(__file__).parent / "golden"
+RESULTS_DIR = GOLDEN / "results"
 README = Path(__file__).parents[1] / "README.md"
 
 #: Usage and input errors (exit 1), by file-name slug: argparse-level ones print
@@ -69,6 +73,34 @@ FLOAT_EDGES = {
     "sensitivity-64-bits": ["probe", "--kind", "sensitivity", "--precision-bits", "64"],
     "sensitivity-512-bits": ["probe", "--kind", "sensitivity", "--precision-bits", "512"],
 }
+
+
+def _gaps(alpha: str) -> list[dict]:
+    spec = IrrationalSpec.from_preset(alpha)
+    return [gap_bounds_check(spec, n).as_dict() for n in range(1, 13)]
+
+
+def _scan(spec: IrrationalSpec, variant: str, n: int, family: str, m_lo: int, m_hi: int) -> dict:
+    cspec = make_cocycle(spec, "greedy", variant, n, n_levels=n)
+    _, path = sample_point(cspec.profile, family, "center", n)
+    return discreteness_scan(cspec, path, m_lo, m_hi).as_dict()
+
+
+#: ``as_dict()`` of library results, by slug.  Both scans skip m = 0 and the
+#: m below the first window; alpha = [0; 9, 11, 1, 1, ...] puts q_{k_1+1} = 100
+#: in the mixed scan, so its level-1 bound 100/50 is the integer Fraction 2.
+RESULTS = {
+    "gap-golden": lambda: _gaps("golden"),
+    "gap-sqrt2m1": lambda: _gaps("sqrt2m1"),
+    "scan-aligned-golden": lambda: _scan(
+        IrrationalSpec.from_preset("golden"), "main", 6, "++", -4, 8),
+    "scan-mixed-9-11": lambda: _scan(
+        IrrationalSpec(head=(0, 9, 11), tail=(1,)), "tent", 4, "+-", -9, 50),
+}
+
+
+def dump_result(slug: str) -> str:
+    return json.dumps(RESULTS[slug](), indent=2, sort_keys=True) + "\n"
 
 
 def readme_examples() -> list[list[str]]:
@@ -145,6 +177,11 @@ def test_readme_library_quick_start_runs():
     exec(compile(code, "README.md (Library quick start)", "exec"), {})
 
 
+@pytest.mark.parametrize("slug", sorted(RESULTS))
+def test_result_replay(slug):
+    assert dump_result(slug) == (RESULTS_DIR / f"{slug}.json").read_text()
+
+
 def test_every_help_page_is_in_the_corpus():
     recorded = {p.stem for p in _recorded()}
     assert {"help"} | {f"help-{cmd}" for cmd in cli.COMMANDS} <= recorded
@@ -161,6 +198,12 @@ def record() -> None:
             sys.exit(f"{path.name} holds another argv; append new README examples at the end")
         path.write_text(json.dumps(capture(argv), indent=2, sort_keys=True) + "\n")
         print(f"recorded {path.name}", file=sys.stderr)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    for slug in RESULTS:
+        path = RESULTS_DIR / f"{slug}.json"
+        if not path.exists():
+            path.write_text(dump_result(slug))
+            print(f"recorded results/{path.name}", file=sys.stderr)
 
 
 if __name__ == "__main__":
