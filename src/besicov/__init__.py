@@ -6,12 +6,9 @@ the divergence of ergodic sums on the nested Cantor-type target sets with
 exact rational arithmetic, and computes nested-interval bounds on the
 Hausdorff dimension of those sets.
 
-Importing the package loads none of its submodules.  Every public name
+Importing the package loads none of its submodules: every public name
 resolves on first lookup through ``_LAZY``, which imports the one submodule
-that defines it, so a caller pays only for the modules it uses:
-``besicov.convergent`` loads ``cf``; ``besicov.audit`` loads ``audit`` and
-what it imports (``cf``, ``levels``, ``cocycle``, ``targets``);
-``besicov.orbit`` loads ``dynamics`` and what it imports, but not ``mpmath``.
+that defines it (``tests/test_imports.py`` checks what each entry point loads).
 The submodules themselves (``besicov.cf``, ``besicov.dimension``, ...)
 resolve the same way.
 ``besicov.audit`` is the function ``audit.audit`` in every import order: the
@@ -39,8 +36,8 @@ _LAZY = {
         "cocycle",
     ),
     **dict.fromkeys(
-        ("Certificate", "LevelParams", "Profile", "ValidationReport", "profile_from_json",
-         "profile_to_json", "select_levels", "validate_levels"),
+        ("Certificate", "LevelParams", "Profile", "ValidationReport", "select_levels",
+         "validate_levels"),
         "levels",
     ),
     **dict.fromkeys(

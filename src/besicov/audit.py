@@ -32,7 +32,8 @@ from typing import Optional
 
 from .cf import certify_offset
 from .cocycle import CocycleSpec, level_max, phi_m, term
-from .errors import BelowFirstWindow, DepthExceedsProfile, InvariantBroken, WindowBeyondProfile
+from .errors import (BelowFirstWindow, DepthExceedsProfile, InvariantBroken, Result,
+                     WindowBeyondProfile)
 from .levels import LevelParams, Profile
 from .targets import DigitPath, family_kind, member
 
@@ -78,7 +79,7 @@ def window(profile: Profile, kind: str, m: int, n_limit: Optional[int] = None) -
 
 
 @dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Result):
     """One audited level: exact term value, its sign verdict, and the
     magnitude bound it was held to (None for rows without one)."""
 
@@ -88,19 +89,18 @@ class ReportRow:
     bound: Optional[Fraction] = None
     bound_ok: Optional[bool] = None
 
+    @property
+    def sign(self) -> str:
+        return "0" if self.value == 0 else ("+" if self.value > 0 else "-")
+
     def as_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "term": str(self.value),
-            "sign": "0" if self.value == 0 else ("+" if self.value > 0 else "-"),
-            "sign_ok": self.sign_ok,
-            "bound": None if self.bound is None else str(self.bound),
-            "bound_ok": self.bound_ok,
-        }
+        d = super().as_dict()
+        d["term"], d["sign"] = d.pop("value"), self.sign
+        return d
 
 
 @dataclass
-class DivergenceReport:
+class DivergenceReport(Result):
     """Exact per-level ledger for one (x, m) audit.
 
     ``total`` equals the truncated phi_m bit for bit.  ``certified_lower`` is
@@ -135,31 +135,9 @@ class DivergenceReport:
     notes: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        opt = lambda v: None if v is None else str(v)
-        return {
-            "family": self.family,
-            "kind": self.kind,
-            "m": self.m,
-            "n_of_m": self.n_of_m,
-            "window": [str(self.window_lo), str(self.window_hi)],
-            "x": str(self.x),
-            "indices": list(self.indices),
-            "levels_audited": self.levels_audited,
-            "rows": [r.as_dict() for r in self.rows],
-            "total": str(self.total),
-            "sub_budget": str(self.sub_budget),
-            "extension_tail_bound": str(self.extension_tail_bound),
-            "certified_lower": str(self.certified_lower),
-            "expected_sign": self.expected_sign,
-            "status": self.status,
-            "head_abs": opt(self.head_abs),
-            "head_bound": opt(self.head_bound),
-            "tail_abs": opt(self.tail_abs),
-            "tail_bound_sum": opt(self.tail_bound_sum),
-            "net_lower": opt(self.net_lower),
-            "asymptotic_ref": opt(self.asymptotic_ref),
-            "notes": self.notes,
-        }
+        d = super().as_dict()
+        d["window"] = [d.pop("window_lo"), d.pop("window_hi")]
+        return d
 
     def csv_rows(self) -> list[dict]:
         return [
@@ -168,7 +146,7 @@ class DivergenceReport:
                 "n_of_m": self.n_of_m,
                 "l": r.l,
                 "term": str(r.value),
-                "sign": "0" if r.value == 0 else ("+" if r.value > 0 else "-"),
+                "sign": r.sign,
                 "bound": "" if r.bound is None else str(r.bound),
                 "pass": r.sign_ok and (r.bound_ok is not False),
             }
@@ -363,17 +341,14 @@ def audit(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport:
 
 
 @dataclass
-class ScanEntry:
+class ScanEntry(Result):
     m: int
     n_of_m: int
     abs_total: Fraction
 
-    def as_dict(self) -> dict:
-        return {"m": self.m, "n_of_m": self.n_of_m, "abs_total": str(self.abs_total)}
-
 
 @dataclass
-class ScanTable:
+class ScanTable(Result):
     """Window-grouped minima of |phi_m| over a range of iterate counts."""
 
     family: str
@@ -383,17 +358,6 @@ class ScanTable:
     window_bounds: dict[int, Fraction]
     bounds_nondecreasing: bool
     skipped: list[int]
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "kind": self.kind,
-            "entries": [e.as_dict() for e in self.entries],
-            "window_minima": {str(k): str(v) for k, v in self.window_minima.items()},
-            "window_bounds": {str(k): str(v) for k, v in self.window_bounds.items()},
-            "bounds_nondecreasing": self.bounds_nondecreasing,
-            "skipped": self.skipped,
-        }
 
 
 def discreteness_scan(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import IndecisiveBracket
+from .errors import IndecisiveBracket, Result
 
 #: Hard cap on bracket escalation; hitting it raises IndecisiveBracket.
 MAX_BRACKET_DEPTH = 1 << 14
@@ -199,7 +199,7 @@ def certify_offset(
 
 
 @dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(Result):
     """Exact verdict on the two-sided convergent gap law at index n.
 
     Checks 1/(2 q_n q_{n+1}) < |alpha - p_n/q_n| < 1/(q_n q_{n+1}) and that
@@ -214,18 +214,6 @@ class GapCertificate:
     distance_lo: Fraction
     distance_hi: Fraction
     depth_used: int
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "passed": self.passed,
-            "sign": self.sign,
-            "lower_bound": str(self.lower_bound),
-            "upper_bound": str(self.upper_bound),
-            "distance_lo": str(self.distance_lo),
-            "distance_hi": str(self.distance_hi),
-            "depth_used": self.depth_used,
-        }
 
 
 def gap_bounds_check(spec: IrrationalSpec, n: int) -> GapCertificate:

@@ -3,31 +3,17 @@
 Each subcommand offers only the flags it reads, and --config PATH (a JSON file
 whose keys are flag names of any subcommand; explicit flags win).  Where what
 a subcommand reads depends on its mode (the probe --kind, dimension with or
-without --box, target with --depth, --j or neither, sum and audit with
---m-range), a flag given explicitly that the mode does not read is a usage
-error that names the flag and the mode.  All but probe, which always prints
-JSON, take --out {csv|json}.  Rationals are printed as "numerator/denominator"
-strings, big integers as decimal strings; outputs are byte-identical for
+without --box, target with --depth, --j or neither, sum and audit with --m
+or --m-range), a flag given explicitly that the mode does not read is a
+usage error that names the flag and the mode.  All but probe, which always
+prints JSON, take --out {csv|json}.  Rationals are printed as strings ("3/7",
+"2"), big integers as decimal strings; outputs are byte-identical for
 identical configurations.  Exit codes: 0 success, 1 usage error, 2
 certificate failure.
 
 Each handler imports the modules it runs inside its body, and :func:`main`
-adds flags only to the subparser its argv names, so a cold call loads and
-builds only what its subcommand runs.  Importing this module loads ``errors``
-and no other submodule, which is all that --help and a usage error need.
-Beyond it:
-
-    cf                       cf
-    levels                   cf, levels
-    target                   cf, levels, targets
-    eval, sum                cf, levels, cocycle
-    audit                    cf, levels, cocycle, targets, audit
-    dimension                cf, levels, targets, dimension, certlog
-    orbit, probe             cf, levels, cocycle, dynamics
-    probe --kind sensitivity cf, levels, cocycle, dynamics, targets
-
-No subcommand loads mpmath, except to print a float-lane value beyond
-2^±3500 in decimal (see ``dynamics._decimal``).
+adds flags only to the subparser its argv names, so a cold call loads what
+``CLI_LOADS`` in ``tests/test_imports.py`` lists for its subcommand.
 """
 
 from __future__ import annotations
@@ -106,17 +92,15 @@ def _as_float(value: Fraction, flag: str, text: str) -> float:
 def _flag(
     default,
     *,
-    on: Optional[tuple[str, ...]] = None,
-    only: Optional[tuple[str, ...]] = None,
+    reads: Optional[tuple[str, ...]] = None,
     choices: Optional[tuple] = None,
     least: Optional[int] = None,
 ):
-    """A RunConfig field whose flag is offered only by the subcommands ``on``
-    (None: by every subcommand), read only in the modes ``only`` (see
-    :func:`_mode`; None: in every mode), and only takes ``choices``, or
-    integers from ``least`` up."""
-    return field(default=default,
-                 metadata={"on": on, "only": only, "choices": choices, "least": least})
+    """A RunConfig field whose flag is read by the subcommands and the modes
+    (see :func:`_mode`) that ``reads`` names (None: by every subcommand),
+    offered by the subcommands those names start with, and only takes
+    ``choices``, or integers from ``least`` up."""
+    return field(default=default, metadata={"reads": reads, "choices": choices, "least": least})
 
 
 #: The subcommands that read a group of flags (_TABLE: all but probe, always JSON).
@@ -146,43 +130,42 @@ class RunConfig:
     """
 
     alpha: str = "golden"
-    strategy: str = _flag("greedy", on=_PROFILE, choices=("fixed", "greedy"))
-    variant: str = _flag("main", on=_PROFILE, choices=("main", "tent"))
-    n: int = _flag(4, on=_PROFILE, least=1)
-    depth: Optional[int] = _flag(None, on=_SAMPLE)
-    alpha_depth: Optional[int] = _flag(None, on=_COCYCLE, least=1)
-    trunc: Optional[int] = _flag(None, on=_COCYCLE, least=1)
-    precision_bits: int = _flag(128, on=_MPF, least=64)
+    strategy: str = _flag("greedy", reads=_PROFILE, choices=("fixed", "greedy"))
+    variant: str = _flag("main", reads=_PROFILE, choices=("main", "tent"))
+    n: int = _flag(4, reads=_PROFILE, least=1)
+    depth: Optional[int] = _flag(None, reads=_SAMPLE)
+    alpha_depth: Optional[int] = _flag(None, reads=_COCYCLE, least=1)
+    trunc: Optional[int] = _flag(None, reads=_COCYCLE, least=1)
+    precision_bits: int = _flag(128, reads=_MPF, least=64)
     # targets.FAMILY_CODES, written out so that building the parser loads no targets
-    family: str = _flag("pp", on=("target", "audit", "dimension"),
+    family: str = _flag("pp", reads=("target", "audit", "dimension"),
                         choices=("pp", "mm", "pm", "mp"))
-    x: Optional[str] = _flag(None, on=("eval", "sum", "orbit", "probe"))
-    seed: int = _flag(0, on=("probe",), only=(_SENSITIVITY,))
-    out: str = _flag("csv", on=_TABLE, choices=("csv", "json"))
+    x: Optional[str] = _flag(None, reads=("eval", "sum", "orbit", "probe"))
+    seed: int = _flag(0, reads=(_SENSITIVITY,))
+    out: str = _flag("csv", reads=_TABLE, choices=("csv", "json"))
     config: Optional[str] = None  # the --config file itself, never a key in it
-    upto: int = _flag(10, on=("cf",), least=0)
-    check: bool = _flag(False, on=("cf",))
-    m: Optional[int] = _flag(None, on=_M_VALUES, only=_M_VALUES)
-    m_range: Optional[str] = _flag(None, on=_M_VALUES)
-    level: int = _flag(1, on=("target",), only=(_ONE_ROW, _ALL_ROWS))
-    j: Optional[int] = _flag(None, on=("target",), only=(_ONE_ROW, _ALL_ROWS))
-    policy: str = _flag("center", on=_SAMPLE, only=(_SAMPLED, "audit", "audit --m-range"),
-                        choices=("center", "leftmost"))
-    max_rows: int = _flag(100000, on=("target",), only=(_ALL_ROWS,))
-    mode: str = _flag("formula", on=("dimension",), choices=("formula", "measured"))
-    kind: str = _flag("sensitivity", on=("probe",),
+    upto: int = _flag(10, reads=("cf",), least=0)
+    check: bool = _flag(False, reads=("cf",))
+    m: Optional[int] = _flag(None, reads=("sum --m", "audit --m"))
+    m_range: Optional[str] = _flag(None, reads=_M_VALUES)
+    level: int = _flag(1, reads=(_ONE_ROW, _ALL_ROWS))
+    j: Optional[int] = _flag(None, reads=(_ONE_ROW, _ALL_ROWS))
+    policy: str = _flag("center", reads=(_SAMPLED, "audit"), choices=("center", "leftmost"))
+    max_rows: int = _flag(100000, reads=(_ALL_ROWS,), least=1)
+    mode: str = _flag("formula", reads=("dimension",), choices=("formula", "measured"))
+    kind: str = _flag("sensitivity", reads=("probe",),
                       choices=("sensitivity", "nonrecurrence", "coverage", "classify"))
-    eps: str = _flag("1/10", on=("probe",), only=(_SENSITIVITY, _NONRECURRENCE))
-    delta: str = _flag("1/1000", on=("probe",), only=(_SENSITIVITY,))
-    horizon: int = _flag(1000, on=("probe",), least=1)
-    grid: int = _flag(1000, on=("dimension", "probe"), only=(_BOX, _COVERAGE), least=1)
-    box: bool = _flag(False, on=("dimension",))
-    box_level: int = _flag(1, on=("dimension",), only=(_BOX,))
-    height: str = _flag("3", on=("probe",), only=(_COVERAGE,))
-    samples: int = _flag(8, on=("probe",), only=(_SENSITIVITY,), least=1)
-    t0: str = _flag("0", on=_MPF, only=("orbit", _NONRECURRENCE, _COVERAGE))
-    steps: int = _flag(100, on=("orbit",), least=1)
-    store_every: int = _flag(1, on=("orbit",), least=1)
+    eps: str = _flag("1/10", reads=(_SENSITIVITY, _NONRECURRENCE))
+    delta: str = _flag("1/1000", reads=(_SENSITIVITY,))
+    horizon: int = _flag(1000, reads=("probe",), least=1)
+    grid: int = _flag(1000, reads=(_BOX, _COVERAGE), least=1)
+    box: bool = _flag(False, reads=("dimension",))
+    box_level: int = _flag(1, reads=(_BOX,))
+    height: str = _flag("3", reads=(_COVERAGE,))
+    samples: int = _flag(8, reads=(_SENSITIVITY,), least=1)
+    t0: str = _flag("0", reads=("orbit", _NONRECURRENCE, _COVERAGE))
+    steps: int = _flag(100, reads=("orbit",), least=1)
+    store_every: int = _flag(1, reads=("orbit",), least=1)
 
     def spec(self) -> IrrationalSpec:
         return parse_alpha(self.alpha)
@@ -229,8 +212,8 @@ class RunConfig:
 
 
 def _mode(command: str, cfg: RunConfig) -> str:
-    """The mode of a run, named as its argv selects it; the ``only`` of a
-    RunConfig flag lists the modes that read it."""
+    """The mode of a run, named as its argv selects it; the ``reads`` of a
+    RunConfig flag names the subcommands and modes that read it."""
     if command == "probe":
         return f"probe --kind {cfg.kind}"
     if command == "dimension":
@@ -239,8 +222,8 @@ def _mode(command: str, cfg: RunConfig) -> str:
         if cfg.depth is not None:
             return _SAMPLED
         return _ONE_ROW if cfg.j is not None else _ALL_ROWS
-    if command in _M_VALUES and cfg.m_range:
-        return f"{command} --m-range"
+    if command in _M_VALUES:
+        return f"{command} --m-range" if cfg.m_range else f"{command} --m"
     return command
 
 
@@ -543,7 +526,7 @@ _TYPES = {key: get_args(hint) or (hint,) for key, hint in get_type_hints(RunConf
 _JSON_NAMES = {bool: "true/false", int: "an integer", str: "a string", type(None): "null"}
 _CHOICES = {f.name: f.metadata.get("choices") for f in fields(RunConfig)}
 _LEAST = {f.name: f.metadata.get("least") for f in fields(RunConfig)}
-_ONLY = {f.name: f.metadata.get("only") for f in fields(RunConfig)}
+_READS = {f.name: f.metadata.get("reads") for f in fields(RunConfig)}
 
 #: What ``besicov --help`` says above the list of subcommands.
 DESCRIPTION = (
@@ -568,8 +551,8 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         if command not in (None, name):
             continue
         for f in fields(RunConfig):
-            on, choices = f.metadata.get("on"), f.metadata.get("choices")
-            if on is not None and name not in on:
+            reads, choices = _READS[f.name], _CHOICES[f.name]
+            if reads is not None and name not in {r.split()[0] for r in reads}:
                 continue
             flag, kind = "--" + f.name.replace("_", "-"), _TYPES[f.name][0]
             if kind is bool:
@@ -603,7 +586,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         setattr(cfg, key, getattr(args, key))
     mode = _mode(args.command, cfg)
     for key in explicit:
-        if _ONLY[key] is not None and mode not in _ONLY[key]:
+        reads = _READS[key]
+        if reads is not None and args.command not in reads and mode not in reads:
             raise UsageError(f"--{key.replace('_', '-')} is not read by {mode}")
     for key, least in _LEAST.items():
         value = getattr(cfg, key)

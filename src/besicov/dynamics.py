@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import random
 from copy import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, tee
 from math import gcd, inf, ldexp, log
 from typing import Iterator, Optional, Sequence
 
 from .cocycle import CocycleSpec, level_max, walk
-from .errors import ErrorBudgetBlown
+from .errors import ErrorBudgetBlown, Result
 
 #: orbit refuses a declared error bound above ERROR_CAP; classify_orbit treats
 #: the first SETTLE of the horizon as transient and needs |t| > ESCAPE_LEVEL.
@@ -359,16 +359,13 @@ def coverage(record: OrbitRecord, box_height: float, grid: int) -> float:
 
 
 @dataclass
-class ProbeResult:
+class ProbeResult(Result):
     kind: str
     params: dict
     outcome: str
     witness: Optional[dict] = None
     error_bound: float = 0.0
     details: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _circle_dist(a: Fraction, b: Fraction) -> Fraction:

@@ -1,4 +1,31 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and the JSON form of results, shared by all modules."""
+
+from dataclasses import fields
+from fractions import Fraction
+
+
+class Result:
+    """A dataclass whose JSON form is its fields.
+
+    A ``Fraction`` becomes its ``str``, a tuple or list a list, a dict's keys
+    ``str``, and a nested result its own :meth:`as_dict`; other values stay.
+    The CLI and the benchmark print with sorted keys, so key order is free.
+    """
+
+    def as_dict(self) -> dict:
+        return {f.name: _json(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json(value):
+    if isinstance(value, Result):
+        return value.as_dict()
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json(v) for k, v in value.items()}
+    return value
 
 
 class BesicovError(Exception):

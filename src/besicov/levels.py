@@ -24,14 +24,13 @@ tent variant    smallest k_n of fixed parity with q_{k_n} >= 18 q_{k_{n-1}},
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .cf import IrrationalSpec, convergent
-from .errors import DepthExceedsProfile, InvariantBroken, ValidationFailure
+from .errors import DepthExceedsProfile, InvariantBroken, Result, ValidationFailure
 
 STRATEGIES = ("fixed", "greedy")
 VARIANTS = ("main", "tent")
@@ -154,7 +153,7 @@ def select_levels(
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(Result):
     """One named exact check: value, the bound it was tested against, verdict.
 
     ``binding`` distinguishes required conditions from recorded-only ones
@@ -169,12 +168,9 @@ class Certificate:
     binding: bool = True
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
-class ValidationReport:
+class ValidationReport(Result):
     certificates: list[Certificate] = field(default_factory=list)
 
     @property
@@ -194,10 +190,7 @@ class ValidationReport:
         return self
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "certificates": [c.as_dict() for c in self.certificates],
-        }
+        return {**super().as_dict(), "passed": self.passed}
 
 
 def validate_levels(profile: Profile) -> ValidationReport:
@@ -294,40 +287,3 @@ def profile_to_dict(profile: Profile) -> dict:
             for lv in profile.levels
         ],
     }
-
-
-def profile_from_dict(d: dict) -> Profile:
-    a = d["alpha"]
-    spec = IrrationalSpec(head=tuple(a["head"]), tail=tuple(a["tail"]), name=a.get("name"))
-    levels = tuple(
-        LevelParams(
-            n=lv["n"],
-            k=lv["k"],
-            p=int(lv["p"]),
-            q=int(lv["q"]),
-            q_next=int(lv["q_next"]),
-            a=int(lv["A"]),
-        )
-        for lv in d["levels"]
-    )
-    profile = Profile(
-        alpha=spec,
-        strategy=d["strategy"],
-        variant=d["variant"],
-        n_max=d["n_max"],
-        levels=levels,
-    )
-    # guard against silent corruption: p, q, q_next must match the recurrence
-    for lv in levels:
-        c, c1 = convergent(spec, lv.k), convergent(spec, lv.k + 1)
-        if (lv.p, lv.q, lv.q_next) != (c.p, c.q, c1.q):
-            raise ValueError(f"level {lv.n}: convergent data does not match alpha")
-    return profile
-
-
-def profile_to_json(profile: Profile) -> str:
-    return json.dumps(profile_to_dict(profile), indent=2, sort_keys=True)
-
-
-def profile_from_json(text: str) -> Profile:
-    return profile_from_dict(json.loads(text))

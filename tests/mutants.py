@@ -10,10 +10,10 @@ selection" (1978).
     python tests/mutants.py                 # every mutant
     python tests/mutants.py div-no-sticky   # the named ones
 
-Each mutant is applied to a fresh temporary copy of ``src/``, ``tests/`` and
-``pyproject.toml``, whose kill files are then run with pytest.  The report has
-one line per mutant, followed by the tests that failed; the exit status is 0
-when every mutant met its expectation.  Standard library only: pytest runs in
+Each mutant is applied to a fresh temporary copy of ``src/``, ``tests/``,
+``pyproject.toml`` and ``README.md``, whose kill files are then run with
+pytest.  The report has one line per mutant, followed by the tests that
+failed; the exit status is 0 when every mutant met its expectation.  Standard library only: pytest runs in
 the child process.
 """
 
@@ -36,6 +36,7 @@ TEST_DYNAMICS = ("tests/test_dynamics.py",)
 CLI = "src/besicov/cli.py"
 INIT = "src/besicov/__init__.py"
 TEST_IMPORTS = ("tests/test_imports.py",)
+TEST_GOLDEN = ("tests/test_golden.py",)
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,28 @@ MUTANTS = (
         'digits[dps] in "6789"',
         TEST_DYNAMICS,
     ),
+    # the JSON form of results, one rule and three overrides
+    Mutant(
+        "json-fraction-as-p/q",
+        "src/besicov/errors.py",
+        "        return str(value)\n",
+        '        return f"{value.numerator}/{value.denominator}"\n',
+        TEST_GOLDEN,
+    ),
+    Mutant(
+        "json-window-swapped",
+        "src/besicov/audit.py",
+        'd["window"] = [d.pop("window_lo"), d.pop("window_hi")]',
+        'd["window"] = [d.pop("window_hi"), d.pop("window_lo")]',
+        TEST_GOLDEN,
+    ),
+    Mutant(
+        "json-no-passed",
+        "src/besicov/levels.py",
+        'return {**super().as_dict(), "passed": self.passed}',
+        "return super().as_dict()",
+        TEST_GOLDEN,
+    ),
     # import layout: a cold call loads only what its subcommand runs
     Mutant(
         "cli-eager-audit",
@@ -222,7 +245,8 @@ def run(mutant: Mutant) -> tuple[str, list[str]]:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for part in ("pyproject.toml", "README.md"):  # test_golden runs README's examples
+            shutil.copy(ROOT / part, copy)
         target = copy / mutant.file
         text = target.read_text()
         if text.count(mutant.old) != 1:

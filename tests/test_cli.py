@@ -289,6 +289,7 @@ def test_orbit_json_error_bound(capsys):
         ("--alpha-depth", ("eval", "--x", "1/3", "--alpha-depth", "-1")),
         ("--alpha-depth", ("eval", "--x", "1/3", "--alpha-depth", "0")),
         ("--alpha-depth", ("eval", "--x", "1/3", "--alpha-depth", "3")),
+        ("--max-rows", ("target", "--n", "2", "--max-rows", "-1")),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, flag, argv):
@@ -382,14 +383,14 @@ def test_config_takes_null_for_optional_keys(tmp_path, capsys):
 
 def _offered(cmd):
     """The RunConfig fields whose flags ``cmd`` offers."""
-    return [f for f in fields(RunConfig)
-            if f.metadata.get("on") is None or cmd in f.metadata["on"]]
+    return [f for f in fields(RunConfig) if f.metadata.get("reads") is None
+            or cmd in {r.split()[0] for r in f.metadata["reads"]}]
 
 
 def _mode_reads(cmd, mode):
-    """The fields that ``cmd`` offers and, by their ``only``, reads in ``mode``."""
-    return {f.name for f in _offered(cmd)
-            if f.metadata.get("only") is None or mode in f.metadata["only"]} - {"config"}
+    """The fields that ``cmd`` offers and, by their ``reads``, reads in ``mode``."""
+    return {f.name for f in _offered(cmd) if f.metadata.get("reads") is None
+            or {cmd, mode} & set(f.metadata["reads"])} - {"config"}
 
 
 #: Argvs that between them take every branch of a handler that reads a flag,
@@ -421,7 +422,7 @@ _MODE_FLAG_VALUES = {
 
 def test_each_subcommand_offers_the_flags_it_reads():
     """Per subcommand, the offered flags are those some mode reads; per mode,
-    the reads are those its ``only`` declarations name, so an explicit flag,
+    the reads are those its ``reads`` declarations name, so an explicit flag,
     which must be read by the mode (next test), is always read."""
     names = {f.name for f in fields(RunConfig)}
     seen: set = set()
@@ -443,8 +444,8 @@ def test_each_subcommand_offers_the_flags_it_reads():
         assert seen & names == _mode_reads(argv[0], mode), argv
         read[argv[0]] |= seen & names
     assert read == {cmd: {f.name for f in _offered(cmd)} - {"config"} for cmd in COMMANDS}
-    declared = {m for f in fields(RunConfig) for m in f.metadata.get("only") or ()}
-    assert declared <= modes
+    declared = {m for f in fields(RunConfig) for m in f.metadata.get("reads") or ()}
+    assert declared <= modes | set(COMMANDS)
 
 
 @pytest.mark.parametrize("argv", _BRANCHES, ids=" ".join)

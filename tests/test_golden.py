@@ -22,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from besicov import IrrationalSpec, cli, discreteness_scan, gap_bounds_check, make_cocycle
-from besicov import sample_point
+from besicov import (
+    IrrationalSpec, cli, discreteness_scan, gap_bounds_check, make_cocycle, sample_point,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 RESULTS_DIR = GOLDEN / "results"
@@ -86,9 +87,10 @@ def _scan(spec: IrrationalSpec, variant: str, n: int, family: str, m_lo: int, m_
     return discreteness_scan(cspec, path, m_lo, m_hi).as_dict()
 
 
-#: ``as_dict()`` of library results, by slug.  Both scans skip m = 0 and the
-#: m below the first window; alpha = [0; 9, 11, 1, 1, ...] puts q_{k_1+1} = 100
-#: in the mixed scan, so its level-1 bound 100/50 is the integer Fraction 2.
+#: ``as_dict()`` of library results, by slug.  The scans skip m = 0, the m
+#: past the aligned profile's last window and the m below the first mixed one;
+#: alpha = [0; 9, 11, 1, 1, ...] puts q_{k_1+1} = 100 in the mixed scan, so its
+#: level-1 bound 100/50 is the integer Fraction 2.
 RESULTS = {
     "gap-golden": lambda: _gaps("golden"),
     "gap-sqrt2m1": lambda: _gaps("sqrt2m1"),

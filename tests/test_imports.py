@@ -18,9 +18,10 @@ LAZY_MODULES = ("mpmath", "besicov.dynamics", "besicov.dimension", "besicov.cert
 
 #: ``besicov.__all__`` as it was when every submodule was imported eagerly,
 #: less ``children`` and ``level_scalars``, which had no caller,
-#: ``SignPair``: a family is its two-character sign string, and
+#: ``SignPair``: a family is its two-character sign string,
 #: ``RationalBracket``: ``alpha_bracket`` returns the one interval type,
-#: ``cf.Enclosure``.
+#: ``cf.Enclosure``, and ``profile_to_json``/``profile_from_json``, which
+#: only tests called.
 PUBLIC_NAMES = [
     "BoxCountResult", "Certificate", "CocycleSpec", "Convergent", "DigitPath",
     "DimensionBounds", "DivergenceReport", "GapCertificate", "IrrationalSpec",
@@ -32,7 +33,7 @@ PUBLIC_NAMES = [
     "dynamics", "errors", "eval_level", "falconer_bounds", "family_kind",
     "gap_bounds_check", "interval", "level_max", "levels",
     "make_cocycle", "member", "nesting_stats", "nonrecurrence_test", "orbit",
-    "phi", "phi_m", "profile_from_json", "profile_to_json", "sample_point",
+    "phi", "phi_m", "sample_point",
     "select_levels", "sensitivity_probe", "targets", "term", "validate_levels",
     "window",
 ]

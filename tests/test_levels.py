@@ -4,15 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from besicov import (
-    convergent,
-    profile_from_json,
-    profile_to_json,
-    select_levels,
-    validate_levels,
-)
+from besicov import convergent, select_levels, validate_levels
 from besicov.errors import ValidationFailure
-from besicov.levels import LevelParams, Profile, profile_from_dict, profile_to_dict
+from besicov.levels import LevelParams, Profile, profile_to_dict
 
 
 def test_fixed_golden_indices(golden):
@@ -124,21 +118,6 @@ def test_log_growth_reported(greedy_profile):
     assert len(cert.value.split(",")) == greedy_profile.n_max
 
 
-def test_json_round_trip(greedy_profile, tent_profile):
-    for p in (greedy_profile, tent_profile):
-        text = profile_to_json(p)
-        back = profile_from_json(text)
-        assert back == p
-        assert profile_to_json(back) == text
-
-
 def test_json_big_integers_are_strings(greedy_profile):
     d = profile_to_dict(greedy_profile)
     assert all(isinstance(lv["q"], str) for lv in d["levels"])
-
-
-def test_deserialization_rejects_corruption(greedy_profile):
-    d = profile_to_dict(greedy_profile)
-    d["levels"][0]["q"] = str(int(d["levels"][0]["q"]) + 1)
-    with pytest.raises(ValueError):
-        profile_from_dict(d)
