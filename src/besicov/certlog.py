@@ -2,18 +2,23 @@
 
 Dimension bounds are ratios of logarithms of exact rationals.  To keep those
 comparisons decidable, ln is evaluated deterministically with an explicit
-enclosure: write x = m * 2^e with m in [1, 2), expand
-ln m = 2 atanh((m-1)/(m+1)) as its alternating-free odd series (argument in
-[0, 1/3], so the tail is geometrically dominated), and add e times a cached
-enclosure of ln 2.  Everything is Fraction arithmetic on :class:`cf.Enclosure`
-intervals; endpoints are rounded outward on a dyadic grid so the enclosures
-stay small.
+enclosure: write x = m * 2^e with m = p/q in [1, 2), expand
+ln m = 2 atanh(a/b), a = p - q, b = p + q, as the odd series
+sum a^(2i+1) / ((2i+1) b^(2i+1)) (argument in [0, 1/3], so the tail after k
+terms is below the geometric bound a^(2k+1) / ((2k+1) b^(2k-1) (b^2 - a^2))),
+and add e times an enclosure of ln 2.  The partial sums are kept as one
+unreduced integer fraction N/D, D = b^(2k-1) prod_{i<k} (2i+1), so no gcd is
+ever taken (Brent and Zimmermann, *Modern Computer Arithmetic*, 2010, ch. 4);
+the cut-off ``tail < 2^-_TAIL_BITS`` is an integer cross-multiplication, and
+the ends are the series' exact floor and ceil on the 2^-_WORK_BITS grid, to
+which the ends of ln 2 belong.  The `Fraction` form of the same series,
+rounded the same way, is the test oracle ``log_enclosure`` in
+``tests/oracles.py``; both give the same enclosure bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor
 from typing import Union
 
 from .cf import Enclosure
@@ -25,37 +30,26 @@ _WORK_BITS = DEFAULT_REL_BITS + 24
 _TAIL_BITS = _WORK_BITS + 16
 
 
-def outward(enc: Enclosure) -> Enclosure:
-    """Round both ends of ``enc`` outward to the 2^-_WORK_BITS grid."""
-    s = 1 << _WORK_BITS
-    return Enclosure(Fraction(floor(enc.lo * s), s), Fraction(ceil(enc.hi * s), s))
-
-
-def _atanh_enclosure(z: Fraction) -> Enclosure:
-    """Enclosure of atanh(z) for 0 <= z < 1 via the odd power series.
-
-    All omitted terms are positive; the tail after K terms is bounded by the
-    geometric series with ratio z^2, and is cut once below 2^-_TAIL_BITS.
-    """
-    if not 0 <= z < 1:
-        raise ValueError("atanh argument must be in [0, 1)")
-    if z == 0:
-        return Enclosure(Fraction(0), Fraction(0))
-    target = Fraction(1, 1 << _TAIL_BITS)
-    total = Fraction(0)
-    power = z
-    z2 = z * z
-    k = 0
+def _atanh_ends(a: int, b: int) -> tuple[int, int]:
+    """floor and ceil of 2 atanh(a/b) * 2^_WORK_BITS, 0 <= a/b < 1, as the
+    ends of [2 S, 2 (S + tail)] for the first series sum S whose tail bound
+    is below 2^-_TAIL_BITS."""
+    a2, b2, gap = a * a, b * b, b * b - a * a
+    num, den, power, prod, odd = a, b, a, 1, 1
     while True:
-        total += power / (2 * k + 1)
-        power *= z2
-        k += 1
-        tail = power / ((2 * k + 1) * (1 - z2))
-        if tail < target:
-            return Enclosure(total, total + tail)
+        power *= a2
+        prod *= odd
+        odd += 2
+        term, cut = power * prod, den * odd * gap  # the next term is term / (den b^2 odd)
+        if (term << _TAIL_BITS) < cut:  # the tail bound is term / cut
+            break
+        num, den = num * b2 * odd + term, den * b2 * odd
+    scale = _WORK_BITS + 1
+    return (num << scale) // den, -((-(num * odd * gap + term) << scale) // cut)
 
 
-_LN2: Enclosure = outward(_atanh_enclosure(Fraction(1, 3)).scale(2))
+#: ln 2 = 2 atanh(1/3), both ends in units of 2^-_WORK_BITS.
+_LN2: tuple[int, int] = _atanh_ends(1, 3)
 
 
 def log_enclosure(x: Union[int, Fraction]) -> Enclosure:
@@ -66,18 +60,16 @@ def log_enclosure(x: Union[int, Fraction]) -> Enclosure:
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log of a nonpositive value")
-    if x == 1:
-        return Enclosure(Fraction(0), Fraction(0))
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(2) ** e
-    if m >= 2:
-        e += 1
-        m /= 2
-    elif m < 1:
+    p, q = x.numerator, x.denominator
+    e = p.bit_length() - q.bit_length()
+    p, q = p << max(-e, 0), q << max(e, 0)
+    if p < q:
         e -= 1
-        m *= 2
-    z = (m - 1) / (m + 1)
-    enc = outward(_atanh_enclosure(z).scale(2) + _LN2.scale(e))
+        p <<= 1
+    lo, hi = _atanh_ends(p - q, p + q)
+    ln2_lo, ln2_hi = _LN2 if e >= 0 else _LN2[::-1]
+    grid = 1 << _WORK_BITS
+    enc = Enclosure(Fraction(lo + e * ln2_lo, grid), Fraction(hi + e * ln2_hi, grid))
     limit = Fraction(1, 1 << DEFAULT_REL_BITS) * max(abs(enc.lo), abs(enc.hi), Fraction(1, 1 << 20))
     if enc.width > limit:
         raise InvariantBroken("log enclosure wider than requested tolerance")

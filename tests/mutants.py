@@ -13,8 +13,10 @@ selection" (1978).
 Each mutant is applied to a fresh temporary copy of ``src/``, ``tests/``,
 ``pyproject.toml`` and ``README.md``, whose kill files are then run with
 pytest.  The report has one line per mutant, followed by the tests that
-failed; the exit status is 0 when every mutant met its expectation.  Standard library only: pytest runs in
-the child process.
+failed; a kill-file run that has not finished after ``TIMEOUT_S`` seconds is
+stopped and the mutant counted as killed, since a hang fails the suite too.
+The exit status is 0 when every mutant met its expectation.  Standard
+library only: pytest runs in the child process.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ CLI = "src/besicov/cli.py"
 INIT = "src/besicov/__init__.py"
 TEST_IMPORTS = ("tests/test_imports.py",)
 TEST_GOLDEN = ("tests/test_golden.py",)
+#: Longer than any kill file's unmutated run.
+TIMEOUT_S = 120
+CERTLOG = "src/besicov/certlog.py"
+TEST_DIMENSION = ("tests/test_dimension.py",)
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,28 @@ MUTANTS = (
         'digits[dps] in "6789"',
         TEST_DYNAMICS,
     ),
+    # the log enclosures' unreduced integer series and its outward ends
+    Mutant(
+        "log-denominator-drops-odd",
+        CERTLOG,
+        "term, den * b2 * odd\n",
+        "term, den * b2\n",
+        TEST_DIMENSION,
+    ),
+    Mutant(
+        "log-upper-end-floored",
+        CERTLOG,
+        "-((-(num * odd * gap + term) << scale) // cut)",
+        "((num * odd * gap + term) << scale) // cut",
+        TEST_DIMENSION,
+    ),
+    Mutant(
+        "log-ln2-ends-unswapped",
+        CERTLOG,
+        "_LN2 if e >= 0 else _LN2[::-1]",
+        "_LN2",
+        TEST_DIMENSION,
+    ),
     # the JSON form of results, one rule and three overrides
     Mutant(
         "json-fraction-as-p/q",
@@ -252,12 +280,15 @@ def run(mutant: Mutant) -> tuple[str, list[str]]:
         if text.count(mutant.old) != 1:
             return "error", []
         target.write_text(text.replace(mutant.old, mutant.new))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-             *mutant.kills],
-            cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
-            capture_output=True, text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                 *mutant.kills],
+                cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
+                capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return "killed", [f"(no result after {TIMEOUT_S} s)"]
     failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
     return {0: "survived", 1: "killed"}.get(proc.returncode, "error"), failed
 

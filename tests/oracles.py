@@ -6,12 +6,18 @@ arithmetic of its argument.  In Fractions the pair checks the cocycle's
 integer-lattice kernel; fed an mpf, it is the orbit lane's former evaluator,
 and :func:`t_values` replays that lane so that :mod:`besicov.dynamics` can be
 held to the same bits.  The library defines and imports neither name.
+
+:func:`log_enclosure` is the `Fraction` form of :mod:`besicov.certlog`'s
+series: each partial sum reduced, the tail bound compared as a `Fraction`,
+and the ends rounded outward to the same grid afterwards.
 """
 
 from fractions import Fraction
+from math import ceil, floor
 
 from mpmath import mpf
 
+from besicov.certlog import _TAIL_BITS, _WORK_BITS, Enclosure
 from besicov.cocycle import level_max
 from besicov.levels import LevelParams
 
@@ -68,3 +74,46 @@ def t_values(cspec, x0: Fraction, steps: int):
     for _ in range(steps):
         x = (x + cspec.alpha_hat) % 1
         yield x, fiber(x) - base
+
+
+def outward(enc: Enclosure) -> Enclosure:
+    """Round both ends of ``enc`` outward to the 2^-_WORK_BITS grid."""
+    s = 1 << _WORK_BITS
+    return Enclosure(Fraction(floor(enc.lo * s), s), Fraction(ceil(enc.hi * s), s))
+
+
+def atanh_enclosure(z: Fraction) -> Enclosure:
+    """[S, S + tail] for atanh(z), 0 <= z < 1: S the first sum of the odd
+    series whose geometric tail bound z^(2k+1) / ((2k+1)(1 - z^2)) is below
+    2^-_TAIL_BITS."""
+    if z == 0:
+        return Enclosure(Fraction(0), Fraction(0))
+    target = Fraction(1, 1 << _TAIL_BITS)
+    total = Fraction(0)
+    power = z
+    z2 = z * z
+    k = 0
+    while True:
+        total += power / (2 * k + 1)
+        power *= z2
+        k += 1
+        tail = power / ((2 * k + 1) * (1 - z2))
+        if tail < target:
+            return Enclosure(total, total + tail)
+
+
+LN2 = outward(atanh_enclosure(Fraction(1, 3)).scale(2))
+
+
+def log_enclosure(x: Fraction) -> Enclosure:
+    """ln x for x > 0: x = m 2^e with m in [1, 2), 2 atanh((m - 1)/(m + 1))
+    plus e times :data:`LN2`, rounded outward."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    m = x / Fraction(2) ** e
+    if m >= 2:
+        e += 1
+        m /= 2
+    elif m < 1:
+        e -= 1
+        m *= 2
+    return outward(atanh_enclosure((m - 1) / (m + 1)).scale(2) + LN2.scale(e))

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from besicov import box_count, dimension, falconer_bounds, nesting_stats, select_levels
+from besicov import box_count, certlog, dimension, falconer_bounds, nesting_stats, select_levels
 from besicov.certlog import Enclosure, log_enclosure
 from besicov.errors import EnumerationCapExceeded
+
+import oracles
 
 
 def mp_ln(x: Fraction) -> Fraction:
@@ -32,6 +35,38 @@ def test_ln2_enclosure():
     # a power of two is e times the cached ln 2 enclosure and no series term
     enc = log_enclosure(Fraction(2**40))
     assert enc.lo <= 40 * mp_ln(Fraction(2)) <= enc.hi
+
+
+def test_ln2_matches_oracle():
+    lo, hi = certlog._LN2
+    grid = 1 << certlog._WORK_BITS
+    assert Enclosure(Fraction(lo, grid), Fraction(hi, grid)) == oracles.LN2
+
+
+@st.composite
+def _log_inputs(draw):
+    """x > 0: numerator and denominator of up to 3000 bits, or x < 1, or
+    x = m 2^e with m = 1 (z = 0), m just above 1 (z tiny) or m just below 2
+    (z near 1/3)."""
+    kind = draw(st.sampled_from(["wide", "below-one", "power", "above-one", "below-two"]))
+    if kind == "wide":
+        return Fraction(draw(st.integers(1, 2**3000)), draw(st.integers(1, 2**3000)))
+    if kind == "below-one":
+        q = draw(st.integers(2, 2**3000))
+        return Fraction(draw(st.integers(1, q - 1)), q)
+    e = draw(st.integers(-3000, 3000))
+    if kind == "power":
+        return Fraction(2) ** e
+    q, d = draw(st.integers(17, 2**3000)), draw(st.integers(1, 16))
+    return Fraction(q + d if kind == "above-one" else 2 * q - d, q) * Fraction(2) ** e
+
+
+@settings(max_examples=60, deadline=None)
+@given(_log_inputs())
+def test_log_enclosure_matches_fraction_series(x):
+    """The unreduced integer series gives the reduced Fraction series'
+    enclosure bit for bit."""
+    assert log_enclosure(x) == oracles.log_enclosure(x)
 
 
 def test_enclosure_arithmetic():
