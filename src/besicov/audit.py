@@ -342,6 +342,8 @@ def audit(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport:
 
 @dataclass
 class ScanEntry(Result):
+    """Exact |phi_m| at the scanned point for one iterate count m, and m's window."""
+
     m: int
     n_of_m: int
     abs_total: Fraction

@@ -9,10 +9,10 @@ between m_n and mbar_n level-n intervals, where in closed form
     m_n    >= A_n q_{k_n} / (12 A_{n-1} q_{k_{n-1}}),
     mbar_n <= A_n q_{k_n} / ( 6 A_{n-1} q_{k_{n-1}}),
 
-and measured counts come from the exact containment scan: the children of
-each parent form one lifted index range (``targets.child_span``), so a count
-is an integer ceil and floor per parent, never a list of children.  Box
-counting is integer arithmetic as well: with interval j = [(12j + L)/(12C),
+and measured counts are the least and greatest ``targets.child_span`` count
+over all parents, found in closed form (``_count_range``) with O(1) integer
+work per level, never a scan of the parents.  Box counting is integer
+arithmetic as well: with interval j = [(12j + L)/(12C),
 (12j + H)/(12C)], its grid cells are floor((12j + L) g / 12C) ..
 floor((12j + H) g / 12C), merged in one pass in j.  The nested-family
 criterion then sandwiches the Hausdorff dimension between
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import gcd, log
 from typing import Optional
 
 from .certlog import DEFAULT_REL_BITS, log_enclosure
@@ -39,8 +39,8 @@ from .errors import EnumerationCapExceeded, InvariantBroken
 from .levels import Profile
 from .targets import TWELFTHS, canonical_family, child_span
 
-#: Most intervals one level may hold for a measured count or a box count, and
-#: the divisors of the requested grid that box counting uses.
+#: Most intervals a box-counted level may hold, and the divisors of the
+#: requested grid that box counting uses.
 DEFAULT_ENUM_CAP = 500_000
 BOX_LADDER = (8, 4, 2, 1)
 
@@ -61,6 +61,7 @@ class NestingRow:
 
 @dataclass(frozen=True)
 class NestingStats:
+    """Per-level nesting rows of one profile and family, in formula or measured mode."""
     profile_alpha: str
     family: str
     mode: str
@@ -82,6 +83,31 @@ class NestingStats:
         return r.mbar_formula
 
 
+def _span(r: int, c: int, c1: int, family: str) -> tuple[int, int]:
+    """``child_span`` of parent j less q, where j C' = q C + r, C = c, C' = c1."""
+    lo, hi = TWELFTHS[family]
+    d, den = c1 - c, 12 * c
+    return -((-12 * r - lo * d) // den), (12 * r + hi * d) // den
+
+
+def _count_range(c: int, c1: int, family: str) -> tuple[int, int]:
+    """Least and greatest child count over the C = c parents, in O(1): r runs
+    over the multiples of g = gcd(C, C') in [0, C - g], where each end of
+    ``_span`` steps up at most once (12r < 12C), so the count is constant on
+    at most three runs of r, each ending at C - g or one multiple of g before
+    a step."""
+    lo, hi = TWELFTHS[family]
+    g, den = gcd(c, c1), 12 * c
+    ends = {c - g}
+    # floor((12r + k)/12C) steps up at the least r = 0 mod g with 12r >= 12C - k mod 12C
+    for k in (hi * (c1 - c), lo * (c1 - c) + den - 1):  # ceil(x/12C) = floor((x + 12C - 1)/12C)
+        step = -((k % den - den) // (12 * g)) * g
+        if step <= c - g:
+            ends.add(step - g)
+    counts = [jmax - jmin + 1 for jmin, jmax in (_span(r, c, c1, family) for r in ends)]
+    return min(counts), max(counts)
+
+
 def nesting_stats(
     profile: Profile,
     mode: str = "formula",
@@ -89,11 +115,11 @@ def nesting_stats(
 ) -> NestingStats:
     """delta/eps per level plus child-count data per transition.
 
-    formula mode uses the exact closed forms above; measured mode runs the
-    containment scan over every parent, refusing (EnumerationCapExceeded)
-    rather than truncating when a level holds more than DEFAULT_ENUM_CAP.
-    Measured counts must land in [m_formula, mbar_formula + 1]; the +1 slack
-    comes from counting boundary-touching children as contained.
+    formula mode uses the exact closed forms above; measured mode takes the
+    least and greatest child count over every parent from ``_count_range`` at
+    any depth, after checking ``child_span`` of parent 0 against the closed
+    form.  Measured counts must land in [m_formula, mbar_formula + 1]; the +1
+    slack comes from counting boundary-touching children as contained.
     """
     if mode not in ("formula", "measured"):
         raise ValueError("mode must be 'formula' or 'measured'")
@@ -113,18 +139,9 @@ def nesting_stats(
         mbar_f = Fraction(cells, 6 * prev.cell_count)
         m_meas = mbar_meas = None
         if mode == "measured":
-            if prev.cell_count > DEFAULT_ENUM_CAP:
-                raise EnumerationCapExceeded(
-                    f"level {n - 1} has {prev.cell_count} intervals > cap {DEFAULT_ENUM_CAP}"
-                )
-            m_meas, mbar_meas = cells, 0
-            for j in range(prev.cell_count):
-                jmin, jmax = child_span(profile, fam, n - 1, j)
-                count = jmax - jmin + 1
-                if count < m_meas:
-                    m_meas = count
-                if count > mbar_meas:
-                    mbar_meas = count
+            if child_span(profile, fam, n - 1, 0) != _span(0, prev.cell_count, cells, fam):
+                raise InvariantBroken(f"child_span of level {n - 1} interval 0 != closed form")
+            m_meas, mbar_meas = _count_range(prev.cell_count, cells, fam)
             if not (m_f <= m_meas and m_meas <= mbar_meas <= mbar_f + 1):
                 raise InvariantBroken(
                     f"measured counts [{m_meas}, {mbar_meas}] escape the "
@@ -152,6 +169,7 @@ def nesting_stats(
 
 @dataclass(frozen=True)
 class DimensionRow:
+    """Certified nested and closed-form dimension bounds at level n."""
     n: int
     lower: Optional[Enclosure]
     upper: Optional[Enclosure]
@@ -161,6 +179,7 @@ class DimensionRow:
 
 @dataclass(frozen=True)
 class DimensionBounds:
+    """The dimension rows for n = 2 .. n_max of one ``NestingStats``."""
     mode: str
     rel_bits: int
     rows: tuple[DimensionRow, ...]
@@ -209,6 +228,7 @@ def falconer_bounds(stats: NestingStats) -> DimensionBounds:
 
 @dataclass(frozen=True)
 class BoxCountResult:
+    """Occupied-cell counts per grid for one level-n union, and their log-log slope."""
     family: str
     n: int
     counts: tuple[tuple[int, int], ...]  # (grid, occupied cells)

@@ -360,6 +360,8 @@ def coverage(record: OrbitRecord, box_height: float, grid: int) -> float:
 
 @dataclass
 class ProbeResult(Result):
+    """One float-lane probe: its inputs, outcome, witness if any, and the orbit error bound."""
+
     kind: str
     params: dict
     outcome: str

@@ -171,6 +171,8 @@ class Certificate(Result):
 
 @dataclass
 class ValidationReport(Result):
+    """Every growth-condition certificate of a profile; only binding ones decide."""
+
     certificates: list[Certificate] = field(default_factory=list)
 
     @property

@@ -13,10 +13,10 @@ so interval j is [(12j + L)/(12 C_n), (12j + H)/(12 C_n)] and its center is
 (24j + L + H)/(24 C_n).  Every count, containment and grid cell over these
 intervals is therefore an integer floor or ceil: ``child_span`` gives the
 level-(n+1) children of one interval as a lifted index range, and it is the
-one nesting test, for the counting paths (child picks, measured nesting, box
-counting) and for the caller-supplied digit paths ``sample_point``
-re-certifies alike.  Only ``interval`` and the interval tables build the
-endpoints as ``Fraction``s.
+one nesting test, for child picks and for the caller-supplied digit paths
+``sample_point`` re-certifies alike; measured nesting counts hold their closed
+form to it.  Only ``interval`` and the interval tables build the endpoints as
+``Fraction``s.
 
 The j = 0 interval of "++" straddles 0 and is kept as a single wrapped
 interval on the circle, so counting and membership treat the circle metric
@@ -106,6 +106,8 @@ def member_level(
 
 @dataclass(frozen=True)
 class MemberResult:
+    """Membership of x level by level, with the first failing level if any."""
+
     ok: bool
     first_fail: Optional[int]
     entries: tuple[tuple[int, Fraction], ...]  # (j, reduction) per level

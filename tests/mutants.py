@@ -43,6 +43,8 @@ TEST_GOLDEN = ("tests/test_golden.py",)
 TIMEOUT_S = 120
 CERTLOG = "src/besicov/certlog.py"
 TEST_DIMENSION = ("tests/test_dimension.py",)
+DIMENSION = "src/besicov/dimension.py"
+TEST_COUNTS = TEST_DIMENSION + ("tests/test_lattice.py",)
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,35 @@ MUTANTS = (
         "_LN2 if e >= 0 else _LN2[::-1]",
         "_LN2",
         TEST_DIMENSION,
+    ),
+    # measured child counts: the closed form over r = j C' mod C, and child_span
+    Mutant(
+        "count-range-no-last-end",
+        DIMENSION,
+        "ends = {c - g}",
+        "ends = {0}",
+        TEST_COUNTS,
+    ),
+    Mutant(
+        "count-range-steps-by-c",
+        DIMENSION,
+        "step = -((k % den - den) // (12 * g)) * g",
+        "step = -((k % den - den) // (12 * c)) * c",
+        TEST_COUNTS,
+    ),
+    Mutant(
+        "count-range-step-floored",
+        DIMENSION,
+        "step = -((k % den - den) // (12 * g)) * g",
+        "step = (den - k % den) // (12 * g) * g",
+        TEST_COUNTS,
+    ),
+    Mutant(
+        "child-span-ceil-floored",
+        "src/besicov/targets.py",
+        "jmin = -((lo * c - a) // (12 * c))",
+        "jmin = (a - lo * c) // (12 * c)",
+        TEST_COUNTS,
     ),
     # the JSON form of results, one rule and three overrides
     Mutant(

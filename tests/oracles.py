@@ -10,16 +10,22 @@ held to the same bits.  The library defines and imports neither name.
 :func:`log_enclosure` is the `Fraction` form of :mod:`besicov.certlog`'s
 series: each partial sum reduced, the tail bound compared as a `Fraction`,
 and the ends rounded outward to the same grid afterwards.
+
+:func:`child_count_range` scans every parent's
+:func:`besicov.targets.child_span`: the reference for the closed-form
+measured counts of :func:`besicov.nesting_stats`.
 """
 
 from fractions import Fraction
 from math import ceil, floor
+from types import SimpleNamespace
 
 from mpmath import mpf
 
 from besicov.certlog import _TAIL_BITS, _WORK_BITS, Enclosure
 from besicov.cocycle import level_max
 from besicov.levels import LevelParams
+from besicov.targets import child_span
 
 
 def unit_position(level: LevelParams, x: Fraction) -> Fraction:
@@ -117,3 +123,22 @@ def log_enclosure(x: Fraction) -> Enclosure:
         e -= 1
         m *= 2
     return outward(atanh_enclosure((m - 1) / (m + 1)).scale(2) + LN2.scale(e))
+
+
+def lattice_profile(*cell_counts: int) -> SimpleNamespace:
+    """A stand-in profile whose level n holds ``cell_counts[n - 1]`` intervals:
+    all that :func:`child_span` reads of a profile."""
+    levels = [SimpleNamespace(cell_count=c) for c in cell_counts]
+    return SimpleNamespace(n_max=len(levels), level=lambda n: levels[n - 1])
+
+
+def child_count_range(profile, family: str, n: int) -> tuple[int, int]:
+    """Least and greatest child count of a level-(n - 1) interval, scanning
+    every parent's :func:`child_span`."""
+    counts = [
+        jmax - jmin + 1
+        for jmin, jmax in (
+            child_span(profile, family, n - 1, j) for j in range(profile.level(n - 1).cell_count)
+        )
+    ]
+    return min(counts), max(counts)

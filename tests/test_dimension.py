@@ -9,6 +9,7 @@ from mpmath import mp
 from besicov import box_count, certlog, dimension, falconer_bounds, nesting_stats, select_levels
 from besicov.certlog import Enclosure, log_enclosure
 from besicov.errors import EnumerationCapExceeded
+from besicov.targets import FAMILIES
 
 import oracles
 
@@ -88,18 +89,45 @@ def test_delta_eps_laws(greedy_profile):
         assert r.eps == Fraction(5, 6 * cells) > r.eps_weak == Fraction(1, 2 * cells)
 
 
-def test_measured_counts_sandwich(golden):
-    p3 = select_levels(golden, "greedy", "main", 3)
-    stats = nesting_stats(p3, "measured")
+def test_measured_counts_sandwich(greedy_profile):
+    # greedy golden main n = 6: levels 4 and 5 hold 8.9e6 and 3.2e8 parents
+    stats = nesting_stats(greedy_profile, "measured")
     for r in stats.rows[1:]:
         assert (r.m_measured, r.mbar_measured) == (5, 6)
         assert r.m_formula <= r.m_measured <= r.mbar_measured <= r.mbar_formula + 1
 
 
-def test_enumeration_cap(greedy_profile, monkeypatch):
+def test_measured_counts_ignore_the_cap(golden, sqrt2m1, monkeypatch):
+    """Measured counts scan no parents, so a cap of 100 intervals, which box
+    counting still enforces, leaves them equal to the per-parent scan."""
     monkeypatch.setattr(dimension, "DEFAULT_ENUM_CAP", 100)
-    with pytest.raises(EnumerationCapExceeded, match="cap 100"):
-        nesting_stats(greedy_profile, "measured")
+    for profile in (
+        select_levels(golden, "greedy", "main", 3), select_levels(sqrt2m1, "fixed", "main", 2)
+    ):
+        for family in FAMILIES:
+            stats = nesting_stats(profile, "measured", family)
+            for n in range(2, profile.n_max + 1):
+                row = stats.row(n)
+                assert (row.m_measured, row.mbar_measured) == oracles.child_count_range(
+                    profile, family, n
+                )
+        with pytest.raises(EnumerationCapExceeded, match="cap 100"):
+            box_count(profile, "++", profile.n_max, 1000)
+
+
+def test_measured_lower_bounds_beat_formula_on_fixed(golden, sqrt2m1):
+    """Fixed main profiles hold up to 10^134 (golden) and 10^247 (sqrt2m1)
+    parents a level by n = 10; the measured counts lift the certified nested
+    lower bound above the formula's at every n."""
+    for spec in (golden, sqrt2m1):
+        profile = select_levels(spec, "fixed", "main", 10)
+        measured = falconer_bounds(nesting_stats(profile, "measured"))
+        formula = falconer_bounds(nesting_stats(profile, "formula"))
+        pairs = [(m, f) for m, f in zip(measured.rows, formula.rows, strict=True)
+                 if m.lower is not None]
+        assert [m.n for m, _ in pairs] == list(range(2, 10))
+        for m, f in pairs:
+            assert m.lower.lo >= f.lower.hi, (spec.name, m.n)
 
 
 def test_nested_bounds_ordered_for_greedy(greedy_profile):

@@ -4,7 +4,9 @@
 and center of a sampled digit path work on integer twelfths of a period.  Each
 is checked here against a scan over ``interval()`` endpoints with the local
 ``_circle_contained``, ``(a + b)/2`` or ``floor(a * g)``, which builds every
-interval as exact rationals and shares none of that arithmetic.
+interval as exact rationals and shares none of that arithmetic.  The closed
+form of the measured counts is also held to a ``child_span`` scan of every
+parent on random cell counts.
 """
 
 import random
@@ -27,9 +29,11 @@ from besicov import (
     targets,
 )
 from besicov.cli import parse_alpha
-from besicov.dimension import _occupied_cells
+from besicov.dimension import _count_range, _occupied_cells
 from besicov.errors import IndexOutOfRange, InvalidDigitPath
 from besicov.targets import FAMILIES, child_span, pick_child
+
+import oracles
 
 ALPHAS = ("golden", "sqrt2m1", "quotients=1,2")
 VARIANTS = ("main", "tent")
@@ -100,6 +104,30 @@ def test_measured_nesting_matches_oracle(alpha, variant, n):
             counts = list(_oracle_counts(profile, family, level))
             row = stats.row(level)
             assert (row.m_measured, row.mbar_measured) == (min(counts), max(counts))
+
+
+@st.composite
+def _lattice_sizes(draw):
+    """(C, C'): any sizes, C' a multiple of C, or both multiples of some g > 1,
+    so that r = j C' mod C steps by g over few grid points."""
+    kind = draw(st.sampled_from(["any", "multiple", "common-factor"]))
+    if kind == "any":
+        return draw(st.integers(1, 1000)), draw(st.integers(1, 10**7))
+    if kind == "multiple":
+        c = draw(st.integers(1, 1000))
+        return c, c * draw(st.integers(1, 10**4))
+    g = draw(st.integers(2, 60))
+    return g * draw(st.integers(1, 16)), g * draw(st.integers(1, 10**5))
+
+
+@given(sizes=_lattice_sizes(), family=st.sampled_from(FAMILIES))
+@settings(max_examples=400, deadline=None)
+def test_count_range_matches_scan(sizes, family):
+    """The closed-form least and greatest child count equal the scan of every
+    parent's ``child_span``, with C' below C, above it or a multiple of it."""
+    c, c1 = sizes
+    profile = oracles.lattice_profile(c, c1)
+    assert _count_range(c, c1, family) == oracles.child_count_range(profile, family, 2)
 
 
 def _oracle_cells(intervals, grid):
