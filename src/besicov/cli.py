@@ -26,7 +26,7 @@ import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
+from typing import TYPE_CHECKING, Optional
 
 from .errors import BesicovError, InvariantBroken, ValidationFailure
 
@@ -521,8 +521,13 @@ COMMANDS = {
     "probe": (cmd_probe, "chaos diagnostics"),
 }
 
-#: Allowed Python types of each RunConfig field (Optional[int] allows int and None).
-_TYPES = {key: get_args(hint) or (hint,) for key, hint in get_type_hints(RunConfig).items()}
+#: Allowed Python types of each RunConfig annotation (Optional[int] allows int
+#: and None).  Read from the annotation's text rather than through
+#: ``typing.get_type_hints``, which evaluates it in ``sys.modules[__module__]``:
+#: that is another module when runpy runs this one as ``__main__``.
+_HINTS = {"bool": (bool,), "int": (int,), "str": (str,),
+          "Optional[int]": (int, type(None)), "Optional[str]": (str, type(None))}
+_TYPES = {f.name: _HINTS[f.type] for f in fields(RunConfig)}
 _JSON_NAMES = {bool: "true/false", int: "an integer", str: "a string", type(None): "null"}
 _CHOICES = {f.name: f.metadata.get("choices") for f in fields(RunConfig)}
 _LEAST = {f.name: f.metadata.get("least") for f in fields(RunConfig)}

@@ -13,9 +13,11 @@ and measured counts are the least and greatest ``targets.child_span`` count
 over all parents, found in closed form (``_count_range``) with O(1) integer
 work per level, never a scan of the parents.  Box counting is integer
 arithmetic as well: with interval j = [(12j + L)/(12C),
-(12j + H)/(12C)], its grid cells are floor((12j + L) g / 12C) ..
-floor((12j + H) g / 12C), merged in one pass in j.  The nested-family
-criterion then sandwiches the Hausdorff dimension between
+(12j + H)/(12C)], its grid cells are s_j = floor((12j + L) g / 12C) ..
+t_j = floor((12j + H) g / 12C), and the occupied cells are the span from the
+first cell to the last less the cells the gaps skip, whose sums over j are
+floor sums in O(log) steps each, never a loop over the C intervals.  The
+nested-family criterion then sandwiches the Hausdorff dimension between
 
     log(m_2 ... m_n) / -log(m_{n+1} eps_{n+1})   and
     log(mbar_2 ... mbar_n) / -log(delta_{n+1}),
@@ -235,30 +237,60 @@ class BoxCountResult:
     slope: float
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a i + b) / m) over 0 <= i < n, for a, b >= 0 and m > 0.
+
+    Euclid's reduction (Graham, Knuth and Patashnik, *Concrete Mathematics*,
+    ch. 3): the whole quotients of a/m and b/m carry out in closed form, and
+    with a, b < m the sum counts the lattice points under the line, which
+    recounted along the other axis is a floor sum with (m, a) swapped, so the
+    moduli fall as in Euclid's algorithm.
+    """
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += n * (n - 1) // 2 * qa + n * qb
+        y = a * n + b
+        if y < m:
+            return total
+        n, b = divmod(y, m)
+        m, a = a, m
+
+
 def _occupied_cells(profile: Profile, family: str, n: int, grid: int) -> int:
     """Exact number of width-1/grid cells meeting the level-n union.
 
     Cell i is the half-open [i/g, (i+1)/g); it meets the closed interval
     [(12j + L)/(12C), (12j + H)/(12C)] exactly when
-    floor((12j + L) g / 12C) <= i <= floor((12j + H) g / 12C).  Both ends are
-    nondecreasing in j, so one pass in j merges the runs, counting only the
-    cells above the highest one counted so far.  Only the "++" interval
-    j = 0 reaches below cell 0; those cells fold onto the top of the circle,
-    where they start no lower than any other run, so they merge last.
+    s_j = floor((12j + L) g / 12C) <= i <= t_j = floor((12j + H) g / 12C).
+    Both ends are nondecreasing in j and t_{C-1} < g, so the union of the
+    runs is every cell from max(s_0, 0) to t_{C-1} but those strictly inside
+    a gap, max(0, s_j - t_{j-1} - 1) for j = 1 .. C - 1.  The starts run
+    10g/12C past the previous stops: below one cell (10g < 12C) no gap holds
+    a whole cell, and from one cell up every term is at least 0, so the
+    skipped cells are sum s_j - sum t_{j-1} - (C - 1), two floor sums.
+
+    Only the "++" interval j = 0 reaches below cell 0; its -s_0 cells there
+    fold onto the top of the circle, g + s_0 .. g - 1.  They are new unless
+    t_{C-1} = g - 1: with s_0 = -ceil(g/12C) and t_{C-1} = g - ceil(11g/12C),
+    for 11g > 12C the fold starts above t_{C-1}, and for 11g <= 12C
+    t_{C-1} = g - 1 already reaches the top.
     """
     lo, hi = TWELFTHS[family]
     cells = profile.level(n).cell_count
     den = 12 * cells
-    total, top = 0, -1
-    for j in range(cells):
-        start = (12 * j + lo) * grid // den
-        stop = (12 * j + hi) * grid // den
-        if stop > top:
-            total += stop - max(start, top + 1) + 1
-            top = stop
-    below = lo * grid // den  # < 0 only when the j = 0 interval straddles 0
-    if below < 0 and grid - 1 > top:
-        total += grid - max(grid + below, top + 1)
+    below = lo * grid // den  # s_0, < 0 only when the j = 0 interval straddles 0
+    top = (den - 12 + hi) * grid // den  # t_{C-1}
+    total = top - max(below, 0) + 1
+    if 10 * grid >= den:
+        total -= (
+            _floor_sum(cells - 1, den, 12 * grid, (12 + lo) * grid)
+            - _floor_sum(cells - 1, den, 12 * grid, hi * grid)
+            - (cells - 1)
+        )
+    if below < 0 and top < grid - 1:
+        total -= below
     return total
 
 

@@ -220,6 +220,61 @@ MUTANTS = (
         "step = (den - k % den) // (12 * g) * g",
         TEST_COUNTS,
     ),
+    # box counting: the floor-sum kernel's carries, the gap branch, the fold
+    Mutant(
+        "floor-sum-a-carry-n-plus-one",
+        DIMENSION,
+        "total += n * (n - 1) // 2 * qa + n * qb",
+        "total += n * (n + 1) // 2 * qa + n * qb",
+        TEST_COUNTS,
+    ),
+    Mutant(
+        "floor-sum-b-carry-n-less-one",
+        DIMENSION,
+        "total += n * (n - 1) // 2 * qa + n * qb",
+        "total += n * (n - 1) // 2 * qa + (n - 1) * qb",
+        TEST_COUNTS,
+    ),
+    Mutant(
+        "box-gaps-always-subtracted",
+        DIMENSION,
+        "    if 10 * grid >= den:\n",
+        "    if True:\n",
+        TEST_COUNTS,
+    ),
+    Mutant(
+        "box-gaps-from-one-interval-per-cell",
+        DIMENSION,
+        "    if 10 * grid >= den:\n",
+        "    if 12 * grid >= den:\n",
+        TEST_COUNTS,
+    ),
+    Mutant(
+        "box-gaps-strict",
+        DIMENSION,
+        "    if 10 * grid >= den:\n",
+        "    if 10 * grid > den:\n",
+        TEST_COUNTS,
+        equivalent="at 10g = 12C each start s_j lies exactly one cell past t_{j-1}, so "
+        "every gap skips s_j - t_{j-1} - 1 = 0 cells and the sums give 0 too",
+    ),
+    Mutant(
+        "box-fold-overlap-term",
+        DIMENSION,
+        "        total -= below\n",
+        "        total += grid - max(grid + below, top + 1)\n",
+        TEST_COUNTS,
+        equivalent="the fold runs only when t_{C-1} < g - 1, that is 11g > 12C, and "
+        "then g + s_0 = g - ceil(g/12C) > g - ceil(11g/12C) = t_{C-1}, so the "
+        "max is g + s_0 and the term is -s_0",
+    ),
+    Mutant(
+        "box-fold-dropped",
+        DIMENSION,
+        "        total -= below\n",
+        "        pass\n",
+        TEST_COUNTS,
+    ),
     Mutant(
         "child-span-ceil-floored",
         "src/besicov/targets.py",
@@ -253,8 +308,8 @@ MUTANTS = (
     Mutant(
         "cli-eager-audit",
         CLI,
-        "from typing import TYPE_CHECKING, Optional, get_args, get_type_hints\n",
-        "from typing import TYPE_CHECKING, Optional, get_args, get_type_hints\n"
+        "from typing import TYPE_CHECKING, Optional\n",
+        "from typing import TYPE_CHECKING, Optional\n"
         "from .audit import audit as run_audit\n",
         TEST_IMPORTS,
     ),

@@ -14,6 +14,11 @@ and the ends rounded outward to the same grid afterwards.
 :func:`child_count_range` scans every parent's
 :func:`besicov.targets.child_span`: the reference for the closed-form
 measured counts of :func:`besicov.nesting_stats`.
+
+:func:`occupied_cells` merges every interval's run of grid cells in one pass
+and :func:`occupied_cells_by_cell` asks of each cell which interval could
+reach it: two references for the floor-sum count of
+:func:`besicov.dimension._occupied_cells`, in O(C) and in O(grid).
 """
 
 from fractions import Fraction
@@ -25,7 +30,7 @@ from mpmath import mpf
 from besicov.certlog import _TAIL_BITS, _WORK_BITS, Enclosure
 from besicov.cocycle import level_max
 from besicov.levels import LevelParams
-from besicov.targets import child_span
+from besicov.targets import TWELFTHS, child_span
 
 
 def unit_position(level: LevelParams, x: Fraction) -> Fraction:
@@ -142,3 +147,44 @@ def child_count_range(profile, family: str, n: int) -> tuple[int, int]:
         )
     ]
     return min(counts), max(counts)
+
+
+def occupied_cells(profile, family: str, n: int, grid: int) -> int:
+    """Cells of width 1/grid meeting the level-n union, one pass over the
+    intervals: interval j covers cells floor((12j + L) g / 12C) ..
+    floor((12j + H) g / 12C), and each run counts only the cells above the
+    highest one counted so far.  Only the "++" interval j = 0 reaches below
+    cell 0; those cells fold onto the top of the circle, where they start no
+    lower than any other run, so they merge last."""
+    lo, hi = TWELFTHS[family]
+    cells = profile.level(n).cell_count
+    den = 12 * cells
+    total, top = 0, -1
+    for j in range(cells):
+        start = (12 * j + lo) * grid // den
+        stop = (12 * j + hi) * grid // den
+        if stop > top:
+            total += stop - max(start, top + 1) + 1
+            top = stop
+    below = lo * grid // den
+    if below < 0 and grid - 1 > top:
+        total += grid - max(grid + below, top + 1)
+    return total
+
+
+def occupied_cells_by_cell(profile, family: str, n: int, grid: int) -> int:
+    """The same count cell by cell, at any depth: the intervals reaching up to
+    cell i are j >= j* = ceil((12C i - H g) / 12g), and since their starts rise
+    with j, cell i is hit iff j* < C and interval j* starts at or below i.  The
+    "++" interval j = 0 also hits the cells it reaches below 0, from
+    floor(L g / 12C) up, folded onto the top of the circle."""
+    lo, hi = TWELFTHS[family]
+    cells = profile.level(n).cell_count
+    den = 12 * cells
+    wrap = max(0, -(lo * grid // den))
+    hit = 0
+    for i in range(grid):
+        j = max(0, -((hi * grid - den * i) // (12 * grid)))
+        if j < cells and (12 * j + lo) * grid // den <= i or i >= grid - wrap:
+            hit += 1
+    return hit

@@ -10,7 +10,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,6 +305,24 @@ def _cold(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(besicov.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "besicov.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_flag_types_follow_the_annotations():
+    hints = get_type_hints(RunConfig)
+    assert cli._TYPES == {key: get_args(hint) or (hint,) for key, hint in hints.items()}
+
+
+def test_runpy_main_prints_what_main_prints(capsys):
+    """Run as ``__main__`` through runpy, whose ``sys.modules['__main__']`` is
+    the calling script, the module still builds its flag table."""
+    argv = ["cf", "--upto", "3"]
+    env = dict(os.environ, PYTHONPATH=str(Path(besicov.__file__).parents[1]))
+    code = "import runpy; runpy.run_module('besicov.cli', run_name='__main__')"
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, env=env, timeout=60)
+    assert main(argv) == 0
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 @pytest.mark.parametrize(

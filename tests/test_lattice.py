@@ -6,7 +6,8 @@ is checked here against a scan over ``interval()`` endpoints with the local
 ``_circle_contained``, ``(a + b)/2`` or ``floor(a * g)``, which builds every
 interval as exact rationals and shares none of that arithmetic.  The closed
 form of the measured counts is also held to a ``child_span`` scan of every
-parent on random cell counts.
+parent on random cell counts, and the floor-sum box count to a merge over
+every interval on random cell counts and to a cell-by-cell count at depth.
 """
 
 import random
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from besicov import (
     DigitPath,
+    dimension,
     dynamics,
     interval,
     member,
@@ -138,10 +140,18 @@ def _oracle_cells(intervals, grid):
     return len(cells)
 
 
+def _edge_grids(c):
+    """Grids at the two thresholds of the count for C intervals, 10g = 12C,
+    where a gap starts to hold a whole cell, and 11g = 12C, where the "++"
+    fold starts to add cells; a few small grids; 12C and its neighbours; and
+    36C + 7, where the "++" interval j = 0 spans cells."""
+    top, gaps, fold = 12 * c, -(-12 * c // 10), -(-12 * c // 11)
+    return sorted(g for g in {2, 3, 7, gaps - 1, gaps, fold, fold + 1, top - 1, top, top + 1,
+                              3 * top + 7} if g >= 2)
+
+
 def _grids(cells, rng):
-    top = 12 * cells
-    fixed = {2, 3, 7, top - 1, top, top + 1, 3 * top + 7}  # the last: "++" j = 0 spans cells
-    return sorted(fixed | {rng.randrange(2, 40 * cells) for _ in range(3)})
+    return sorted(set(_edge_grids(cells)) | {rng.randrange(2, 40 * cells) for _ in range(3)})
 
 
 @pytest.mark.parametrize(
@@ -156,6 +166,38 @@ def test_occupied_cells_match_oracle(alpha, variant, n):
         intervals = [interval(profile, family, n, j) for j in range(cells)]
         for grid in _grids(cells, rng):
             assert _occupied_cells(profile, family, n, grid) == _oracle_cells(intervals, grid), grid
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_occupied_cells_match_loop(data):
+    """The floor-sum count equals the one-pass merge over every interval, for
+    random C and grids on both sides of each threshold."""
+    c = data.draw(st.integers(1, 3000), label="C")
+    family = data.draw(st.sampled_from(FAMILIES), label="family")
+    grid = data.draw(
+        st.one_of(st.sampled_from(_edge_grids(c)), st.integers(2, 40 * 12 * c)), label="grid"
+    )
+    profile = oracles.lattice_profile(c)
+    assert _occupied_cells(profile, family, 1, grid) == oracles.occupied_cells(
+        profile, family, 1, grid
+    )
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_occupied_cells_match_cell_oracle(n):
+    """Cell by cell on golden greedy main: level 2 (7209 intervals) at the
+    thresholds, and level 5 (3.2e8 intervals, past the box-counting cap, which
+    ``_occupied_cells`` itself does not read) on grids small enough to walk."""
+    profile = _profile("golden", "greedy", "main", n)
+    cells = profile.level(n).cell_count
+    grids = _edge_grids(cells) if n == 2 else [2, 3, 7, 1000, 65_537]
+    if n == 5:
+        assert cells > dimension.DEFAULT_ENUM_CAP
+    for family in FAMILIES:
+        for grid in grids:
+            expected = oracles.occupied_cells_by_cell(profile, family, n, grid)
+            assert _occupied_cells(profile, family, n, grid) == expected, (family, grid)
 
 
 @pytest.mark.parametrize("policy", ("center", "leftmost"))
