@@ -12,6 +12,10 @@ membership certificate for x).  The reports keep three error sources apart:
 * bracket indecision: comparisons against alpha itself go through rational
   enclosures that escalate until strict inequalities are decided.
 
+Sums and comparisons run on integer numerators, with one Fraction per result:
+window edges are tested on integers, x and m alpha_hat go on one lattice for
+all audited terms, and the report carries phi_m once their sum matches it.
+
 Aligned families ("++", "--"): every term has the family's sign exactly, and
 the term at the window level n(m) exceeds q_{k_n+1}/(75 A_n n^2) minus the
 substitution budget, so the whole sum inherits the bound.
@@ -31,13 +35,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .cf import certify_offset
-from .cocycle import CocycleSpec, level_max, phi_m, term
+from .cocycle import CocycleSpec, _on_lattice, _scaled, _term_num, level_max, phi_m
 from .errors import (BelowFirstWindow, DepthExceedsProfile, InvariantBroken, Result,
                      WindowBeyondProfile)
 from .levels import LevelParams, Profile
 from .targets import DigitPath, family_kind, member
 
 KINDS = ("aligned", "mixed")
+#: The window edges are q_{k_n+1} / (den A_n), with den by kind.
+_EDGE_DEN = {"aligned": 2, "mixed": 12}
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,7 @@ class WindowIndex:
 
 
 def _window_edge(lv: LevelParams, kind: str) -> Fraction:
-    den = 2 if kind == "aligned" else 12
-    return Fraction(lv.q_next, den * lv.a)
+    return Fraction(lv.q_next, _EDGE_DEN[kind] * lv.a)
 
 
 def window(profile: Profile, kind: str, m: int, n_limit: Optional[int] = None) -> WindowIndex:
@@ -62,20 +67,25 @@ def window(profile: Profile, kind: str, m: int, n_limit: Optional[int] = None) -
     [q_{k_n+1}/(12A_n), q_{k_{n+1}+1}/(12A_{n+1})) for n >= 1.
 
     Contiguity and uniqueness follow from the strict rise of q_{k_n+1}/A_n.
+    The edge tests |m| den A_i < q_{k_i+1} run on integers; only the two edges
+    found become Fractions (oracle: ``tests/oracles.window``).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     limit = profile.n_max if n_limit is None else min(n_limit, profile.n_max)
-    edges = [_window_edge(profile.level(n), kind) for n in range(1, limit + 1)]
-    am = Fraction(abs(m))
-    if am < edges[0]:
-        raise BelowFirstWindow(f"|m|={abs(m)} below first {kind} window {edges[0]}")
-    # between the edges of levels i and i + 1 lies aligned window i + 1, mixed window i
-    first = 2 if kind == "aligned" else 1
-    for n, (lo, hi) in enumerate(zip(edges, edges[1:]), start=first):
-        if lo <= am < hi:
-            return WindowIndex(m=m, n=n, kind=kind, lo=lo, hi=hi)
-    raise WindowBeyondProfile(f"|m|={abs(m)} at or past last edge {edges[-1]}")
+    den = _EDGE_DEN[kind]
+    edge = lambda i: _window_edge(profile.level(i), kind)
+    for i in range(1, limit + 1):
+        lv = profile.level(i)
+        if abs(m) * den * lv.a < lv.q_next:
+            break
+    else:
+        raise WindowBeyondProfile(f"|m|={abs(m)} at or past last edge {edge(limit)}")
+    if i == 1:
+        raise BelowFirstWindow(f"|m|={abs(m)} below first {kind} window {edge(1)}")
+    # between the edges of levels i - 1 and i lies aligned window i, mixed window i - 1
+    n = i if kind == "aligned" else i - 1
+    return WindowIndex(m=m, n=n, kind=kind, lo=edge(i - 1), hi=edge(i))
 
 
 @dataclass(frozen=True)
@@ -164,31 +174,15 @@ def _mixed_ref(lv: LevelParams) -> Fraction:
     return Fraction(lv.q_next, 50 * lv.a * lv.n)
 
 
-def _require_depth(path: DigitPath, needed: int) -> None:
-    if path.depth < needed:
-        raise DepthExceedsProfile(
-            f"sample depth {path.depth} < required {needed} for this window"
-        )
-
-
-def _require_membership(profile: Profile, path: DigitPath, levels: int) -> None:
-    """Re-certify membership of the audited point at every audited level, so
-    reports stay sound even for hand-built paths."""
-    res = member(profile, path.family, path.point, levels)
-    if not res.ok:
-        raise ValueError(
-            f"point {path.point} leaves the {path.family} family at level {res.first_fail}"
-        )
-
-
 def _audited_terms(
     cspec: CocycleSpec, path: DigitPath, m: int, kind: str
-) -> tuple[WindowIndex, list[Fraction]]:
+) -> tuple[WindowIndex, list[Fraction], Fraction]:
     """The part both audits share: check the family kind (aligned families
     only on the main variant), find the window n(m), require depth n(m) + 2
-    and membership at every audited level, and return the exact terms for
-    l <= L = min(n_levels, depth) once they are shown to sum to phi_m of the
-    depth-L truncation."""
+    and membership at every audited level (re-certified, so reports stay
+    sound even for hand-built paths), and return the exact terms for
+    l <= L = min(n_levels, depth) and their total, phi_m of the depth-L
+    truncation, once the two are shown to agree."""
     if family_kind(path.family) != kind:
         raise ValueError(f"family {path.family} is not {kind}")
     if kind == "aligned" and cspec.variant != "main":
@@ -198,24 +192,29 @@ def _audited_terms(
     if m == 0:
         raise BelowFirstWindow("m = 0 is excluded")
     w = window(cspec.profile, kind, m, n_limit=cspec.n_levels)
-    _require_depth(path, w.n + 2)
+    if path.depth < w.n + 2:
+        raise DepthExceedsProfile(f"sample depth {path.depth} < required {w.n + 2} for this window")
     L = min(cspec.n_levels, path.depth)
-    _require_membership(cspec.profile, path, L)
-    shift = m * cspec.alpha_hat
-    terms = [
-        term(cspec.profile.level(l), cspec.variant, path.point, shift) for l in range(1, L + 1)
-    ]
-    if sum(terms) != phi_m(cspec.truncated(L), path.point, m):
+    res = member(cspec.profile, path.family, path.point, L)
+    if not res.ok:
+        raise ValueError(
+            f"point {path.point} leaves the {path.family} family at level {res.first_fail}"
+        )
+    u, s, d = _on_lattice(path.point, cspec.alpha_hat)
+    v = cspec.variant
+    terms = [_scaled(lv, v, _term_num(lv.cell_count, u, m * s, d, v), d) for lv in cspec.levels[:L]]
+    total = phi_m(cspec.truncated(L), path.point, m)
+    if sum(terms) != total:
         raise InvariantBroken(f"audited terms do not sum to phi_m at m={m}")
-    return w, terms
+    return w, terms, total
 
 
 def _report(
-    cspec: CocycleSpec, path: DigitPath, m: int, w: WindowIndex, terms: list[Fraction],
+    cspec: CocycleSpec, path: DigitPath, m: int, w: WindowIndex, total: Fraction,
     rows: list[ReportRow], **own,
 ) -> DivergenceReport:
     """A report with the fields both audits fill alike; ``own`` holds the rest."""
-    L = len(terms)
+    L = len(rows)
     return DivergenceReport(
         family=path.family,
         kind=w.kind,
@@ -227,7 +226,7 @@ def _report(
         indices=path.indices,
         levels_audited=L,
         rows=rows,
-        total=sum(terms),
+        total=total,
         sub_budget=cspec.sub_budget(m),
         extension_tail_bound=abs(m) * Fraction(1, L),
         **own,
@@ -241,11 +240,12 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
     l <= min(depth, n_levels); every level then holds an exact membership
     certificate, making the sign checks unconditional.
     """
-    w, terms = _audited_terms(cspec, path, m, "aligned")
+    w, terms, total = _audited_terms(cspec, path, m, "aligned")
     sign = 1 if path.family == "++" else -1
     lv_n = cspec.profile.level(w.n)
     certified = _aligned_floor(lv_n) - cspec.sub_budget_level(w.n, m)
-    rows = [ReportRow(l=l, value=t, sign_ok=t * sign >= 0) for l, t in enumerate(terms, 1)]
+    rows = [ReportRow(l=l, value=t, sign_ok=t.numerator * sign >= 0)
+            for l, t in enumerate(terms, 1)]
     pivot_value = terms[w.n - 1]
     rows[w.n - 1] = replace(rows[w.n - 1], bound=certified, bound_ok=abs(pivot_value) > certified)
 
@@ -267,7 +267,7 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
     else:
         status = "pass"
     return _report(
-        cspec, path, m, w, terms, rows,
+        cspec, path, m, w, total, rows,
         certified_lower=certified, expected_sign=sign, status=status, notes=notes,
     )
 
@@ -282,13 +282,14 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     the exact surrogate net = |tail| - head_bound - tail_budget, passing when
     it is positive and indeterminate otherwise.
     """
-    w, terms = _audited_terms(cspec, path, m, "mixed")
+    w, terms, total = _audited_terms(cspec, path, m, "mixed")
     s_plus = path.family[1]
     k1 = cspec.profile.level(1).k
     expected = (-1 if k1 % 2 else 1) * (1 if s_plus == "+" else -1) * (1 if m > 0 else -1)
 
     lv_n = cspec.profile.level(w.n)
-    head, tail = sum(terms[: w.n]), sum(terms[w.n :])
+    head = sum(terms[: w.n])
+    tail = total - head
     levels = cspec.profile.levels
     head_bound = sum(2 * level_max(lv, cspec.variant) for lv in levels[: w.n])
     rows = [ReportRow(l=l, value=t, sign_ok=True) for l, t in enumerate(terms[: w.n], 1)]
@@ -300,11 +301,11 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
         lv = levels[l - 1]
         budget = cspec.sub_budget_level(l, m)
         bound = Fraction(lv_n.q_next, 24 * lv_n.a * l * l) - budget
-        sign_ok = t != 0 and (1 if t > 0 else -1) == expected
+        sign_ok = t.numerator * expected > 0
         bound_ok = abs(t) > bound
         # displacement premise: both bump arguments share a linearity interval
         premise = certify_offset(
-            cspec.profile.alpha, lv.k, Fraction(0), lv.period / 12, abs(m)
+            cspec.profile.alpha, lv.k, Fraction(0), Fraction(1, 12 * lv.cell_count), abs(m)
         )[0]
         all_ok = all_ok and sign_ok and bound_ok and premise
         tail_bound_sum += bound
@@ -319,7 +320,7 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     else:
         status = "indeterminate"
     return _report(
-        cspec, path, m, w, terms, rows,
+        cspec, path, m, w, total, rows,
         certified_lower=max(net, Fraction(0)),
         expected_sign=expected,
         status=status,

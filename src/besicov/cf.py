@@ -3,10 +3,11 @@
 Every irrational handled by the library enters as a continued-fraction
 expansion (finite head plus periodic tail), so alpha itself is never stored
 as a decimal.  Every comparison against alpha is one :func:`certify_offset`
-call: it encloses alpha in an :class:`Enclosure` between consecutive
-convergents, escalating the depth until the comparison is decided exactly.
-:class:`Enclosure` is the library's one closed rational interval type; the
-certified logarithms of ``certlog`` use it too.
+call: it brackets alpha between consecutive convergents, escalating the depth
+until the comparison is decided exactly, and compares on integer numerators,
+building one Fraction per result (``tests/oracles.py`` keeps the Enclosure
+route as its oracle).  :class:`Enclosure` is the library's one closed rational
+interval type; :func:`alpha_bracket` and the logarithms of ``certlog`` use it.
 """
 
 from __future__ import annotations
@@ -178,20 +179,29 @@ def certify_offset(
 
     Starts at bracket depth max(8, k + 3) and doubles it until the sign of
     alpha - p_k/q_k is decided and neither bound lies inside the enclosure
-    [dist_lo, dist_hi] of scale |alpha - p_k/q_k|.  Returns
+    [dist_lo, dist_hi] of scale |alpha - p_k/q_k|.  The ends of each
+    :func:`alpha_bracket` minus p_k/q_k stay integers over q_N q_k, compared
+    with lo and hi by cross-multiplication; only the returned dist_lo and
+    dist_hi become Fractions (oracle: ``tests/oracles.certify_offset``).  Returns
     ``(verdict, sign, dist_lo, dist_hi, depth)``; raises IndecisiveBracket
     past MAX_BRACKET_DEPTH rather than ever guessing.
     """
-    v = convergent(spec, k).value
-    at_v = Enclosure(v, v)
+    c = convergent(spec, k)
+    a, b, e, f = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     depth = max(8, k + 3)
     while depth <= MAX_BRACKET_DEPTH:
-        d = alpha_bracket(spec, depth) - at_v
-        if not d.lo <= 0 <= d.hi:
-            sign = 1 if d.lo > 0 else -1
-            dist = d.scale(sign * scale)
-            if not (dist.lo <= lo < dist.hi or dist.lo < hi <= dist.hi):
-                return lo < dist.lo and dist.hi < hi, sign, dist.lo, dist.hi, depth
+        br = alpha_bracket(spec, depth)
+        n1, d1 = br.lo.numerator * c.q - c.p * br.lo.denominator, br.lo.denominator * c.q
+        n2, d2 = br.hi.numerator * c.q - c.p * br.hi.denominator, br.hi.denominator * c.q
+        if n1 > 0 or n2 < 0:
+            sign = 1 if n1 > 0 else -1
+            n1, n2 = n1 * sign * scale, n2 * sign * scale
+            if sign * scale < 0:
+                n1, d1, n2, d2 = n2, d2, n1, d1
+            # [n1/d1, n2/d2] = [dist_lo, dist_hi] must hold neither lo nor hi
+            if not (n1 * b <= a * d1 and a * d2 < n2 * b or n1 * f < e * d1 and e * d2 <= n2 * f):
+                verdict = a * d1 < n1 * b and n2 * f < e * d2
+                return verdict, sign, Fraction(n1, d1), Fraction(n2, d2), depth
         depth *= 2
     raise IndecisiveBracket(
         f"comparison against alpha undecided at bracket depth {MAX_BRACKET_DEPTH}"

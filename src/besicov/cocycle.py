@@ -12,11 +12,15 @@ and Lipschitz constant Lambda_n:
 Every exact quantity here is evaluated on an integer lattice.  With x = a/b
 and a shift s/q (alpha_hat, or m alpha_hat), x and x + shift are u/D and
 (u + s)/D over D = lcm(b, q); each level's position in its period is then an
-integer r = u A_n q_{k_n} mod D, each bump an integer numerator over 4D
-(:func:`_bump_num`), and each level's value one Fraction built at the end.
-:func:`term`, :func:`phi` and :func:`phi_m` evaluate each level once at x and
-once at x + shift; :func:`birkhoff` sums along the orbit instead, so the
-identity phi_m == birkhoff compares two routes to the same sum.  :func:`walk`
+integer r = u A_n q_{k_n} mod D and each bump an integer numerator over 4D
+(:func:`_bump_num`).  Sums run on integer numerators too, with one Fraction
+per result: :func:`phi` and :func:`phi_m` weight each level's numerator by
+q_{k_l+1} (L / _peak_den(l)) over the lcm L of the peak denominators, and the
+substitution budgets sum Lambda_l over the lcm of the l^2 (``tests/oracles.py``
+keeps the per-level Fraction sums as their oracles).  :func:`term`,
+:func:`phi` and :func:`phi_m` evaluate each level once at x and once at
+x + shift; :func:`birkhoff` sums along the orbit instead, so the identity
+phi_m == birkhoff compares two routes to the same sum.  :func:`walk`
 is the one routine that steps an orbit, for ``birkhoff`` and for the orbit
 lane in :mod:`besicov.dynamics`, which rounds each bump along it as mpf
 would.  The unit-period ``unit_position``/``bump`` pair lives in the tests,
@@ -33,7 +37,7 @@ bounded by sum_{l > N} 1/l^2 < 1/N per unit shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional
@@ -137,11 +141,8 @@ class CocycleSpec:
     @property
     def alpha_gap_bound(self) -> Fraction:
         """Exact upper bound on |alpha - alpha_hat|: the bracket width 1/(q_N q_{N+1})."""
-        n = self.alpha_depth
-        return Fraction(
-            1,
-            convergent(self.profile.alpha, n).q * convergent(self.profile.alpha, n + 1).q,
-        )
+        spec, n = self.profile.alpha, self.alpha_depth
+        return Fraction(1, convergent(spec, n).q * convergent(spec, n + 1).q)
 
     @property
     def tail_bound(self) -> Fraction:
@@ -149,27 +150,22 @@ class CocycleSpec:
         return Fraction(1, self.n_levels)
 
     def sub_budget_level(self, n: int, m: int = 1) -> Fraction:
-        """Substitution error budget for level n at iterate count m."""
-        return self.profile.level(n).lam * abs(m) * self.alpha_gap_bound
+        """Substitution error budget for level n at iterate count m:
+        Lambda_n |m| / (q_N q_{N+1})."""
+        lv, gap = self.profile.level(n), self.alpha_gap_bound
+        return Fraction(lv.q * lv.q_next * abs(m), lv.n * lv.n * gap.denominator)
 
     def sub_budget(self, m: int = 1) -> Fraction:
-        """Total substitution budget across all truncated levels."""
-        return sum(
-            (lv.lam for lv in self.levels), start=Fraction(0)
-        ) * abs(m) * self.alpha_gap_bound
+        """Total substitution budget across all truncated levels: the Lambda_l
+        summed over the lcm S of the l^2, times |m|, over S q_N q_{N+1}."""
+        s = lcm(*(lv.n * lv.n for lv in self.levels))
+        total = sum(lv.q * lv.q_next * (s // (lv.n * lv.n)) for lv in self.levels)
+        return Fraction(total * abs(m), s * self.alpha_gap_bound.denominator)
 
     def truncated(self, n_levels: int) -> "CocycleSpec":
         """Same cocycle cut at fewer levels (alpha_hat unchanged, so values
         of shared levels agree bit for bit)."""
-        if n_levels == self.n_levels:
-            return self
-        return CocycleSpec(
-            profile=self.profile,
-            n_levels=n_levels,
-            alpha_depth=self.alpha_depth,
-            alpha_hat=self.alpha_hat,
-            guard=self.guard,
-        )
+        return self if n_levels == self.n_levels else replace(self, n_levels=n_levels)
 
 
 def make_cocycle(
@@ -198,37 +194,30 @@ def make_cocycle(
         alpha_depth = 2
         while convergent(spec, alpha_depth).q <= DEFAULT_GUARD * lam_max:
             alpha_depth += 1
-    c = convergent(spec, alpha_depth)
-    return CocycleSpec(
-        profile=profile,
-        n_levels=n_levels,
-        alpha_depth=alpha_depth,
-        alpha_hat=c.value,
-        guard=DEFAULT_GUARD,
-    )
-
-
-def _telescoped(cspec: CocycleSpec, x: Fraction, shift: Fraction) -> Fraction:
-    """sum_l f_l(x + shift) - f_l(x) on the lattice of x and shift."""
-    u, s, d = _on_lattice(x, shift)
-    v = cspec.variant
-    total = Fraction(0)
-    for lv in cspec.levels:
-        total += _scaled(lv, v, _term_num(lv.cell_count, u, s, d, v), d)
-    return total
+    return CocycleSpec(profile=profile, n_levels=n_levels, alpha_depth=alpha_depth,
+                       alpha_hat=convergent(spec, alpha_depth).value, guard=DEFAULT_GUARD)
 
 
 def phi(cspec: CocycleSpec, x: Fraction) -> Fraction:
     """Truncated cocycle value: sum of f_l(x + alpha_hat) - f_l(x)."""
-    return _telescoped(cspec, x, cspec.alpha_hat)
+    return phi_m(cspec, x, 1)
 
 
 def phi_m(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
     """m-th ergodic sum evaluated through the telescoped form
-    sum_l (f_l(x + m alpha_hat) - f_l(x)); exact for any integer m."""
-    if m == 0:
-        return Fraction(0)
-    return _telescoped(cspec, x, m * cspec.alpha_hat)
+    sum_l (f_l(x + m alpha_hat) - f_l(x)); exact for any integer m.
+
+    On the lattice of x and alpha_hat, level l's numerator over 4d is weighted
+    by q_{k_l+1} (L / _peak_den(l)), L the lcm of the _peak_den, and the sum is
+    one Fraction over 4dL."""
+    u, s, d = _on_lattice(x, cspec.alpha_hat)
+    v = cspec.variant
+    dens = [_peak_den(lv, v) for lv in cspec.levels]
+    big = lcm(*dens)
+    total = 0
+    for lv, den in zip(cspec.levels, dens):
+        total += lv.q_next * (big // den) * _term_num(lv.cell_count, u, m * s, d, v)
+    return Fraction(total, 4 * d * big)
 
 
 def walk(cspec: CocycleSpec, x: Fraction, steps: int) -> tuple[int, list[Iterator[int]]]:

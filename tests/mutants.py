@@ -45,6 +45,8 @@ CERTLOG = "src/besicov/certlog.py"
 TEST_DIMENSION = ("tests/test_dimension.py",)
 DIMENSION = "src/besicov/dimension.py"
 TEST_COUNTS = TEST_DIMENSION + ("tests/test_lattice.py",)
+AUDIT = "src/besicov/audit.py"
+CF = "src/besicov/cf.py"
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,36 @@ MUTANTS = (
         'digits[dps] in "6789"',
         TEST_DYNAMICS,
     ),
+    # the exact audit path on integer numerators: phi_m's level weights, the
+    # budgets' bracket width, window's edge test, certify_offset's end order
+    Mutant(
+        "phi-weight-unreduced",
+        COCYCLE,
+        "lv.q_next * (big // den)",
+        "lv.q_next * big",
+        TEST_COCYCLE,
+    ),
+    Mutant(
+        "gap-bound-q-n-twice",
+        COCYCLE,
+        "convergent(spec, n + 1).q",
+        "convergent(spec, n).q",
+        TEST_COCYCLE,
+    ),
+    Mutant(
+        "window-edge-inclusive",
+        AUDIT,
+        "if abs(m) * den * lv.a < lv.q_next:",
+        "if abs(m) * den * lv.a <= lv.q_next:",
+        ("tests/test_audit.py",),
+    ),
+    Mutant(
+        "offset-ends-unswapped",
+        CF,
+        "                n1, d1, n2, d2 = n2, d2, n1, d1\n",
+        "                pass\n",
+        ("tests/test_cf.py",),
+    ),
     # the log enclosures' unreduced integer series and its outward ends
     Mutant(
         "log-denominator-drops-odd",
@@ -292,7 +324,7 @@ MUTANTS = (
     ),
     Mutant(
         "json-window-swapped",
-        "src/besicov/audit.py",
+        AUDIT,
         'd["window"] = [d.pop("window_lo"), d.pop("window_hi")]',
         'd["window"] = [d.pop("window_hi"), d.pop("window_lo")]',
         TEST_GOLDEN,

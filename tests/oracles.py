@@ -19,6 +19,15 @@ measured counts of :func:`besicov.nesting_stats`.
 and :func:`occupied_cells_by_cell` asks of each cell which interval could
 reach it: two references for the floor-sum count of
 :func:`besicov.dimension._occupied_cells`, in O(C) and in O(grid).
+
+The library sums and compares on integer numerators, building one Fraction
+per result; these are the Fraction routes it replaced.  :func:`phi_m` adds
+one Fraction per level, and :func:`sub_budget` multiplies the Fraction
+Lipschitz constants by the bracket width.  :func:`window` scans the Fraction
+window edges, and :func:`certify_offset` does the bracket's interval
+arithmetic on :class:`Enclosure`; it takes its brackets through
+``cf.alpha_bracket`` and its cap from ``cf.MAX_BRACKET_DEPTH`` at call time,
+so a test that patches either patches the oracle too.
 """
 
 from fractions import Fraction
@@ -27,8 +36,12 @@ from types import SimpleNamespace
 
 from mpmath import mpf
 
+from besicov import cf
+from besicov.audit import KINDS, WindowIndex, _window_edge
 from besicov.certlog import _TAIL_BITS, _WORK_BITS, Enclosure
-from besicov.cocycle import level_max
+from besicov.cf import convergent
+from besicov.cocycle import _on_lattice, _scaled, _term_num, level_max
+from besicov.errors import BelowFirstWindow, IndecisiveBracket, WindowBeyondProfile
 from besicov.levels import LevelParams
 from besicov.targets import TWELFTHS, child_span
 
@@ -188,3 +201,61 @@ def occupied_cells_by_cell(profile, family: str, n: int, grid: int) -> int:
         if j < cells and (12 * j + lo) * grid // den <= i or i >= grid - wrap:
             hit += 1
     return hit
+
+
+def phi_m(cspec, x: Fraction, m: int) -> Fraction:
+    """sum_l f_l(x + m alpha_hat) - f_l(x), one Fraction per level added up."""
+    if m == 0:
+        return Fraction(0)
+    u, s, d = _on_lattice(x, m * cspec.alpha_hat)
+    v = cspec.variant
+    total = Fraction(0)
+    for lv in cspec.levels:
+        total += _scaled(lv, v, _term_num(lv.cell_count, u, s, d, v), d)
+    return total
+
+
+def sub_budget(cspec, m: int, levels=None) -> Fraction:
+    """sum of Lambda_l over ``levels`` (default: all truncated ones), times
+    |m| times the bracket width 1/(q_N q_{N+1})."""
+    n = cspec.alpha_depth
+    width = Fraction(1, convergent(cspec.profile.alpha, n).q
+                     * convergent(cspec.profile.alpha, n + 1).q)
+    chosen = cspec.levels if levels is None else [cspec.profile.level(l) for l in levels]
+    return sum((lv.lam for lv in chosen), start=Fraction(0)) * abs(m) * width
+
+
+def window(profile, kind: str, m: int, n_limit=None) -> WindowIndex:
+    """Window index n(m) by a scan for the Fraction edges lo <= |m| < hi."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    limit = profile.n_max if n_limit is None else min(n_limit, profile.n_max)
+    edges = [_window_edge(profile.level(n), kind) for n in range(1, limit + 1)]
+    am = Fraction(abs(m))
+    if am < edges[0]:
+        raise BelowFirstWindow(f"|m|={abs(m)} below first {kind} window {edges[0]}")
+    first = 2 if kind == "aligned" else 1
+    for n, (lo, hi) in enumerate(zip(edges, edges[1:]), start=first):
+        if lo <= am < hi:
+            return WindowIndex(m=m, n=n, kind=kind, lo=lo, hi=hi)
+    raise WindowBeyondProfile(f"|m|={abs(m)} at or past last edge {edges[-1]}")
+
+
+def certify_offset(spec, k: int, lo: Fraction, hi: Fraction, scale: int = 1):
+    """lo < scale |alpha - p_k/q_k| < hi on :class:`Enclosure` arithmetic:
+    the bracket minus p_k/q_k, scaled by sign * scale, doubling the depth from
+    max(8, k + 3) until neither bound lies inside it."""
+    v = convergent(spec, k).value
+    at_v = Enclosure(v, v)
+    depth = max(8, k + 3)
+    while depth <= cf.MAX_BRACKET_DEPTH:
+        d = cf.alpha_bracket(spec, depth) - at_v
+        if not d.lo <= 0 <= d.hi:
+            sign = 1 if d.lo > 0 else -1
+            dist = d.scale(sign * scale)
+            if not (dist.lo <= lo < dist.hi or dist.lo < hi <= dist.hi):
+                return lo < dist.lo and dist.hi < hi, sign, dist.lo, dist.hi, depth
+        depth *= 2
+    raise IndecisiveBracket(
+        f"comparison against alpha undecided at bracket depth {cf.MAX_BRACKET_DEPTH}"
+    )

@@ -1,9 +1,11 @@
 """Divergence audits: windows, aligned/mixed reports, scans."""
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besicov import (
     audit_aligned,
@@ -14,6 +16,8 @@ from besicov import (
     window,
 )
 from besicov.errors import BelowFirstWindow, DepthExceedsProfile, WindowBeyondProfile
+
+import oracles
 
 
 def window_integers(w):
@@ -221,3 +225,59 @@ def test_audit_rejects_fake_path(greedy_cocycle):
                      reductions=(Fraction(0),) * 5)
     with pytest.raises(ValueError):
         audit_aligned(greedy_cocycle, fake, 1)
+
+
+def assert_window_matches_scan(profile, kind, m, n_limit=None):
+    """window() gives the Fraction scan's index, or its exception type and message."""
+    try:
+        want = oracles.window(profile, kind, m, n_limit)
+    except (BelowFirstWindow, WindowBeyondProfile) as exc:
+        with pytest.raises(BelowFirstWindow if isinstance(exc, BelowFirstWindow)
+                           else WindowBeyondProfile) as got:
+            window(profile, kind, m, n_limit)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert window(profile, kind, m, n_limit) == want
+
+
+@st.composite
+def edge_profiles(draw):
+    """(kind, profile) whose window edges q_{k_n+1}/(den A_n) are drawn
+    strictly rising, integers among them, so |m| can sit exactly on one."""
+    kind = draw(st.sampled_from(("aligned", "mixed")))
+    den = 2 if kind == "aligned" else 12
+    edges = sorted(set(draw(st.lists(
+        st.one_of(st.integers(1, 400).map(Fraction),
+                  st.fractions(Fraction(1, 3), 400, max_denominator=40)),
+        min_size=1, max_size=7,
+    ))))
+    levels = []
+    for e in edges:
+        k = draw(st.integers(1, 9))
+        levels.append(SimpleNamespace(q_next=e.numerator * den * k, a=e.denominator * k))
+    return kind, SimpleNamespace(n_max=len(levels), level=lambda n: levels[n - 1])
+
+
+@given(
+    drawn=edge_profiles(),
+    pick=st.integers(0, 6),
+    delta=st.integers(-1, 1),
+    sign=st.sampled_from((1, -1)),
+    n_limit=st.one_of(st.none(), st.integers(1, 8)),
+)
+@settings(max_examples=300, deadline=None)
+def test_window_matches_edge_scan(drawn, pick, delta, sign, n_limit):
+    kind, profile = drawn
+    edge = oracles._window_edge(profile.level(1 + pick % profile.n_max), kind)
+    assert_window_matches_scan(profile, kind, sign * (floor(edge) + delta), n_limit)
+
+
+@pytest.mark.parametrize("fixture", ["greedy_cocycle", "tent_cocycle"])
+@pytest.mark.parametrize("kind", ["aligned", "mixed"])
+def test_window_matches_edge_scan_around_every_edge(fixture, kind, request):
+    profile = request.getfixturevalue(fixture).profile
+    for n in range(1, profile.n_max + 1):
+        edge = oracles._window_edge(profile.level(n), kind)
+        for m in range(floor(edge) - 2, floor(edge) + 3):
+            assert_window_matches_scan(profile, kind, m)
+            assert_window_matches_scan(profile, kind, -m, n_limit=n)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from besicov import (
     IrrationalSpec,
@@ -19,6 +19,8 @@ from besicov import (
 from besicov import cf
 from besicov.cf import Enclosure, certify_offset
 from besicov.errors import IndecisiveBracket
+
+import oracles
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
 
@@ -115,9 +117,10 @@ def test_gap_witnesses_are_ordered(golden):
 
 def rewalked_depth(spec, k, width):
     """The depth certify_offset used, by bracket widths: the first of start,
-    2 start, 4 start, ... whose bracket is ``width`` wide."""
+    2 start, 4 start, ... whose bracket is ``width`` wide (past
+    MAX_BRACKET_DEPTH when none is, rather than searching forever)."""
     used = max(8, k + 3)
-    while alpha_bracket(spec, used).width != width:
+    while used <= cf.MAX_BRACKET_DEPTH and alpha_bracket(spec, used).width != width:
         used *= 2
     return used
 
@@ -185,6 +188,40 @@ def test_certify_offset_gives_up(golden, monkeypatch):
     monkeypatch.setattr(cf, "MAX_BRACKET_DEPTH", 16)
     with pytest.raises(IndecisiveBracket, match="depth 16"):
         certify_offset(golden, 2, Fraction(0), Fraction(1))
+
+
+@given(
+    tail=st.sampled_from(((1,), (2,), (1, 2), (3,), (2, 1, 1))),
+    k=st.integers(1, 40),
+    scale=st.integers(0, 10**6),
+    lo_shift=st.tuples(st.integers(-3, 3), st.integers(0, 80)),
+    hi_shift=st.tuples(st.integers(-3, 3), st.integers(0, 80)),
+    decided_from=st.sampled_from((1, 1, 16, 64, 256)),
+    cap=st.sampled_from((16, 128, cf.MAX_BRACKET_DEPTH, cf.MAX_BRACKET_DEPTH)),
+)
+@settings(max_examples=300, deadline=None)
+def test_certify_offset_matches_enclosure_arithmetic(
+    tail, k, scale, lo_shift, hi_shift, decided_from, cap
+):
+    """The integer cross-multiplications return the Enclosure route's whole
+    5-tuple, depth included, or raise the same IndecisiveBracket, for bounds
+    placed at relative distances 2^-80 .. 3 from scale |alpha - p_k/q_k|,
+    with brackets undecidable below ``decided_from`` and a cap of ``cap``."""
+    spec = IrrationalSpec(head=(0,), tail=tail)
+    near = scale * abs(convergent(spec, k + 60).value - convergent(spec, k).value)
+    lo = max(Fraction(0), near * (1 + Fraction(lo_shift[0], 1 << lo_shift[1])))
+    hi = near * (1 + Fraction(hi_shift[0], 1 << hi_shift[1]))
+    with pytest.MonkeyPatch.context() as mp:
+        undecidable_below(mp, decided_from)
+        mp.setattr(cf, "MAX_BRACKET_DEPTH", cap)
+        try:
+            want = oracles.certify_offset(spec, k, lo, hi, scale)
+        except IndecisiveBracket as exc:
+            with pytest.raises(IndecisiveBracket) as got:
+                certify_offset(spec, k, lo, hi, scale)
+            assert str(got.value) == str(exc)
+        else:
+            assert certify_offset(spec, k, lo, hi, scale) == want
 
 
 def test_spec_validation():

@@ -19,6 +19,8 @@ from besicov import (
 )
 from besicov.cocycle import walk
 
+import oracles
+
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=10**4)
 
 
@@ -207,3 +209,32 @@ def test_substitution_budget_scales(greedy_cocycle):
     assert greedy_cocycle.sub_budget(3) == sum(
         greedy_cocycle.sub_budget_level(l, 3) for l in range(1, greedy_cocycle.n_levels + 1)
     )
+
+
+@given(
+    num=st.integers(-(10**40), 10**40),
+    den=st.integers(1, 10**40),
+    m=st.integers(-400, 400),
+    tent=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_phi_m_matches_per_level_fractions(greedy_cocycle, tent_cocycle, num, den, m, tent):
+    """The one-Fraction integer sum equals the per-level Fraction sum, on
+    both variants, for negative m and for x whose denominator dwarfs q_N."""
+    cs = tent_cocycle if tent else greedy_cocycle
+    x = Fraction(num, den)
+    assert phi_m(cs, x, m) == oracles.phi_m(cs, x, m)
+    assert phi(cs, x) == oracles.phi_m(cs, x, 1)
+    cut = cs.truncated(1 + abs(m) % cs.n_levels)
+    assert phi_m(cut, x, m) == oracles.phi_m(cut, x, m)
+
+
+@given(m=st.integers(-(10**12), 10**12), tent=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_substitution_budgets_match_fraction_products(greedy_cocycle, tent_cocycle, m, tent):
+    """Lambda_l |m| / (q_N q_{N+1}) summed on integers equals the product of
+    Fractions, for the whole truncation and for each level."""
+    cs = tent_cocycle if tent else greedy_cocycle
+    assert cs.sub_budget(m) == oracles.sub_budget(cs, m)
+    for l in range(1, cs.n_levels + 1):
+        assert cs.sub_budget_level(l, m) == oracles.sub_budget(cs, m, [l])
