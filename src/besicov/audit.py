@@ -12,9 +12,16 @@ membership certificate for x).  The reports keep three error sources apart:
 * bracket indecision: comparisons against alpha itself go through rational
   enclosures that escalate until strict inequalities are decided.
 
-Sums and comparisons run on integer numerators, with one Fraction per result:
-window edges are tested on integers, x and m alpha_hat go on one lattice for
-all audited terms, and the report carries phi_m once their sum matches it.
+Sums and comparisons run on integer numerators, with one Fraction per
+reported value.  Window edges are tested on integers (``_edge_index``), and
+membership is re-certified on integers.  x and m alpha_hat go on one lattice
+for all audited terms, whose numerators over one denominator must sum to
+phi_m.  The mixed audit's ledger (each row's bound and verdict, the tail
+budget and bound sums, head_bound) is held over one more denominator.  A
+scan puts x and alpha_hat on one lattice once, so each m costs one bump per
+level.  ``tests/oracles.py`` keeps the Fraction routes as oracles:
+``window`` over Fraction edges, ``audit`` with Fraction ledgers, and
+``discreteness_scan`` with ``window`` and ``phi_m`` for each m.
 
 Aligned families ("++", "--"): every term has the family's sign exactly, and
 the term at the window level n(m) exceeds q_{k_n+1}/(75 A_n n^2) minus the
@@ -26,16 +33,22 @@ the head l <= n(m) is bounded by twice the level maxima.  The classical
 asymptotic margin only opens for large n, so at desk scale the report states
 the exact surrogate tail - head_bound and marks the certificate indeterminate
 (not failed) when that margin does not close at the audited m.
+
+A report whose status is "fail" names in its notes each failed sub-check and
+its level: sign rows and the pivot bound (aligned, beside the window bullets
+note), displacement premises, signs and bounds (mixed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Iterable, Optional
 
 from .cf import certify_offset
-from .cocycle import CocycleSpec, _on_lattice, _scaled, _term_num, level_max, phi_m
+from .cocycle import (CocycleSpec, _bump_num, _on_lattice, _peak_den, _scaled, _sub_budget,
+                      _term_num, phi_m)
 from .errors import (BelowFirstWindow, DepthExceedsProfile, InvariantBroken, Result,
                      WindowBeyondProfile)
 from .levels import LevelParams, Profile
@@ -61,25 +74,31 @@ def _window_edge(lv: LevelParams, kind: str) -> Fraction:
     return Fraction(lv.q_next, _EDGE_DEN[kind] * lv.a)
 
 
+def _edge_index(levels: Iterable[LevelParams], den: int, m: int) -> int:
+    """The first i with |m| den A_i < q_{k_i+1}, counting ``levels`` from 1, or
+    one past the last level: 1 + the number of window edges at or below |m|."""
+    i = 0
+    for i, lv in enumerate(levels, 1):
+        if abs(m) * den * lv.a < lv.q_next:
+            return i
+    return i + 1
+
+
 def window(profile: Profile, kind: str, m: int, n_limit: Optional[int] = None) -> WindowIndex:
     """Window index n(m): aligned windows are
     [q_{k_{n-1}+1}/(2A_{n-1}), q_{k_n+1}/(2A_n)) for n >= 2, mixed windows
     [q_{k_n+1}/(12A_n), q_{k_{n+1}+1}/(12A_{n+1})) for n >= 1.
 
     Contiguity and uniqueness follow from the strict rise of q_{k_n+1}/A_n.
-    The edge tests |m| den A_i < q_{k_i+1} run on integers; only the two edges
-    found become Fractions (oracle: ``tests/oracles.window``).
+    The edge tests |m| den A_i < q_{k_i+1} run on integers (``_edge_index``);
+    only the two edges found become Fractions (oracle: ``tests/oracles.window``).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     limit = profile.n_max if n_limit is None else min(n_limit, profile.n_max)
-    den = _EDGE_DEN[kind]
     edge = lambda i: _window_edge(profile.level(i), kind)
-    for i in range(1, limit + 1):
-        lv = profile.level(i)
-        if abs(m) * den * lv.a < lv.q_next:
-            break
-    else:
+    i = _edge_index((profile.level(n) for n in range(1, limit + 1)), _EDGE_DEN[kind], m)
+    if i > limit:
         raise WindowBeyondProfile(f"|m|={abs(m)} at or past last edge {edge(limit)}")
     if i == 1:
         raise BelowFirstWindow(f"|m|={abs(m)} below first {kind} window {edge(1)}")
@@ -176,13 +195,14 @@ def _mixed_ref(lv: LevelParams) -> Fraction:
 
 def _audited_terms(
     cspec: CocycleSpec, path: DigitPath, m: int, kind: str
-) -> tuple[WindowIndex, list[Fraction], Fraction]:
+) -> tuple[WindowIndex, list[Fraction], Fraction, list[int], int]:
     """The part both audits share: check the family kind (aligned families
     only on the main variant), find the window n(m), require depth n(m) + 2
-    and membership at every audited level (re-certified, so reports stay
-    sound even for hand-built paths), and return the exact terms for
-    l <= L = min(n_levels, depth) and their total, phi_m of the depth-L
-    truncation, once the two are shown to agree."""
+    and membership at every audited level (re-certified on integers, so
+    reports stay sound even for hand-built paths), and return the exact terms
+    for l <= L = min(n_levels, depth), their total, phi_m of the depth-L
+    truncation, and the terms' numerators over one denominator ``den``, once
+    those are shown to sum to the total."""
     if family_kind(path.family) != kind:
         raise ValueError(f"family {path.family} is not {kind}")
     if kind == "aligned" and cspec.variant != "main":
@@ -202,18 +222,22 @@ def _audited_terms(
         )
     u, s, d = _on_lattice(path.point, cspec.alpha_hat)
     v = cspec.variant
-    terms = [_scaled(lv, v, _term_num(lv.cell_count, u, m * s, d, v), d) for lv in cspec.levels[:L]]
+    levels = cspec.levels[:L]
+    terms = [_scaled(lv, v, _term_num(lv.cell_count, u, m * s, d, v), d) for lv in levels]
     total = phi_m(cspec.truncated(L), path.point, m)
-    if sum(terms) != total:
+    den = 4 * d * lcm(*(_peak_den(lv, v) for lv in levels))  # a multiple of every term's
+    nums = [t.numerator * (den // t.denominator) for t in terms]
+    if sum(nums) * total.denominator != total.numerator * den:
         raise InvariantBroken(f"audited terms do not sum to phi_m at m={m}")
-    return w, terms, total
+    return w, terms, total, nums, den
 
 
 def _report(
     cspec: CocycleSpec, path: DigitPath, m: int, w: WindowIndex, total: Fraction,
-    rows: list[ReportRow], **own,
+    rows: list[ReportRow], gap: int, **own,
 ) -> DivergenceReport:
-    """A report with the fields both audits fill alike; ``own`` holds the rest."""
+    """A report with the fields both audits fill alike; ``own`` holds the rest.
+    ``gap`` is q_N q_{N+1}, the inverse bracket width the audit read once."""
     L = len(rows)
     return DivergenceReport(
         family=path.family,
@@ -227,8 +251,8 @@ def _report(
         levels_audited=L,
         rows=rows,
         total=total,
-        sub_budget=cspec.sub_budget(m),
-        extension_tail_bound=abs(m) * Fraction(1, L),
+        sub_budget=_sub_budget(cspec.levels, m, gap),
+        extension_tail_bound=Fraction(abs(m), L),
         **own,
     )
 
@@ -238,16 +262,20 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
 
     Requires x sampled to depth >= n(m) + 2.  The audited sum runs over
     l <= min(depth, n_levels); every level then holds an exact membership
-    certificate, making the sign checks unconditional.
+    certificate, making the sign checks unconditional.  A failed report's
+    notes name each failed sign row and a failed pivot bound by level.
     """
-    w, terms, total = _audited_terms(cspec, path, m, "aligned")
+    w, terms, total, _, _ = _audited_terms(cspec, path, m, "aligned")
     sign = 1 if path.family == "++" else -1
     lv_n = cspec.profile.level(w.n)
-    certified = _aligned_floor(lv_n) - cspec.sub_budget_level(w.n, m)
+    gap = cspec.alpha_gap_bound.denominator
+    # q_{k_n+1}/(75 A_n n^2) less the level's budget q_{k_n} q_{k_n+1} |m| / (n^2 gap)
+    den = 75 * lv_n.a
+    certified = Fraction(lv_n.q_next * (gap - den * lv_n.q * abs(m)), den * w.n * w.n * gap)
     rows = [ReportRow(l=l, value=t, sign_ok=t.numerator * sign >= 0)
             for l, t in enumerate(terms, 1)]
-    pivot_value = terms[w.n - 1]
-    rows[w.n - 1] = replace(rows[w.n - 1], bound=certified, bound_ok=abs(pivot_value) > certified)
+    pivot_ok = abs(terms[w.n - 1]) > certified
+    rows[w.n - 1] = replace(rows[w.n - 1], bound=certified, bound_ok=pivot_ok)
 
     # window bullets: q-scaled displacement strictly inside (9/50, 1/2) of a period
     cells = lv_n.cell_count
@@ -256,18 +284,18 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
     )[0]
 
     notes = []
-    signs_ok = all(r.sign_ok for r in rows)
     if not bullets_ok:
         notes.append("window displacement bullets failed")
     if certified <= 0:
         status = "indeterminate"
         notes.append("substitution budget swallows the pivot bound")
-    elif not signs_ok or not bullets_ok or abs(pivot_value) <= certified:
-        status = "fail"
     else:
-        status = "pass"
+        notes += [f"level {r.l}: sign check failed" for r in rows if not r.sign_ok]
+        if not pivot_ok:
+            notes.append(f"level {w.n}: pivot bound failed")
+        status = "fail" if notes else "pass"  # every note here names a failed check
     return _report(
-        cspec, path, m, w, total, rows,
+        cspec, path, m, w, total, rows, gap,
         certified_lower=certified, expected_sign=sign, status=status, notes=notes,
     )
 
@@ -280,57 +308,67 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     q_{k_n+1}/(24 A_n l^2) minus the level's substitution budget.  The head
     l <= n(m) is bounded by sum of twice the level maxima; the report carries
     the exact surrogate net = |tail| - head_bound - tail_budget, passing when
-    it is positive and indeterminate otherwise.
+    it is positive and indeterminate otherwise.  A failed report's notes name
+    each failed premise, sign or bound check by level.
+
+    The ledger runs on integer numerators over one denominator, a multiple of
+    every tail level's 24 A_n q_N q_{N+1} l^2 and every head level's peak
+    denominator (oracle: ``tests/oracles.audit``, the Fraction ledger).
     """
-    w, terms, total = _audited_terms(cspec, path, m, "mixed")
+    w, terms, total, nums, den = _audited_terms(cspec, path, m, "mixed")
     s_plus = path.family[1]
     k1 = cspec.profile.level(1).k
     expected = (-1 if k1 % 2 else 1) * (1 if s_plus == "+" else -1) * (1 if m > 0 else -1)
 
     lv_n = cspec.profile.level(w.n)
-    head = sum(terms[: w.n])
-    tail = total - head
+    head, tail = sum(nums[: w.n]), sum(nums[w.n :])  # over den
     levels = cspec.profile.levels
-    head_bound = sum(2 * level_max(lv, cspec.variant) for lv in levels[: w.n])
+    gap = cspec.alpha_gap_bound.denominator
+    head_dens = [_peak_den(lv, cspec.variant) for lv in levels[: w.n]]
+    scale = 24 * lv_n.a * gap  # times l^2: level l's bound and budget denominator
+    big = lcm(scale * lcm(*(l * l for l in range(w.n + 1, len(terms) + 1))), *head_dens)
+    head_bound = sum(2 * lv.q_next * (big // pd) for lv, pd in zip(levels, head_dens))
     rows = [ReportRow(l=l, value=t, sign_ok=True) for l, t in enumerate(terms[: w.n], 1)]
-    tail_bound_sum = Fraction(0)
-    tail_budget = Fraction(0)
-    all_ok = True
+    bound_sum = lam_sum = 0
+    failed = []
 
     for l, t in enumerate(terms[w.n :], w.n + 1):
         lv = levels[l - 1]
-        budget = cspec.sub_budget_level(l, m)
-        bound = Fraction(lv_n.q_next, 24 * lv_n.a * l * l) - budget
+        weight = big // (scale * l * l)
+        lam = lv.q * lv.q_next  # Lambda_l l^2
+        # q_{k_n+1}/(24 A_n l^2) less the budget Lambda_l |m| / gap, over big
+        bound = (lv_n.q_next * gap - 24 * lv_n.a * lam * abs(m)) * weight
         sign_ok = t.numerator * expected > 0
-        bound_ok = abs(t) > bound
+        bound_ok = abs(t.numerator) * big > bound * t.denominator
         # displacement premise: both bump arguments share a linearity interval
         premise = certify_offset(
             cspec.profile.alpha, lv.k, Fraction(0), Fraction(1, 12 * lv.cell_count), abs(m)
         )[0]
-        all_ok = all_ok and sign_ok and bound_ok and premise
-        tail_bound_sum += bound
-        tail_budget += budget
-        rows.append(ReportRow(l=l, value=t, sign_ok=sign_ok, bound=bound, bound_ok=bound_ok))
+        for check, ok in (("displacement premise", premise), ("sign check", sign_ok),
+                          ("bound check", bound_ok)):
+            if not ok:
+                failed.append(f"level {l}: {check} failed")
+        bound_sum += bound
+        lam_sum += lam * weight
+        rows.append(ReportRow(l=l, value=t, sign_ok=sign_ok, bound=Fraction(bound, big),
+                              bound_ok=bound_ok))
 
-    net = abs(tail) - tail_budget - head_bound
-    if not all_ok:
-        status = "fail"
-    elif net > 0:
-        status = "pass"
-    else:
-        status = "indeterminate"
+    tail_budget = 24 * lv_n.a * abs(m) * lam_sum
+    net = Fraction(abs(tail) * big - (tail_budget + head_bound) * den, den * big)
+    status = "fail" if failed else "pass" if net > 0 else "indeterminate"
     return _report(
-        cspec, path, m, w, total, rows,
+        cspec, path, m, w, total, rows, gap,
         certified_lower=max(net, Fraction(0)),
         expected_sign=expected,
         status=status,
-        head_abs=abs(head),
-        head_bound=head_bound,
-        tail_abs=abs(tail),
-        tail_bound_sum=tail_bound_sum,
+        head_abs=Fraction(abs(head), den),
+        head_bound=Fraction(head_bound, big),
+        tail_abs=Fraction(abs(tail), den),
+        tail_bound_sum=Fraction(bound_sum, big),
         net_lower=net,
         asymptotic_ref=_mixed_ref(lv_n),
-        notes=["net = |tail| - tail_budget - head_bound; asymptotic_ref holds for large n only"],
+        notes=["net = |tail| - tail_budget - head_bound; asymptotic_ref holds for large n only",
+               *failed],
     )
 
 
@@ -373,31 +411,47 @@ def discreteness_scan(
     monotonicity verdict; for aligned windows it is q_{k_n+1}/(75 A_n n^2),
     for mixed q_{k_n+1}/(50 A_n n), both of which rise only once the
     exponential growth of q_{k_n+1}/A_n beats the polynomial factor.
+
+    x and alpha_hat go on one lattice once per scan, with each level's weight
+    in phi_m and the sum of the f_l(x), so each m costs one bump per level and
+    ``_edge_index``'s integer edge test (oracle: ``tests/oracles.discreteness_scan``,
+    ``window`` and ``phi_m`` for each m).
     """
     fam = path.family
     kind = family_kind(fam)
     L = min(cspec.n_levels, path.depth)
-    cs = cspec.truncated(L)
+    levels = cspec.levels[:L]
+    v = cspec.variant
+    u, s, d = _on_lattice(path.point, cspec.alpha_hat)
+    dens = [_peak_den(lv, v) for lv in levels]
+    big = lcm(*dens)
+    # per level: its weight over 4 d big, and the positions of x and of alpha_hat
+    lanes = [(lv.q_next * (big // pd), u * lv.cell_count % d, s * lv.cell_count % d)
+             for lv, pd in zip(levels, dens)]
+
+    def bumps(k: int) -> int:
+        """sum_l f_l(x + k alpha_hat), as an integer over 4 d big."""
+        return sum(wt * _bump_num((r + k * dr) % d, d, v) for wt, r, dr in lanes)
+
+    base = bumps(0)
+    edge_den = _EDGE_DEN[kind]
+    bound = _aligned_floor if kind == "aligned" else _mixed_ref
     entries: list[ScanEntry] = []
     skipped: list[int] = []
     minima: dict[int, Fraction] = {}
     bounds: dict[int, Fraction] = {}
     for m in range(m_lo, m_hi + 1):
-        if m == 0:
+        i = _edge_index(levels, edge_den, m)
+        if i == 1 or i > L:  # below the first edge (m = 0 too) or past the last
             skipped.append(m)
             continue
-        try:
-            w = window(cspec.profile, kind, m, n_limit=L)
-        except (BelowFirstWindow, WindowBeyondProfile):
-            skipped.append(m)
-            continue
-        val = abs(phi_m(cs, path.point, m))
-        entries.append(ScanEntry(m=m, n_of_m=w.n, abs_total=val))
-        if w.n not in minima or val < minima[w.n]:
-            minima[w.n] = val
-        if w.n not in bounds:
-            bound = _aligned_floor if kind == "aligned" else _mixed_ref
-            bounds[w.n] = bound(cspec.profile.level(w.n))
+        n = i if kind == "aligned" else i - 1
+        val = Fraction(abs(bumps(m) - base), 4 * d * big)
+        entries.append(ScanEntry(m=m, n_of_m=n, abs_total=val))
+        if n not in minima or val < minima[n]:
+            minima[n] = val
+        if n not in bounds:
+            bounds[n] = bound(cspec.profile.level(n))
     ns = sorted(bounds)
     nondec = all(bounds[a] <= bounds[b] for a, b in zip(ns, ns[1:]))
     return ScanTable(

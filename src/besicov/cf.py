@@ -106,6 +106,11 @@ def _pairs(spec: IrrationalSpec, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _q(spec: IrrationalSpec, n: int) -> int:
+    """q_n, n >= 0, read from the pair cache without building a Convergent."""
+    return _pairs(spec, n)[n + 1][1]
+
+
 def convergent(spec: IrrationalSpec, n: int) -> Convergent:
     """n-th convergent by the recurrence p_n = a_n p_{n-1} + p_{n-2} (q likewise)."""
     if n < 0:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional
 
-from .cf import IrrationalSpec, convergent
+from .cf import IrrationalSpec, _q, convergent
 from .levels import LevelParams, Profile, select_levels
 
 #: Safety factor between q_N (denominator of alpha_hat) and the largest
@@ -106,6 +106,14 @@ def term(level: LevelParams, variant: str, x: Fraction, shift: Fraction) -> Frac
     return _scaled(level, variant, _term_num(level.cell_count, u, s, d, variant), d)
 
 
+def _sub_budget(levels: tuple[LevelParams, ...], m: int, gap: int) -> Fraction:
+    """Substitution budget of ``levels`` at iterate count m, with gap = q_N q_{N+1}:
+    the Lambda_l summed over the lcm S of the l^2, times |m|, over S gap."""
+    s = lcm(*(lv.n * lv.n for lv in levels))
+    total = sum(lv.q * lv.q_next * (s // (lv.n * lv.n)) for lv in levels)
+    return Fraction(total * abs(m), s * gap)
+
+
 @dataclass(frozen=True)
 class CocycleSpec:
     """A truncated cocycle with a pinned rational stand-in for alpha.
@@ -142,7 +150,7 @@ class CocycleSpec:
     def alpha_gap_bound(self) -> Fraction:
         """Exact upper bound on |alpha - alpha_hat|: the bracket width 1/(q_N q_{N+1})."""
         spec, n = self.profile.alpha, self.alpha_depth
-        return Fraction(1, convergent(spec, n).q * convergent(spec, n + 1).q)
+        return Fraction(1, _q(spec, n) * _q(spec, n + 1))
 
     @property
     def tail_bound(self) -> Fraction:
@@ -156,11 +164,8 @@ class CocycleSpec:
         return Fraction(lv.q * lv.q_next * abs(m), lv.n * lv.n * gap.denominator)
 
     def sub_budget(self, m: int = 1) -> Fraction:
-        """Total substitution budget across all truncated levels: the Lambda_l
-        summed over the lcm S of the l^2, times |m|, over S q_N q_{N+1}."""
-        s = lcm(*(lv.n * lv.n for lv in self.levels))
-        total = sum(lv.q * lv.q_next * (s // (lv.n * lv.n)) for lv in self.levels)
-        return Fraction(total * abs(m), s * self.alpha_gap_bound.denominator)
+        """Total substitution budget across all truncated levels."""
+        return _sub_budget(self.levels, m, self.alpha_gap_bound.denominator)
 
     def truncated(self, n_levels: int) -> "CocycleSpec":
         """Same cocycle cut at fewer levels (alpha_hat unchanged, so values
@@ -192,7 +197,7 @@ def make_cocycle(
     lam_max = max(lv.lam for lv in profile.levels[:n_levels])
     if alpha_depth is None:
         alpha_depth = 2
-        while convergent(spec, alpha_depth).q <= DEFAULT_GUARD * lam_max:
+        while _q(spec, alpha_depth) <= DEFAULT_GUARD * lam_max:
             alpha_depth += 1
     return CocycleSpec(profile=profile, n_levels=n_levels, alpha_depth=alpha_depth,
                        alpha_hat=convergent(spec, alpha_depth).value, guard=DEFAULT_GUARD)

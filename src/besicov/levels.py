@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cf import IrrationalSpec, convergent
+from .cf import IrrationalSpec, _q, convergent
 from .errors import DepthExceedsProfile, InvariantBroken, Result, ValidationFailure
 
 STRATEGIES = ("fixed", "greedy")
@@ -125,18 +125,16 @@ def select_levels(
         ks = [4 * n * n + 1 for n in range(1, n_max + 1)]
     else:
         k = 1
-        while convergent(spec, k).q < 9:
+        while _q(spec, k) < 9:
             k += 1
         ks.append(k)
         parity = k % 2
         for _ in range(2, n_max + 1):
             prev = ks[-1]
-            pq = convergent(spec, prev).q
-            pq1 = convergent(spec, prev + 1).q
+            pq, pq1 = _q(spec, prev), _q(spec, prev + 1)
             k = prev + 2  # keep parity
             while True:
-                cq = convergent(spec, k).q
-                cq1 = convergent(spec, k + 1).q
+                cq, cq1 = _q(spec, k), _q(spec, k + 1)
                 if variant == "tent":
                     if cq >= 18 * pq:
                         break

@@ -15,8 +15,13 @@ intervals is therefore an integer floor or ceil: ``child_span`` gives the
 level-(n+1) children of one interval as a lifted index range, and it is the
 one nesting test, for child picks and for the caller-supplied digit paths
 ``sample_point`` re-certifies alike; measured nesting counts hold their closed
-form to it.  Only ``interval`` and the interval tables build the endpoints as
-``Fraction``s.
+form to it.  Membership is decided the same way: x = a/b lies in the level-n
+union when it is at most H twelfths of a period past the band start at or
+below it, one floor division (``_lift``).  ``member`` builds no ``Fraction``;
+the per-level reductions x - j_lift P are built only by ``sample_point``,
+which stores them in its ``DigitPath`` (``tests/oracles.member`` keeps the
+Fraction formula with its reductions as the oracle).  Only ``interval`` and
+the interval tables build the endpoints as ``Fraction``s.
 
 The j = 0 interval of "++" straddles 0 and is kept as a single wrapped
 interval on the circle, so counting and membership treat the circle metric
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from .errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath, InvariantBroken
 
@@ -84,6 +89,20 @@ def interval(profile: Profile, family: str, n: int, j: int) -> TargetInterval:
     )
 
 
+def _lift(c: int, lo: int, hi: int, a: int, b: int) -> Optional[int]:
+    """The lifted index j_lift of the interval of a level of ``c`` cells that
+    holds x = a/b, for a family with offsets (lo, hi); None in a gap.
+
+    x lies in the union exactly when it is at most hi twelfths of a period
+    past the band start (12 j_lift + lo)/(12 c) at or below it.
+    """
+    t = 12 * c * a  # x in twelfths of a period is t/b
+    j_lift = (t // b - lo) // 12
+    if t - 12 * j_lift * b > hi * b:
+        return None
+    return j_lift
+
+
 def member_level(
     profile: Profile, family: str, n: int, x: Fraction
 ) -> Optional[tuple[int, Fraction]]:
@@ -97,9 +116,8 @@ def member_level(
     lo, hi = TWELFTHS[canonical_family(family)]
     c = profile.level(n).cell_count
     a, b = x.numerator, x.denominator
-    t = 12 * c * a  # x in twelfths of a period is t/b
-    j_lift = (t // b - lo) // 12
-    if t - 12 * j_lift * b > hi * b:
+    j_lift = _lift(c, lo, hi, a, b)
+    if j_lift is None:
         return None
     return j_lift % c, Fraction(a * c - j_lift * b, b * c)
 
@@ -110,22 +128,29 @@ class MemberResult:
 
     ok: bool
     first_fail: Optional[int]
-    entries: tuple[tuple[int, Fraction], ...]  # (j, reduction) per level
+
+
+def _lifts(profile: Profile, family: str, a: int, b: int, up_to: int) -> Iterator[Optional[int]]:
+    """``_lift`` of x = a/b at levels 1..up_to, stopping after the first gap."""
+    lo, hi = TWELFTHS[family]
+    for n in range(1, up_to + 1):
+        j_lift = _lift(profile.level(n).cell_count, lo, hi, a, b)
+        yield j_lift
+        if j_lift is None:
+            return
 
 
 def member(profile: Profile, family: str, x: Fraction, up_to: int) -> MemberResult:
-    """Exact membership of x in every level-l union for l <= up_to.
+    """Exact membership of x in every level-l union for l <= up_to, decided on
+    integers (oracle with the per-level reductions: ``tests/oracles.member``).
 
     A failure reports the minimal failing level.
     """
-    x = x % 1
-    entries: list[tuple[int, Fraction]] = []
-    for n in range(1, up_to + 1):
-        hit = member_level(profile, family, n, x)
-        if hit is None:
-            return MemberResult(ok=False, first_fail=n, entries=tuple(entries))
-        entries.append(hit)
-    return MemberResult(ok=True, first_fail=None, entries=tuple(entries))
+    fam, b = canonical_family(family), x.denominator
+    for n, j_lift in enumerate(_lifts(profile, fam, x.numerator % b, b, up_to), 1):
+        if j_lift is None:
+            return MemberResult(ok=False, first_fail=n)
+    return MemberResult(ok=True, first_fail=None)
 
 
 def child_span(profile: Profile, family: str, n: int, j: int) -> tuple[int, int]:
@@ -244,11 +269,14 @@ def sample_point(
             indices.append(pick)
         idx = tuple(indices)
     x = _center(profile, fam, len(idx), idx[-1])
-    res = member(profile, fam, x, len(idx))
-    if not res.ok:
-        raise InvalidDigitPath(f"center fails membership at level {res.first_fail}")
-    path = DigitPath(family=fam, indices=idx, point=x, reductions=tuple(r for _, r in res.entries))
-    return x, path
+    a, b = x.numerator, x.denominator
+    reductions = []
+    for n, j_lift in enumerate(_lifts(profile, fam, a, b, len(idx)), 1):
+        if j_lift is None:
+            raise InvalidDigitPath(f"center fails membership at level {n}")
+        c = profile.level(n).cell_count
+        reductions.append(Fraction(a * c - j_lift * b, b * c))
+    return x, DigitPath(family=fam, indices=idx, point=x, reductions=tuple(reductions))
 
 
 def interval_row(profile: Profile, family: str, n: int, j: int) -> dict:

@@ -47,6 +47,9 @@ DIMENSION = "src/besicov/dimension.py"
 TEST_COUNTS = TEST_DIMENSION + ("tests/test_lattice.py",)
 AUDIT = "src/besicov/audit.py"
 CF = "src/besicov/cf.py"
+TARGETS = "src/besicov/targets.py"
+TEST_AUDIT = ("tests/test_audit.py",)
+TEST_MEMBERSHIP = ("tests/test_targets.py", "tests/test_crosschecks.py")
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,7 @@ MUTANTS = (
     ),
     # the exact audit path on integer numerators: phi_m's level weights, the
     # budgets' bracket width, window's edge test, certify_offset's end order
+    # and reported depth
     Mutant(
         "phi-weight-unreduced",
         COCYCLE,
@@ -190,8 +194,8 @@ MUTANTS = (
     Mutant(
         "gap-bound-q-n-twice",
         COCYCLE,
-        "convergent(spec, n + 1).q",
-        "convergent(spec, n).q",
+        "_q(spec, n) * _q(spec, n + 1)",
+        "_q(spec, n) * _q(spec, n)",
         TEST_COCYCLE,
     ),
     Mutant(
@@ -199,7 +203,7 @@ MUTANTS = (
         AUDIT,
         "if abs(m) * den * lv.a < lv.q_next:",
         "if abs(m) * den * lv.a <= lv.q_next:",
-        ("tests/test_audit.py",),
+        TEST_AUDIT,
     ),
     Mutant(
         "offset-ends-unswapped",
@@ -207,6 +211,71 @@ MUTANTS = (
         "                n1, d1, n2, d2 = n2, d2, n1, d1\n",
         "                pass\n",
         ("tests/test_cf.py",),
+    ),
+    Mutant(
+        "offset-reports-start-depth",
+        CF,
+        "Fraction(n2, d2), depth\n",
+        "Fraction(n2, d2), max(8, k + 3)\n",
+        ("tests/test_cf.py",),
+    ),
+    # the bump kernel's scale and clamp, and the greedy search's q reads
+    Mutant(
+        "tent-scale-halved",
+        COCYCLE,
+        "        return 8 * s\n",
+        "        return 4 * s\n",
+        ("tests/test_crosschecks.py",),
+    ),
+    Mutant(
+        "main-clamp-at-one",
+        COCYCLE,
+        "    if t <= 0:\n",
+        "    if t <= 1:\n",
+        ("tests/test_crosschecks.py",),
+    ),
+    Mutant(
+        "greedy-q-next-read-as-q",
+        "src/besicov/levels.py",
+        "pq, pq1 = _q(spec, prev), _q(spec, prev + 1)",
+        "pq, pq1 = _q(spec, prev), _q(spec, prev)",
+        ("tests/test_levels.py",),
+    ),
+    # the scan on one lattice, membership on integers, the mixed ledger
+    Mutant(
+        "scan-base-at-shifted-point",
+        AUDIT,
+        "abs(bumps(m) - base)",
+        "abs(bumps(m) - bumps(m))",
+        TEST_AUDIT,
+    ),
+    Mutant(
+        "member-gap-test-inclusive",
+        TARGETS,
+        "if t - 12 * j_lift * b > hi * b:",
+        "if t - 12 * j_lift * b >= hi * b:",
+        TEST_MEMBERSHIP,
+    ),
+    Mutant(
+        "member-lift-plus-one",
+        TARGETS,
+        "j_lift = (t // b - lo) // 12",
+        "j_lift = (t // b - lo) // 12 + 1",
+        TEST_MEMBERSHIP,
+    ),
+    Mutant(
+        "mixed-bound-ok-wrong-denominator",
+        AUDIT,
+        "abs(t.numerator) * big > bound * t.denominator",
+        "abs(t.numerator) * big > bound * big",
+        TEST_AUDIT,
+    ),
+    Mutant(
+        "mixed-tail-budget-unweighted",
+        AUDIT,
+        "lam_sum += lam * weight",
+        "lam_sum += lam",
+        TEST_AUDIT,
     ),
     # the log enclosures' unreduced integer series and its outward ends
     Mutant(
@@ -309,7 +378,7 @@ MUTANTS = (
     ),
     Mutant(
         "child-span-ceil-floored",
-        "src/besicov/targets.py",
+        TARGETS,
         "jmin = -((lo * c - a) // (12 * c))",
         "jmin = (a - lo * c) // (12 * c)",
         TEST_COUNTS,

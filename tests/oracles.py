@@ -28,6 +28,13 @@ window edges, and :func:`certify_offset` does the bracket's interval
 arithmetic on :class:`Enclosure`; it takes its brackets through
 ``cf.alpha_bracket`` and its cap from ``cf.MAX_BRACKET_DEPTH`` at call time,
 so a test that patches either patches the oracle too.
+
+:func:`member_level` and :func:`member` decide membership by the defining
+formula in Fractions and keep each level's reduction, as ``targets.member``
+did before it decided on integers alone.  :func:`discreteness_scan` finds each
+m's window and its |phi_m| one m at a time, and :func:`audit` keeps the
+divergence ledgers in Fractions, per-level budgets and all: the references for
+the library's scan and audits on one lattice and one ledger denominator.
 """
 
 from fractions import Fraction
@@ -37,13 +44,15 @@ from types import SimpleNamespace
 from mpmath import mpf
 
 from besicov import cf
-from besicov.audit import KINDS, WindowIndex, _window_edge
+from besicov.audit import (KINDS, DivergenceReport, ReportRow, ScanEntry, ScanTable,
+                           WindowIndex, _aligned_floor, _mixed_ref, _window_edge)
 from besicov.certlog import _TAIL_BITS, _WORK_BITS, Enclosure
 from besicov.cf import convergent
-from besicov.cocycle import _on_lattice, _scaled, _term_num, level_max
-from besicov.errors import BelowFirstWindow, IndecisiveBracket, WindowBeyondProfile
+from besicov.cocycle import _on_lattice, _scaled, _term_num, level_max, term
+from besicov.errors import (BelowFirstWindow, DepthExceedsProfile, IndecisiveBracket,
+                            InvariantBroken, WindowBeyondProfile)
 from besicov.levels import LevelParams
-from besicov.targets import TWELFTHS, child_span
+from besicov.targets import TWELFTHS, child_span, family_kind
 
 
 def unit_position(level: LevelParams, x: Fraction) -> Fraction:
@@ -258,4 +267,147 @@ def certify_offset(spec, k: int, lo: Fraction, hi: Fraction, scale: int = 1):
         depth *= 2
     raise IndecisiveBracket(
         f"comparison against alpha undecided at bracket depth {cf.MAX_BRACKET_DEPTH}"
+    )
+
+
+def member_level(profile, family: str, n: int, x: Fraction):
+    """Membership by the defining formula, in Fractions: j_lift is the period
+    whose family band starts at or below x, and x is in the union when it
+    lies no further than the band's upper offset into that period.  Returns
+    (j mod C_n, x - j_lift P_n), or None in a gap."""
+    lo, hi = TWELFTHS[family]
+    lv = profile.level(n)
+    t = 12 * lv.cell_count * x
+    j_lift = (floor(t) - lo) // 12
+    if t - 12 * j_lift > hi:
+        return None
+    return j_lift % lv.cell_count, x - j_lift * lv.period
+
+
+def member(profile, family: str, x: Fraction, up_to: int):
+    """(ok, first_fail, entries): x mod 1 checked level by level up to the
+    first gap, entries the (j, reduction) of every level passed."""
+    x = x % 1
+    entries = []
+    for n in range(1, up_to + 1):
+        hit = member_level(profile, family, n, x)
+        if hit is None:
+            return False, n, tuple(entries)
+        entries.append(hit)
+    return True, None, tuple(entries)
+
+
+def discreteness_scan(cspec, path, m_lo: int, m_hi: int) -> ScanTable:
+    """The scan one m at a time: :func:`window` for m's window and
+    :func:`phi_m` of the depth-L truncation for |phi_m|."""
+    kind = family_kind(path.family)
+    L = min(cspec.n_levels, path.depth)
+    cs = cspec.truncated(L)
+    bound = _aligned_floor if kind == "aligned" else _mixed_ref
+    entries, skipped, minima, bounds = [], [], {}, {}
+    for m in range(m_lo, m_hi + 1):
+        try:
+            w = window(cspec.profile, kind, m, n_limit=L) if m else None
+        except (BelowFirstWindow, WindowBeyondProfile):
+            w = None
+        if w is None:
+            skipped.append(m)
+            continue
+        val = abs(phi_m(cs, path.point, m))
+        entries.append(ScanEntry(m=m, n_of_m=w.n, abs_total=val))
+        minima[w.n] = min(val, minima.get(w.n, val))
+        bounds.setdefault(w.n, bound(cspec.profile.level(w.n)))
+    ns = sorted(bounds)
+    return ScanTable(
+        family=path.family, kind=kind, entries=entries, window_minima=minima,
+        window_bounds=bounds, skipped=skipped,
+        bounds_nondecreasing=all(bounds[a] <= bounds[b] for a, b in zip(ns, ns[1:])),
+    )
+
+
+def audit(cspec, path, m: int) -> DivergenceReport:
+    """The aligned or mixed divergence report with every sum and bound a
+    Fraction: per-level terms from ``term``, per-level budgets from
+    :func:`sub_budget`, :func:`member`, :func:`window` and
+    :func:`certify_offset` from this module."""
+    kind = family_kind(path.family)
+    if kind == "aligned" and cspec.variant != "main":
+        raise ValueError(
+            f"aligned family {path.family} is not certified on the {cspec.variant} variant"
+        )
+    if m == 0:
+        raise BelowFirstWindow("m = 0 is excluded")
+    w = window(cspec.profile, kind, m, n_limit=cspec.n_levels)
+    if path.depth < w.n + 2:
+        raise DepthExceedsProfile(f"sample depth {path.depth} < required {w.n + 2} for this window")
+    L = min(cspec.n_levels, path.depth)
+    ok, first_fail, _ = member(cspec.profile, path.family, path.point, L)
+    if not ok:
+        raise ValueError(
+            f"point {path.point} leaves the {path.family} family at level {first_fail}"
+        )
+    v, shift = cspec.variant, m * cspec.alpha_hat
+    terms = [term(lv, v, path.point, shift) for lv in cspec.levels[:L]]
+    total = phi_m(cspec.truncated(L), path.point, m)
+    if sum(terms) != total:
+        raise InvariantBroken(f"audited terms do not sum to phi_m at m={m}")
+    lv_n = cspec.profile.level(w.n)
+    alpha = cspec.profile.alpha
+    if kind == "aligned":
+        sign = 1 if path.family == "++" else -1
+        certified = _aligned_floor(lv_n) - sub_budget(cspec, m, [w.n])
+        rows = [ReportRow(l=l, value=t, sign_ok=t * sign >= 0) for l, t in enumerate(terms, 1)]
+        pivot_ok = abs(terms[w.n - 1]) > certified
+        rows[w.n - 1] = ReportRow(l=w.n, value=terms[w.n - 1], sign_ok=rows[w.n - 1].sign_ok,
+                                  bound=certified, bound_ok=pivot_ok)
+        cells = lv_n.cell_count
+        bullets = certify_offset(alpha, lv_n.k, Fraction(9, 50 * cells), Fraction(1, 2 * cells),
+                                 abs(m))[0]
+        notes = [] if bullets else ["window displacement bullets failed"]
+        failed = [f"level {r.l}: sign check failed" for r in rows if not r.sign_ok]
+        if not pivot_ok:
+            failed.append(f"level {w.n}: pivot bound failed")
+        if certified <= 0:
+            status = "indeterminate"
+            notes.append("substitution budget swallows the pivot bound")
+        else:
+            status = "fail" if failed or not bullets else "pass"
+            notes += failed
+        own = dict(certified_lower=certified, expected_sign=sign, status=status, notes=notes)
+    else:
+        k1 = cspec.profile.level(1).k
+        expected = (-1) ** k1 * (1 if path.family[1] == "+" else -1) * (1 if m > 0 else -1)
+        head = sum(terms[: w.n])
+        tail = total - head
+        head_bound = sum(2 * level_max(lv, v) for lv in cspec.levels[: w.n])
+        rows = [ReportRow(l=l, value=t, sign_ok=True) for l, t in enumerate(terms[: w.n], 1)]
+        tail_bound_sum = tail_budget = Fraction(0)
+        failed = []
+        for l, t in enumerate(terms[w.n :], w.n + 1):
+            lv = cspec.profile.level(l)
+            budget = sub_budget(cspec, m, [l])
+            bound = Fraction(lv_n.q_next, 24 * lv_n.a * l * l) - budget
+            sign_ok, bound_ok = t * expected > 0, abs(t) > bound
+            premise = certify_offset(alpha, lv.k, Fraction(0), Fraction(1, 12 * lv.cell_count),
+                                     abs(m))[0]
+            for check, passed in (("displacement premise", premise), ("sign check", sign_ok),
+                                  ("bound check", bound_ok)):
+                if not passed:
+                    failed.append(f"level {l}: {check} failed")
+            tail_bound_sum += bound
+            tail_budget += budget
+            rows.append(ReportRow(l=l, value=t, sign_ok=sign_ok, bound=bound, bound_ok=bound_ok))
+        net = abs(tail) - tail_budget - head_bound
+        own = dict(
+            certified_lower=max(net, Fraction(0)), expected_sign=expected,
+            status="fail" if failed else "pass" if net > 0 else "indeterminate",
+            head_abs=abs(head), head_bound=head_bound, tail_abs=abs(tail),
+            tail_bound_sum=tail_bound_sum, net_lower=net, asymptotic_ref=_mixed_ref(lv_n),
+            notes=["net = |tail| - tail_budget - head_bound; asymptotic_ref holds for large n only",
+                   *failed],
+        )
+    return DivergenceReport(
+        family=path.family, kind=kind, m=m, n_of_m=w.n, window_lo=w.lo, window_hi=w.hi,
+        x=path.point, indices=path.indices, levels_audited=L, rows=rows, total=total,
+        sub_budget=sub_budget(cspec, m), extension_tail_bound=abs(m) * Fraction(1, L), **own,
     )

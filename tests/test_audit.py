@@ -1,5 +1,6 @@
 """Divergence audits: windows, aligned/mixed reports, scans."""
 
+import importlib
 from fractions import Fraction
 from math import ceil, floor
 from types import SimpleNamespace
@@ -8,14 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besicov import (
+    audit,
     audit_aligned,
     audit_mixed,
     discreteness_scan,
+    make_cocycle,
     phi_m,
     sample_point,
     window,
 )
-from besicov.errors import BelowFirstWindow, DepthExceedsProfile, WindowBeyondProfile
+from besicov.errors import (BelowFirstWindow, BesicovError, DepthExceedsProfile,
+                            WindowBeyondProfile)
+from besicov.targets import FAMILIES, DigitPath, family_kind
 
 import oracles
 
@@ -281,3 +286,132 @@ def test_window_matches_edge_scan_around_every_edge(fixture, kind, request):
         for m in range(floor(edge) - 2, floor(edge) + 3):
             assert_window_matches_scan(profile, kind, m)
             assert_window_matches_scan(profile, kind, -m, n_limit=n)
+
+
+# the integer scan and ledgers against the per-m scan and the Fraction ledgers
+
+#: the package re-exports the function audit() under the submodule's name
+audit_mod = importlib.import_module("besicov.audit")
+
+
+def same_outcome(run, oracle):
+    """The library's result as a dict equals the oracle's, or both raise the
+    same exception type with the same message."""
+    try:
+        want = oracle()
+    except (BesicovError, ValueError) as exc:
+        with pytest.raises((BesicovError, ValueError)) as got:
+            run()
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert run().as_dict() == want.as_dict()
+
+
+@pytest.fixture(scope="module")
+def main10(golden):
+    return make_cocycle(golden, "greedy", "main", 10, n_levels=10)
+
+
+def draw_path(data, cocycles):
+    """(cocycle, path, lo, hi): a cocycle, possibly truncated; a sampled path,
+    an aligned one on the tent variant now and then (refused), usually at full
+    depth and sometimes moved half a period of one level off its family; and
+    the floors lo, hi of the two window edges around a window it can audit."""
+    cs = data.draw(st.sampled_from(cocycles))
+    cs = cs.truncated(data.draw(st.integers(max(2, cs.n_levels - 2), cs.n_levels)))
+    family = data.draw(st.sampled_from(FAMILIES if cs.variant == "main" else ("+-", "-+", "++")))
+    n_max = cs.profile.n_max
+    depth = n_max if data.draw(st.integers(0, 3)) else data.draw(st.integers(1, n_max))
+    policy = data.draw(st.sampled_from(("center", "leftmost")))
+    _, path = sample_point(cs.profile, family, policy, depth)
+    if data.draw(st.integers(0, 3)) == 0:
+        x = path.point + cs.profile.level(data.draw(st.integers(1, depth))).period / 2
+        path = DigitPath(family, path.indices, x, path.reductions)
+    aligned = family_kind(family) == "aligned"
+    # edge i - 1 opens aligned window i and mixed window i - 1, which need depth n + 2
+    i = data.draw(st.integers(2, max(2, min(cs.n_levels, depth - 2 + (not aligned)))))
+    edge = lambda lv: floor(Fraction(lv.q_next, (2 if aligned else 12) * lv.a))
+    return cs, path, edge(cs.profile.level(i - 1)), edge(cs.profile.level(i))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_audits_match_fraction_ledgers(greedy_cocycle, tent_cocycle, main10, data):
+    """Both audits, both variants, truncated cocycles, off-family points and
+    m of both signs from edge to edge of a window: the same report, or the
+    same exception naming the same first failing level."""
+    cs, path, lo, hi = draw_path(data, (greedy_cocycle, tent_cocycle, main10))
+    m = data.draw(st.sampled_from((1, -1))) * data.draw(st.integers(max(lo, 1), hi + 1))
+    same_outcome(lambda: audit(cs, path, m), lambda: oracles.audit(cs, path, m))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_scan_matches_per_m_oracle(greedy_cocycle, tent_cocycle, main10, data):
+    """m ranges around 0 and around a window edge, of either sign."""
+    cs, path, lo, hi = draw_path(data, (greedy_cocycle, tent_cocycle, main10))
+    mid = data.draw(st.sampled_from((0, lo, -lo, hi, -hi)))
+    m_lo, m_hi = mid - data.draw(st.integers(0, 6)), mid + data.draw(st.integers(-1, 6))
+    assert (discreteness_scan(cs, path, m_lo, m_hi).as_dict()
+            == oracles.discreteness_scan(cs, path, m_lo, m_hi).as_dict())
+
+
+# a failed audit names each failed sub-check and its level
+
+
+def change_term(monkeypatch, level, change):
+    """Hand the audits ``change(term)`` in place of the term at ``level``; the
+    total and the numerators over ``den`` follow, so the identity still holds."""
+    real = audit_mod._audited_terms
+
+    def changed(cspec, path, m, kind):
+        w, terms, total, nums, den = real(cspec, path, m, kind)
+        old, new = terms[level - 1], change(terms[level - 1], den)
+        terms, nums = list(terms), list(nums)
+        terms[level - 1], nums[level - 1] = new, new.numerator * (den // new.denominator)
+        return w, terms, total - old + new, nums, den
+
+    monkeypatch.setattr(audit_mod, "_audited_terms", changed)
+
+
+negated = lambda t, den: -t
+#: the smallest term of t's sign that the numerators over den can hold
+tiny = lambda t, den: Fraction(1 if t > 0 else -1, den)
+NET_NOTE = "net = |tail| - tail_budget - head_bound; asymptotic_ref holds for large n only"
+
+
+@pytest.fixture
+def mixed_path(tent_cocycle):
+    return sample_point(tent_cocycle.profile, "-+", "center", 6)[1]
+
+
+def test_mixed_fail_names_failed_premises(monkeypatch, tent_cocycle, mixed_path):
+    monkeypatch.setattr(audit_mod, "certify_offset", lambda *args: (False, 1, 0, 0, 8))
+    rep = audit_mixed(tent_cocycle, mixed_path, 3863)
+    assert rep.status == "fail" and rep.n_of_m == 2
+    assert rep.notes == [NET_NOTE] + [f"level {l}: displacement premise failed"
+                                      for l in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("change, check", [(negated, "sign check"), (tiny, "bound check")])
+def test_mixed_fail_names_the_failed_tail_row(monkeypatch, tent_cocycle, mixed_path, change,
+                                              check):
+    change_term(monkeypatch, 4, change)
+    rep = audit_mixed(tent_cocycle, mixed_path, 3863)
+    assert rep.status == "fail"
+    assert rep.notes == [NET_NOTE, f"level 4: {check} failed"]
+    assert [r.l for r in rep.rows if not (r.sign_ok and r.bound_ok is not False)] == [4]
+
+
+def test_aligned_fail_names_sign_rows_pivot_and_bullets(monkeypatch, greedy_cocycle):
+    _, path = sample_point(greedy_cocycle.profile, "++", "center", 5)
+    change_term(monkeypatch, 5, negated)
+    rep = audit_aligned(greedy_cocycle, path, 1)
+    assert rep.status == "fail" and rep.notes == ["level 5: sign check failed"]
+    change_term(monkeypatch, 3, tiny)  # wraps the patched terms: level 5 stays negated
+    rep = audit_aligned(greedy_cocycle, path, 1)
+    assert rep.notes == ["level 5: sign check failed", "level 3: pivot bound failed"]
+    monkeypatch.setattr(audit_mod, "certify_offset", lambda *args: (False, 1, 0, 0, 8))
+    rep = audit_aligned(greedy_cocycle, path, 1)
+    assert rep.notes == ["window displacement bullets failed", "level 5: sign check failed",
+                         "level 3: pivot bound failed"]

@@ -196,19 +196,6 @@ def test_certificate_lane_never_calls_the_fraction_bump(greedy_cocycle, tent_coc
     assert run() == expected
 
 
-def member_level_fraction(profile, family, n, x):
-    """Membership by the defining formula, in Fractions: j_lift is the period
-    whose family band starts at or below x, and x is in the union when it
-    lies no further than the band's upper offset into that period."""
-    lo, hi = TWELFTHS[family]
-    lv = profile.level(n)
-    t = 12 * lv.cell_count * x
-    j_lift = (floor(t) - lo) // 12
-    if t - 12 * j_lift > hi:
-        return None
-    return j_lift % lv.cell_count, x - j_lift * lv.period
-
-
 @pytest.mark.parametrize("strategy, variant", [("greedy", "main"), ("greedy", "tent"), ("fixed", "main")])
 def test_member_level_against_fraction_formula(golden, strategy, variant):
     profile = make_cocycle(golden, strategy, variant, 3, n_levels=3).profile
@@ -223,7 +210,7 @@ def test_member_level_against_fraction_formula(golden, strategy, variant):
                     # away, so the "++" band at j = 0 is crossed at the wrap
                     for x in (edge - tiny, edge, edge + tiny):
                         for y in (x, x + 1, x - 1, x % 1):
-                            assert member_level(profile, family, n, y) == member_level_fraction(
+                            assert member_level(profile, family, n, y) == oracles.member_level(
                                 profile, family, n, y
                             ), (family, n, j, y)
 

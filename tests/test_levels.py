@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from besicov import convergent, select_levels, validate_levels
+from besicov import IrrationalSpec, convergent, select_levels, validate_levels
 from besicov.errors import ValidationFailure
 from besicov.levels import LevelParams, Profile, profile_to_dict
 
@@ -121,3 +121,26 @@ def test_log_growth_reported(greedy_profile):
 def test_json_big_integers_are_strings(greedy_profile):
     d = profile_to_dict(greedy_profile)
     assert all(isinstance(lv["q"], str) for lv in d["levels"])
+
+
+def greedy_indices(spec, variant, n_max):
+    """The greedy rule by a plain scan of Convergents: k_1 the least k >= 1
+    with q_k >= 9, then the least k of the same parity past k_{n-1} whose q
+    (tent: q >= 18 q') or q and q_next (main: five-fold each) have grown."""
+    q = lambda i: convergent(spec, i).q
+    ks = [next(k for k in range(1, 100) if q(k) >= 9)]
+    for _ in range(1, n_max):
+        prev = ks[-1]
+        grown = (lambda k: q(k) >= 18 * q(prev)) if variant == "tent" else (
+            lambda k: q(k) >= 5 * q(prev) and q(k + 1) >= 5 * q(prev + 1))
+        ks.append(next(k for k in range(prev + 2, prev + 200, 2) if grown(k)))
+    return ks
+
+
+@pytest.mark.parametrize("tail", [(1,), (2,), (10, 1, 1), (1, 7), (3, 1, 4, 1, 5)])
+@pytest.mark.parametrize("variant", ["main", "tent"])
+def test_greedy_levels_match_convergent_scan(tail, variant):
+    """Alphas whose large quotients make either growth condition bind."""
+    spec = IrrationalSpec(tail=tail)
+    p = select_levels(spec, "greedy", variant, 6)
+    assert [lv.k for lv in p.levels] == greedy_indices(spec, variant, 6)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besicov import interval, member, sample_point, targets
 from besicov.errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath
@@ -16,6 +17,8 @@ from besicov.targets import (
     interval_rows,
     member_level,
 )
+
+import oracles
 
 
 def _contains_point(iv, x):
@@ -206,3 +209,25 @@ def test_circle_containment_wraps():
     parent = TargetInterval(family="++", n=1, j=0, a=Fraction(-1, 24), b=Fraction(1, 24))
     child = TargetInterval(family="++", n=2, j=0, a=Fraction(95, 96), b=Fraction(97, 96))
     assert _circle_contained(child, parent)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_member_matches_reduction_oracle(greedy_profile, tent_profile, data):
+    """Membership on integers gives the Fraction formula's verdict and first
+    failing level, for sampled points moved by whole twelfths and quarter
+    twelfths of a level's period and by whole turns; a sampled path's
+    reductions are the formula's."""
+    profile = data.draw(st.sampled_from((greedy_profile, tent_profile)))
+    family = data.draw(st.sampled_from(FAMILIES))
+    depth = data.draw(st.integers(1, profile.n_max))
+    _, path = sample_point(profile, family, data.draw(st.sampled_from(("center", "leftmost"))),
+                           depth)
+    ok, _, entries = oracles.member(profile, family, path.point, depth)
+    assert ok and path.reductions == tuple(r for _, r in entries)
+    period = profile.level(data.draw(st.integers(1, profile.n_max))).period
+    x = (path.point + Fraction(data.draw(st.integers(-48, 48)), 48) * period
+         + data.draw(st.integers(-2, 2)))
+    up_to = data.draw(st.integers(1, profile.n_max))
+    ok, first_fail, _ = oracles.member(profile, family, x, up_to)
+    assert member(profile, family, x, up_to) == targets.MemberResult(ok, first_fail)
