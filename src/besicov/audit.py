@@ -14,12 +14,15 @@ membership certificate for x).  The reports keep three error sources apart:
 
 Sums and comparisons run on integer numerators, with one Fraction per
 reported value.  Window edges are tested on integers (``_edge_index``), and
-membership is re-certified on integers.  x and m alpha_hat go on one lattice
-for all audited terms, whose numerators over one denominator must sum to
-phi_m.  The mixed audit's ledger (each row's bound and verdict, the tail
-budget and bound sums, head_bound) is held over one more denominator.  A
-scan puts x and alpha_hat on one lattice once, so each m costs one bump per
-level.  ``tests/oracles.py`` keeps the Fraction routes as oracles:
+membership is re-certified on integers.  Every bump goes through the cocycle's
+potential kernel (its level weights and per-level numerators of
+g = sum_l f_l), so this module never decides a bump's numerator itself.  The
+audited terms are each level's g difference between x and x + m alpha_hat
+over one denominator, and must sum to phi_m.  The mixed audit's ledger (each
+row's bound and verdict, the tail budget and bound sums, head_bound, from the
+head levels' weights) is held over one more denominator.  A scan puts x and
+alpha_hat on one lattice once, so each m costs g(x + m alpha_hat), one bump
+per level.  ``tests/oracles.py`` keeps the Fraction routes as oracles:
 ``window`` over Fraction edges, ``audit`` with Fraction ledgers, and
 ``discreteness_scan`` with ``window`` and ``phi_m`` for each m.
 
@@ -47,8 +50,7 @@ from math import lcm
 from typing import Iterable, Optional
 
 from .cf import certify_offset
-from .cocycle import (CocycleSpec, _bump_num, _on_lattice, _peak_den, _scaled, _sub_budget,
-                      _term_num, phi_m)
+from .cocycle import CocycleSpec, _on_lattice, _potential, _sub_budget, _weights, phi_m
 from .errors import (BelowFirstWindow, DepthExceedsProfile, InvariantBroken, Result,
                      WindowBeyondProfile)
 from .levels import LevelParams, Profile
@@ -201,8 +203,8 @@ def _audited_terms(
     and membership at every audited level (re-certified on integers, so
     reports stay sound even for hand-built paths), and return the exact terms
     for l <= L = min(n_levels, depth), their total, phi_m of the depth-L
-    truncation, and the terms' numerators over one denominator ``den``, once
-    those are shown to sum to the total."""
+    truncation, and the terms' numerators over one denominator ``den`` = 4dL,
+    once those are shown to sum to the total."""
     if family_kind(path.family) != kind:
         raise ValueError(f"family {path.family} is not {kind}")
     if kind == "aligned" and cspec.variant != "main":
@@ -223,13 +225,14 @@ def _audited_terms(
     u, s, d = _on_lattice(path.point, cspec.alpha_hat)
     v = cspec.variant
     levels = cspec.levels[:L]
-    terms = [_scaled(lv, v, _term_num(lv.cell_count, u, m * s, d, v), d) for lv in levels]
+    big, weights = _weights(levels, v)
+    den = 4 * d * big
+    nums = [after - before for before, after in zip(_potential(weights, u, d, v),
+                                                    _potential(weights, u + m * s, d, v))]
     total = phi_m(cspec.truncated(L), path.point, m)
-    den = 4 * d * lcm(*(_peak_den(lv, v) for lv in levels))  # a multiple of every term's
-    nums = [t.numerator * (den // t.denominator) for t in terms]
     if sum(nums) * total.denominator != total.numerator * den:
         raise InvariantBroken(f"audited terms do not sum to phi_m at m={m}")
-    return w, terms, total, nums, den
+    return w, [Fraction(t, den) for t in nums], total, nums, den
 
 
 def _report(
@@ -312,8 +315,9 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     each failed premise, sign or bound check by level.
 
     The ledger runs on integer numerators over one denominator, a multiple of
-    every tail level's 24 A_n q_N q_{N+1} l^2 and every head level's peak
-    denominator (oracle: ``tests/oracles.audit``, the Fraction ledger).
+    every tail level's 24 A_n q_N q_{N+1} l^2 and of the lcm of the head
+    levels' peak denominators, over which each head level's maximum is its
+    weight (oracle: ``tests/oracles.audit``, the Fraction ledger).
     """
     w, terms, total, nums, den = _audited_terms(cspec, path, m, "mixed")
     s_plus = path.family[1]
@@ -324,10 +328,10 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     head, tail = sum(nums[: w.n]), sum(nums[w.n :])  # over den
     levels = cspec.profile.levels
     gap = cspec.alpha_gap_bound.denominator
-    head_dens = [_peak_den(lv, cspec.variant) for lv in levels[: w.n]]
+    head_big, head_weights = _weights(levels[: w.n], cspec.variant)
     scale = 24 * lv_n.a * gap  # times l^2: level l's bound and budget denominator
-    big = lcm(scale * lcm(*(l * l for l in range(w.n + 1, len(terms) + 1))), *head_dens)
-    head_bound = sum(2 * lv.q_next * (big // pd) for lv, pd in zip(levels, head_dens))
+    big = lcm(scale * lcm(*(l * l for l in range(w.n + 1, len(terms) + 1))), head_big)
+    head_bound = 2 * sum(wt for _, wt in head_weights) * (big // head_big)
     rows = [ReportRow(l=l, value=t, sign_ok=True) for l, t in enumerate(terms[: w.n], 1)]
     bound_sum = lam_sum = 0
     failed = []
@@ -412,10 +416,10 @@ def discreteness_scan(
     for mixed q_{k_n+1}/(50 A_n n), both of which rise only once the
     exponential growth of q_{k_n+1}/A_n beats the polynomial factor.
 
-    x and alpha_hat go on one lattice once per scan, with each level's weight
-    in phi_m and the sum of the f_l(x), so each m costs one bump per level and
-    ``_edge_index``'s integer edge test (oracle: ``tests/oracles.discreteness_scan``,
-    ``window`` and ``phi_m`` for each m).
+    x and alpha_hat go on one lattice once per scan, with the level weights and
+    the potential g(x) of the cocycle kernel, so each m costs g(x + m alpha_hat),
+    one bump per level, and ``_edge_index``'s integer edge test (oracle:
+    ``tests/oracles.discreteness_scan``, ``window`` and ``phi_m`` for each m).
     """
     fam = path.family
     kind = family_kind(fam)
@@ -423,17 +427,8 @@ def discreteness_scan(
     levels = cspec.levels[:L]
     v = cspec.variant
     u, s, d = _on_lattice(path.point, cspec.alpha_hat)
-    dens = [_peak_den(lv, v) for lv in levels]
-    big = lcm(*dens)
-    # per level: its weight over 4 d big, and the positions of x and of alpha_hat
-    lanes = [(lv.q_next * (big // pd), u * lv.cell_count % d, s * lv.cell_count % d)
-             for lv, pd in zip(levels, dens)]
-
-    def bumps(k: int) -> int:
-        """sum_l f_l(x + k alpha_hat), as an integer over 4 d big."""
-        return sum(wt * _bump_num((r + k * dr) % d, d, v) for wt, r, dr in lanes)
-
-    base = bumps(0)
+    big, weights = _weights(levels, v)
+    base = sum(_potential(weights, u, d, v))  # g(x), over 4 d big
     edge_den = _EDGE_DEN[kind]
     bound = _aligned_floor if kind == "aligned" else _mixed_ref
     entries: list[ScanEntry] = []
@@ -446,7 +441,7 @@ def discreteness_scan(
             skipped.append(m)
             continue
         n = i if kind == "aligned" else i - 1
-        val = Fraction(abs(bumps(m) - base), 4 * d * big)
+        val = Fraction(abs(sum(_potential(weights, u + m * s, d, v)) - base), 4 * d * big)
         entries.append(ScanEntry(m=m, n_of_m=n, abs_total=val))
         if n not in minima or val < minima[n]:
             minima[n] = val

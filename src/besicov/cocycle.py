@@ -13,23 +13,27 @@ Every exact quantity here is evaluated on an integer lattice.  With x = a/b
 and a shift s/q (alpha_hat, or m alpha_hat), x and x + shift are u/D and
 (u + s)/D over D = lcm(b, q); each level's position in its period is then an
 integer r = u A_n q_{k_n} mod D and each bump an integer numerator over 4D
-(:func:`_bump_num`).  Sums run on integer numerators too, with one Fraction
-per result: :func:`phi` and :func:`phi_m` weight each level's numerator by
-q_{k_l+1} (L / _peak_den(l)) over the lcm L of the peak denominators, and the
-substitution budgets sum Lambda_l over the lcm of the l^2 (``tests/oracles.py``
-keeps the per-level Fraction sums as their oracles).  :func:`term`,
-:func:`phi` and :func:`phi_m` evaluate each level once at x and once at
-x + shift; :func:`birkhoff` sums along the orbit instead, so the identity
-phi_m == birkhoff compares two routes to the same sum.  :func:`walk`
-is the one routine that steps an orbit, for ``birkhoff`` and for the orbit
-lane in :mod:`besicov.dynamics`, which rounds each bump along it as mpf
-would.  The unit-period ``unit_position``/``bump`` pair lives in the tests,
-as the independent oracle of both lanes.
+(:func:`_bump_num`).  Every exact sum reads one kernel, the potential
+g = sum_l f_l: :func:`_weights` gives the lcm L of the levels' peak
+denominators and level l's cell count and weight q_{k_l+1} L / _peak_den(l),
+and :func:`_potential` each level's weighted bump numerator at u/D over 4DL,
+which sum to g(u/D).  The truncated cocycle is the coboundary of g (Gottschalk
+and Hedlund, *Topological Dynamics*, 1955), so :func:`phi_m` is
+g(x + m alpha_hat) - g(x), one Fraction per result; :func:`term` and
+:func:`eval_level` are its one-level cases, and :mod:`besicov.audit` reads the
+same two helpers.  :func:`birkhoff` weights each level's bump differences
+summed along the orbit instead, so the identity phi_m == birkhoff compares two
+routes to the same sum.  The substitution budgets sum Lambda_l over the lcm of
+the l^2 (``tests/oracles.py`` keeps per-level Fraction sums as the oracles of
+both).  :func:`walk` is the one routine that steps an orbit, for
+``birkhoff`` and for the orbit lane in :mod:`besicov.dynamics`, which rounds
+each bump along it as mpf would.  The unit-period ``unit_position``/``bump``
+pair lives in the tests, as the independent oracle of both lanes.
 
-The cocycle itself is the series of coboundary-like differences
-f_l(x + alpha) - f_l(x).  The library replaces alpha by one deep convergent
-alpha_hat = p_N/q_N *everywhere*, which turns every audited statement into an
-exact rational identity; the substitution error is tracked per level as
+The cocycle itself is the series of differences f_l(x + alpha) - f_l(x).
+The library replaces alpha by one deep convergent alpha_hat = p_N/q_N
+*everywhere*, which turns every audited statement into an exact rational
+identity; the substitution error is tracked per level as
 Lambda_l |m| |alpha - alpha_hat| and surfaces as an explicit budget.  The
 series is truncated at ``n_levels``; the omitted tail of the true cocycle is
 bounded by sum_{l > N} 1/l^2 < 1/N per unit shift.
@@ -83,27 +87,38 @@ def _on_lattice(x: Fraction, shift: Fraction) -> tuple[int, int, int]:
     return x.numerator * (d // b), shift.numerator * (d // q), d
 
 
-def _scaled(level: LevelParams, variant: str, num: int, d: int) -> Fraction:
-    """peak * num / (4d): one Fraction for a level's integer bump numerator."""
-    return Fraction(level.q_next * num, _peak_den(level, variant) * 4 * d)
+def _weights(levels: tuple[LevelParams, ...], variant: str) -> tuple[int, list[tuple[int, int]]]:
+    """(L, weights): L the lcm of the levels' peak denominators, and per level
+    its cell count C_l and weight q_{k_l+1} L / _peak_den(l), so that f_l is
+    weight * _bump_num / (4dL)."""
+    dens = [_peak_den(lv, variant) for lv in levels]
+    big = lcm(*dens)
+    return big, [(lv.cell_count, lv.q_next * (big // den)) for lv, den in zip(levels, dens)]
 
 
-def _term_num(c: int, u: int, s: int, d: int, variant: str) -> int:
-    """Numerator over 4d of the bump difference at (u + s)/d and u/d, for a
-    level of ``c`` cells."""
-    return _bump_num((u + s) * c % d, d, variant) - _bump_num(u * c % d, d, variant)
+def _potential(weights: list[tuple[int, int]], u: int, d: int, variant: str) -> list[int]:
+    """Each level's weighted bump numerator at u/d, over 4dL: their sum is
+    g(u/d), the potential g = sum_l f_l, for (L, weights) from :func:`_weights`."""
+    return [wt * _bump_num(u * c % d, d, variant) for c, wt in weights]
 
 
 def eval_level(level: LevelParams, variant: str, x: Fraction) -> Fraction:
     """f_n(x), exact; x is reduced mod the period internally."""
+    big, weights = _weights((level,), variant)
     d = x.denominator
-    return _scaled(level, variant, _bump_num(x.numerator * level.cell_count % d, d, variant), d)
+    return Fraction(_potential(weights, x.numerator, d, variant)[0], 4 * d * big)
+
+
+def _coboundary(levels: tuple[LevelParams, ...], variant: str, u: int, s: int, d: int) -> Fraction:
+    """g((u + s)/d) - g(u/d) for the potential g of ``levels``: one Fraction over 4dL."""
+    big, weights = _weights(levels, variant)
+    at_x = sum(_potential(weights, u, d, variant))
+    return Fraction(sum(_potential(weights, u + s, d, variant)) - at_x, 4 * d * big)
 
 
 def term(level: LevelParams, variant: str, x: Fraction, shift: Fraction) -> Fraction:
     """f_n(x + shift) - f_n(x), exact."""
-    u, s, d = _on_lattice(x, shift)
-    return _scaled(level, variant, _term_num(level.cell_count, u, s, d, variant), d)
+    return _coboundary((level,), variant, *_on_lattice(x, shift))
 
 
 def _sub_budget(levels: tuple[LevelParams, ...], m: int, gap: int) -> Fraction:
@@ -157,12 +172,6 @@ class CocycleSpec:
         """Bound on the omitted series tail per unit |m|: sum_{l>N} 1/l^2 < 1/N."""
         return Fraction(1, self.n_levels)
 
-    def sub_budget_level(self, n: int, m: int = 1) -> Fraction:
-        """Substitution error budget for level n at iterate count m:
-        Lambda_n |m| / (q_N q_{N+1})."""
-        lv, gap = self.profile.level(n), self.alpha_gap_bound
-        return Fraction(lv.q * lv.q_next * abs(m), lv.n * lv.n * gap.denominator)
-
     def sub_budget(self, m: int = 1) -> Fraction:
         """Total substitution budget across all truncated levels."""
         return _sub_budget(self.levels, m, self.alpha_gap_bound.denominator)
@@ -209,20 +218,11 @@ def phi(cspec: CocycleSpec, x: Fraction) -> Fraction:
 
 
 def phi_m(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
-    """m-th ergodic sum evaluated through the telescoped form
-    sum_l (f_l(x + m alpha_hat) - f_l(x)); exact for any integer m.
-
-    On the lattice of x and alpha_hat, level l's numerator over 4d is weighted
-    by q_{k_l+1} (L / _peak_den(l)), L the lcm of the _peak_den, and the sum is
-    one Fraction over 4dL."""
+    """m-th ergodic sum as the coboundary of the potential g = sum_l f_l:
+    g(x + m alpha_hat) - g(x), exact for any integer m, one Fraction over 4dL
+    on the lattice of x and alpha_hat."""
     u, s, d = _on_lattice(x, cspec.alpha_hat)
-    v = cspec.variant
-    dens = [_peak_den(lv, v) for lv in cspec.levels]
-    big = lcm(*dens)
-    total = 0
-    for lv, den in zip(cspec.levels, dens):
-        total += lv.q_next * (big // den) * _term_num(lv.cell_count, u, m * s, d, v)
-    return Fraction(total, 4 * d * big)
+    return _coboundary(cspec.levels, cspec.variant, u, m * s, d)
 
 
 def walk(cspec: CocycleSpec, x: Fraction, steps: int) -> tuple[int, list[Iterator[int]]]:
@@ -250,7 +250,8 @@ def birkhoff(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
     """m-th ergodic sum by direct orbit summation along :func:`walk`.
 
     Per level, the bump differences f_l(x_{j+1}) - f_l(x_j) add up as one
-    integer numerator, made one Fraction at the end.  Agrees with :func:`phi_m`
+    integer numerator; the levels' sums, each times its :func:`_weights`
+    weight, make one Fraction at the end.  Agrees with :func:`phi_m`
     bit for bit because the same alpha_hat is used throughout and each f_l has
     period dividing 1; since phi_m evaluates each level once at x and once at
     x + m alpha_hat while this walks all |m| steps, the equality is the
@@ -258,13 +259,14 @@ def birkhoff(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
     """
     d, walks = walk(cspec, x, m)
     v = cspec.variant
-    total = Fraction(0)
-    for lv, rs in zip(cspec.levels, walks[1:]):
+    big, weights = _weights(cspec.levels, v)
+    total = 0
+    for (_, wt), rs in zip(weights, walks[1:]):
         g = _bump_num(next(rs), d, v)
         acc = 0
         for r in rs:
             g_next = _bump_num(r, d, v)
             acc += g_next - g
             g = g_next
-        total += _scaled(lv, v, acc, d)
-    return total
+        total += wt * acc
+    return Fraction(total, 4 * d * big)

@@ -103,25 +103,6 @@ def _lift(c: int, lo: int, hi: int, a: int, b: int) -> Optional[int]:
     return j_lift
 
 
-def member_level(
-    profile: Profile, family: str, n: int, x: Fraction
-) -> Optional[tuple[int, Fraction]]:
-    """Locate x in the level-n union.
-
-    Returns ``(j, reduction)`` with reduction = x - j_lift * P lying in the
-    family's offset band, or None when x falls in a gap.  The lifted index
-    makes the reduction exact even across the wrap, while j is reported mod
-    the cell count.
-    """
-    lo, hi = TWELFTHS[canonical_family(family)]
-    c = profile.level(n).cell_count
-    a, b = x.numerator, x.denominator
-    j_lift = _lift(c, lo, hi, a, b)
-    if j_lift is None:
-        return None
-    return j_lift % c, Fraction(a * c - j_lift * b, b * c)
-
-
 @dataclass(frozen=True)
 class MemberResult:
     """Membership of x level by level, with the first failing level if any."""

@@ -181,9 +181,8 @@ MUTANTS = (
         'digits[dps] in "6789"',
         TEST_DYNAMICS,
     ),
-    # the exact audit path on integer numerators: phi_m's level weights, the
-    # budgets' bracket width, window's edge test, certify_offset's end order
-    # and reported depth
+    # the potential kernel: the level weights over the lcm of the peak
+    # denominators, and phi_m's base point
     Mutant(
         "phi-weight-unreduced",
         COCYCLE,
@@ -191,6 +190,22 @@ MUTANTS = (
         "lv.q_next * big",
         TEST_COCYCLE,
     ),
+    Mutant(
+        "weight-q-next-read-as-q",
+        COCYCLE,
+        "(lv.cell_count, lv.q_next * (big // den))",
+        "(lv.cell_count, lv.q * (big // den))",
+        TEST_COCYCLE,
+    ),
+    Mutant(
+        "phi-base-at-shifted-point",
+        COCYCLE,
+        "at_x = sum(_potential(weights, u, d, variant))",
+        "at_x = sum(_potential(weights, u + s, d, variant))",
+        TEST_COCYCLE,
+    ),
+    # the exact audit path on integer numerators: the budgets' bracket width,
+    # window's edge test, certify_offset's end order and reported depth
     Mutant(
         "gap-bound-q-n-twice",
         COCYCLE,
@@ -241,12 +256,13 @@ MUTANTS = (
         "pq, pq1 = _q(spec, prev), _q(spec, prev)",
         ("tests/test_levels.py",),
     ),
-    # the scan on one lattice, membership on integers, the mixed ledger
+    # the scan on one lattice, membership on integers, the aligned
+    # indeterminate branch, the mixed ledger
     Mutant(
         "scan-base-at-shifted-point",
         AUDIT,
-        "abs(bumps(m) - base)",
-        "abs(bumps(m) - bumps(m))",
+        "base = sum(_potential(weights, u, d, v))",
+        "base = sum(_potential(weights, u + s, d, v))",
         TEST_AUDIT,
     ),
     Mutant(
@@ -262,6 +278,13 @@ MUTANTS = (
         "j_lift = (t // b - lo) // 12",
         "j_lift = (t // b - lo) // 12 + 1",
         TEST_MEMBERSHIP,
+    ),
+    Mutant(
+        "aligned-budget-branch-gone",
+        AUDIT,
+        "    if certified <= 0:\n",
+        "    if False:\n",
+        TEST_AUDIT,
     ),
     Mutant(
         "mixed-bound-ok-wrong-denominator",

@@ -21,9 +21,12 @@ reach it: two references for the floor-sum count of
 :func:`besicov.dimension._occupied_cells`, in O(C) and in O(grid).
 
 The library sums and compares on integer numerators, building one Fraction
-per result; these are the Fraction routes it replaced.  :func:`phi_m` adds
-one Fraction per level, and :func:`sub_budget` multiplies the Fraction
-Lipschitz constants by the bracket width.  :func:`window` scans the Fraction
+per result; these are the Fraction routes it replaced.  The library's exact
+sums all read one kernel, the potential g = sum_l f_l, weighted over the lcm
+of the levels' peak denominators.  :func:`phi_m` reads none of it: it adds
+one Fraction per level, :func:`bump` at each :func:`unit_position` scaled to
+``level_max``.  :func:`sub_budget` multiplies the Fraction Lipschitz
+constants by the bracket width.  :func:`window` scans the Fraction
 window edges, and :func:`certify_offset` does the bracket's interval
 arithmetic on :class:`Enclosure`; it takes its brackets through
 ``cf.alpha_bracket`` and its cap from ``cf.MAX_BRACKET_DEPTH`` at call time,
@@ -48,7 +51,7 @@ from besicov.audit import (KINDS, DivergenceReport, ReportRow, ScanEntry, ScanTa
                            WindowIndex, _aligned_floor, _mixed_ref, _window_edge)
 from besicov.certlog import _TAIL_BITS, _WORK_BITS, Enclosure
 from besicov.cf import convergent
-from besicov.cocycle import _on_lattice, _scaled, _term_num, level_max, term
+from besicov.cocycle import level_max, term
 from besicov.errors import (BelowFirstWindow, DepthExceedsProfile, IndecisiveBracket,
                             InvariantBroken, WindowBeyondProfile)
 from besicov.levels import LevelParams
@@ -213,14 +216,14 @@ def occupied_cells_by_cell(profile, family: str, n: int, grid: int) -> int:
 
 
 def phi_m(cspec, x: Fraction, m: int) -> Fraction:
-    """sum_l f_l(x + m alpha_hat) - f_l(x), one Fraction per level added up."""
-    if m == 0:
-        return Fraction(0)
-    u, s, d = _on_lattice(x, m * cspec.alpha_hat)
-    v = cspec.variant
+    """sum_l f_l(x + m alpha_hat) - f_l(x), one Fraction per level added up:
+    :func:`bump` at each :func:`unit_position`, scaled to ``level_max``."""
+    y = x + m * cspec.alpha_hat
     total = Fraction(0)
     for lv in cspec.levels:
-        total += _scaled(lv, v, _term_num(lv.cell_count, u, s, d, v), d)
+        peak = level_max(lv, cspec.variant)
+        total += bump(unit_position(lv, y), cspec.variant, peak)
+        total -= bump(unit_position(lv, x), cspec.variant, peak)
     return total
 
 

@@ -1,6 +1,7 @@
 """Divergence audits: windows, aligned/mixed reports, scans."""
 
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, floor
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from besicov import (
     audit,
     audit_aligned,
     audit_mixed,
+    convergent,
     discreteness_scan,
     make_cocycle,
     phi_m,
@@ -98,7 +100,18 @@ def test_aligned_certified_bound_formula(greedy_cocycle):
     rep = audit_aligned(greedy_cocycle, path, 1)
     lv = greedy_cocycle.profile.level(3)
     bound = Fraction(lv.q_next, 75 * lv.a * 9)
-    assert rep.certified_lower == bound - greedy_cocycle.sub_budget_level(3, 1)
+    assert rep.certified_lower == bound - oracles.sub_budget(greedy_cocycle, 1, [3])
+
+
+def test_aligned_indeterminate_when_budget_swallows_pivot(golden, greedy_cocycle):
+    # alpha_hat at depth 10 (allowed by guard 0) leaves a substitution budget
+    # larger than the pivot bound q_{k_3+1}/(75 A_3 9)
+    cs = replace(greedy_cocycle, guard=0, alpha_depth=10, alpha_hat=convergent(golden, 10).value)
+    _, path = sample_point(cs.profile, "++", "center", 5)
+    rep = audit_aligned(cs, path, 1)
+    assert rep.status == "indeterminate" and rep.certified_lower < 0
+    assert rep.notes == ["substitution budget swallows the pivot bound"]
+    assert rep.as_dict() == oracles.audit(cs, path, 1).as_dict()
 
 
 def test_aligned_depth_requirement(greedy_cocycle):
@@ -165,7 +178,7 @@ def test_mixed_magnitude_bound_formula(tent_cocycle):
     for r in rep.rows:
         if r.l > 2:
             raw = Fraction(lv2.q_next, 24 * lv2.a * r.l * r.l)
-            assert r.bound == raw - tent_cocycle.sub_budget_level(r.l, 3863)
+            assert r.bound == raw - oracles.sub_budget(tent_cocycle, 3863, [r.l])
             assert abs(r.value) > r.bound
 
 

@@ -205,9 +205,9 @@ def test_truncation_is_prefix_sum(greedy_cocycle):
 
 
 def test_substitution_budget_scales(greedy_cocycle):
-    assert greedy_cocycle.sub_budget_level(2, 10) == 10 * greedy_cocycle.sub_budget_level(2, 1)
+    assert greedy_cocycle.sub_budget(10) == 10 * greedy_cocycle.sub_budget(1)
     assert greedy_cocycle.sub_budget(3) == sum(
-        greedy_cocycle.sub_budget_level(l, 3) for l in range(1, greedy_cocycle.n_levels + 1)
+        oracles.sub_budget(greedy_cocycle, 3, [l]) for l in range(1, greedy_cocycle.n_levels + 1)
     )
 
 
@@ -233,8 +233,8 @@ def test_phi_m_matches_per_level_fractions(greedy_cocycle, tent_cocycle, num, de
 @settings(max_examples=60, deadline=None)
 def test_substitution_budgets_match_fraction_products(greedy_cocycle, tent_cocycle, m, tent):
     """Lambda_l |m| / (q_N q_{N+1}) summed on integers equals the product of
-    Fractions, for the whole truncation and for each level."""
+    Fractions, for the whole truncation and for each shorter one."""
     cs = tent_cocycle if tent else greedy_cocycle
     assert cs.sub_budget(m) == oracles.sub_budget(cs, m)
     for l in range(1, cs.n_levels + 1):
-        assert cs.sub_budget_level(l, m) == oracles.sub_budget(cs, m, [l])
+        assert cs.truncated(l).sub_budget(m) == oracles.sub_budget(cs, m, range(1, l + 1))

@@ -25,17 +25,18 @@ from besicov import (
     discreteness_scan,
     eval_level,
     make_cocycle,
+    member,
     phi,
     phi_m,
     sample_point,
 )
 from besicov.cf import certify_offset
-from besicov.cocycle import _bump_num, level_max, term
+from besicov.cocycle import _bump_num, term
 from besicov.levels import LevelParams
-from besicov.targets import FAMILIES, TWELFTHS, member_level
+from besicov.targets import FAMILIES, TWELFTHS
 
 import oracles
-from oracles import bump, unit_position
+from oracles import bump
 
 
 def eval_main_closed(lv: LevelParams, x: Fraction) -> Fraction:
@@ -123,17 +124,6 @@ def test_term_phi_and_eval_level_against_closed_forms(golden):
             assert phi(cs, x) == expected, (strategy, variant, n, x)
 
 
-def phi_m_bump_oracle(cs, x: Fraction, m: int) -> Fraction:
-    """phi_m through the unit-period fold and bump, all in Fractions."""
-    shift = m * cs.alpha_hat
-    total = Fraction(0)
-    for lv in cs.levels:
-        peak = level_max(lv, cs.variant)
-        total += bump(unit_position(lv, x + shift), cs.variant, peak)
-        total -= bump(unit_position(lv, x), cs.variant, peak)
-    return total
-
-
 @given(
     num=st.integers(-(10**40), 10**40),
     den=st.integers(1, 10**40),
@@ -144,7 +134,7 @@ def phi_m_bump_oracle(cs, x: Fraction, m: int) -> Fraction:
 def test_phi_m_against_bump_oracle(greedy_cocycle, tent_cocycle, num, den, m, tent):
     cs = tent_cocycle if tent else greedy_cocycle
     x = Fraction(num, den)
-    assert phi_m(cs, x, m) == phi_m_bump_oracle(cs, x, m)
+    assert phi_m(cs, x, m) == oracles.phi_m(cs, x, m)
 
 
 @pytest.mark.parametrize("variant", ["main", "tent"])
@@ -198,9 +188,12 @@ def test_certificate_lane_never_calls_the_fraction_bump(greedy_cocycle, tent_coc
 
 @pytest.mark.parametrize("strategy, variant", [("greedy", "main"), ("greedy", "tent"), ("fixed", "main")])
 def test_member_level_against_fraction_formula(golden, strategy, variant):
+    """Membership at one level, decided on integers by ``member`` on a profile
+    of that level alone, against the Fraction formula ``oracles.member_level``."""
     profile = make_cocycle(golden, strategy, variant, 3, n_levels=3).profile
     for n in (1, 2, 3):
         c = profile.level(n).cell_count
+        alone = oracles.lattice_profile(c)
         tiny = Fraction(1, 12 * c * 10**9)
         for family in FAMILIES:
             lo, hi = TWELFTHS[family]
@@ -210,9 +203,9 @@ def test_member_level_against_fraction_formula(golden, strategy, variant):
                     # away, so the "++" band at j = 0 is crossed at the wrap
                     for x in (edge - tiny, edge, edge + tiny):
                         for y in (x, x + 1, x - 1, x % 1):
-                            assert member_level(profile, family, n, y) == oracles.member_level(
-                                profile, family, n, y
-                            ), (family, n, j, y)
+                            hit = oracles.member_level(profile, family, n, y)
+                            assert member(alone, family, y, 1).ok == (hit is not None), (
+                                family, n, j, y)
 
 
 def birkhoff_fraction_orbit(cs, x: Fraction, m: int) -> Fraction:

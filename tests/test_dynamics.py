@@ -26,7 +26,6 @@ from besicov import (
 )
 from besicov.cocycle import walk
 from besicov.errors import ErrorBudgetBlown
-from besicov.targets import member_level
 
 import oracles
 from oracles import to_mpf
@@ -388,7 +387,7 @@ def test_sensitivity_candidate_lies_in_the_levels_it_descends(golden, variant, x
     start = next(l for l in range(1, cspec.n_levels + 1)
                  if cspec.profile.level(l).period <= delta / 2)
     for l in range(start, min(start + 2, cspec.n_levels) + 1):
-        assert member_level(cspec.profile, family, l, y) is not None
+        assert oracles.member_level(cspec.profile, family, l, y) is not None
 
 
 def test_sensitivity_unreachable_eps(tent_cocycle):

@@ -39,6 +39,21 @@ def test_broken_invariants_are_library_errors():
     assert raised == []
 
 
+def test_bump_kernel_names_stay_in_cocycle():
+    # the bump-to-numerator decision lives in one module; everything else
+    # reads it through the weights and potential helpers
+    kernel = {"_bump_num", "_peak_den"}
+    users = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id in kernel
+        or isinstance(node, ast.Attribute) and node.attr in kernel
+        or isinstance(node, ast.alias) and node.name in kernel
+    }
+    assert users == {"cocycle.py"}
+
+
 def test_audits_raise_when_master_identity_breaks(greedy_cocycle, tent_cocycle, monkeypatch):
     real = audit_mod.phi_m
     monkeypatch.setattr(audit_mod, "phi_m", lambda cspec, x, m: real(cspec, x, m) + 1)

@@ -15,7 +15,6 @@ from besicov.targets import (
     child_span,
     family_kind,
     interval_rows,
-    member_level,
 )
 
 import oracles
@@ -67,24 +66,30 @@ def test_uniform_spacing_and_gap(greedy_profile):
 def test_wrapped_interval_membership(greedy_profile):
     lv = greedy_profile.level(1)
     near_one = 1 - lv.period / 24
-    hit = member_level(greedy_profile, "++", 1, near_one)
-    assert hit is not None
-    j, red = hit
-    assert j == 0 and red == -lv.period / 24
+    assert member(greedy_profile, "++", near_one, 1).ok
     iv = interval(greedy_profile, "++", 1, 0)
     assert _contains_point(iv, near_one)
+    # the last level-2 interval is a child of level-1 interval 0 across the
+    # wrap, so its center 1 - P_2 reduces to -P_2 at level 1
+    last = greedy_profile.level(2).cell_count - 1
+    wrapped = DigitPath(family="++", indices=(0, last), point=Fraction(0), reductions=())
+    x, path = sample_point(greedy_profile, "++", wrapped)
+    p2 = greedy_profile.level(2).period
+    assert x == 1 - p2 and path.reductions == (-p2, 0)
 
 
 def test_member_against_brute_scan(greedy_profile):
     lv = greedy_profile.level(1)
-    x = Fraction(1, 2)
-    brute = [
-        j
-        for j in range(lv.cell_count)
-        if _contains_point(interval(greedy_profile, "++", 1, j), x)
-    ]
-    hit = member_level(greedy_profile, "++", 1, x)
-    assert brute == ([hit[0]] if hit else [])
+    tiny = Fraction(1, 10**9)
+    for x in (Fraction(1, 2), 1 - lv.period / 24, 1 - lv.period / 12 - tiny, lv.period / 12,
+              lv.period / 12 + tiny):
+        brute = [
+            j
+            for j in range(lv.cell_count)
+            if _contains_point(interval(greedy_profile, "++", 1, j), x)
+        ]
+        assert len(brute) <= 1
+        assert member(greedy_profile, "++", x, 1).ok == bool(brute), x
 
 
 def test_member_reports_minimal_failure(greedy_profile):
