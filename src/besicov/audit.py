@@ -9,8 +9,13 @@ membership certificate for x).  The reports keep three error sources apart:
 * truncation: levels above D contribute at most |m| * sum_{l>D} 1/l^2
   < |m|/D to the untruncated series; reported for context, never silently
   absorbed into a certificate;
-* bracket indecision: comparisons against alpha itself go through rational
-  enclosures that escalate until strict inequalities are decided.
+* bracket indecision: a comparison against alpha itself is decided by the
+  convergent gap law on integers (``cf.gap_law_offset``) when the law
+  decides it, and otherwise by rational enclosures that escalate until the
+  strict inequalities are decided (``cf.certify_offset``).  The law decides
+  each mixed displacement premise, since a tail level has
+  12 A_l |m| < q_{k_l+1}, and the aligned bullets whenever the level ratio
+  stays within the validated window's 25/18.
 
 Sums and comparisons run on integer numerators, with one Fraction per
 reported value.  Window edges are tested on integers (``_edge_index``), and
@@ -18,7 +23,10 @@ membership is re-certified on integers.  Every bump goes through the cocycle's
 potential kernel (its level weights and per-level numerators of
 g = sum_l f_l), so this module never decides a bump's numerator itself.  The
 audited terms are each level's g difference between x and x + m alpha_hat
-over one denominator, and must sum to phi_m.  The mixed audit's ledger (each
+over one denominator, and must sum to phi_m.  That identity shares the
+kernel with the terms, so it guards only their slicing into levels, not the
+kernel; ``cocycle.birkhoff``, which sums bump differences along the orbit,
+is the independent route to the same sum.  The mixed audit's ledger (each
 row's bound and verdict, the tail budget and bound sums, head_bound, from the
 head levels' weights) is held over one more denominator.  A scan puts x and
 alpha_hat on one lattice once, so each m costs g(x + m alpha_hat), one bump
@@ -49,7 +57,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional
 
-from .cf import certify_offset
+from .cf import IrrationalSpec, certify_offset, gap_law_offset
 from .cocycle import CocycleSpec, _on_lattice, _potential, _sub_budget, _weights, phi_m
 from .errors import (BelowFirstWindow, DepthExceedsProfile, InvariantBroken, Result,
                      WindowBeyondProfile)
@@ -195,6 +203,13 @@ def _mixed_ref(lv: LevelParams) -> Fraction:
     return Fraction(lv.q_next, 50 * lv.a * lv.n)
 
 
+def _offset_ok(spec: IrrationalSpec, k: int, lo: Fraction, hi: Fraction, scale: int) -> bool:
+    """lo < scale |alpha - p_k/q_k| < hi, by the gap law when it decides and
+    by ``certify_offset``'s escalating brackets otherwise."""
+    verdict = gap_law_offset(spec, k, lo, hi, scale)
+    return certify_offset(spec, k, lo, hi, scale)[0] if verdict is None else verdict
+
+
 def _audited_terms(
     cspec: CocycleSpec, path: DigitPath, m: int, kind: str
 ) -> tuple[WindowIndex, list[Fraction], Fraction, list[int], int]:
@@ -282,9 +297,9 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
 
     # window bullets: q-scaled displacement strictly inside (9/50, 1/2) of a period
     cells = lv_n.cell_count
-    bullets_ok = certify_offset(
+    bullets_ok = _offset_ok(
         cspec.profile.alpha, lv_n.k, Fraction(9, 50 * cells), Fraction(1, 2 * cells), abs(m)
-    )[0]
+    )
 
     notes = []
     if not bullets_ok:
@@ -345,9 +360,9 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
         sign_ok = t.numerator * expected > 0
         bound_ok = abs(t.numerator) * big > bound * t.denominator
         # displacement premise: both bump arguments share a linearity interval
-        premise = certify_offset(
+        premise = _offset_ok(
             cspec.profile.alpha, lv.k, Fraction(0), Fraction(1, 12 * lv.cell_count), abs(m)
-        )[0]
+        )
         for check, ok in (("displacement premise", premise), ("sign check", sign_ok),
                           ("bound check", bound_ok)):
             if not ok:

@@ -2,11 +2,15 @@
 
 Every irrational handled by the library enters as a continued-fraction
 expansion (finite head plus periodic tail), so alpha itself is never stored
-as a decimal.  Every comparison against alpha is one :func:`certify_offset`
-call: it brackets alpha between consecutive convergents, escalating the depth
-until the comparison is decided exactly, and compares on integer numerators,
-building one Fraction per result (``tests/oracles.py`` keeps the Enclosure
-route as its oracle).  :class:`Enclosure` is the library's one closed rational
+as a decimal.  A comparison against alpha is first put to the convergent gap
+law, 1/(2 q_k q_{k+1}) < |alpha - p_k/q_k| < 1/(q_k q_{k+1}) (Khinchin,
+*Continued Fractions*, ch. 1), by :func:`gap_law_offset`, which decides it on
+integers or declines.  Otherwise, and for the law's own certificate
+:func:`gap_bounds_check`, it is one :func:`certify_offset` call: that brackets
+alpha between consecutive convergents, escalating the depth until the
+comparison is decided exactly, and compares on integer numerators, building
+one Fraction per result (``tests/oracles.py`` keeps the Enclosure route as its
+oracle).  :class:`Enclosure` is the library's one closed rational
 interval type; :func:`alpha_bracket` and the logarithms of ``certlog`` use it.
 """
 
@@ -211,6 +215,30 @@ def certify_offset(
     raise IndecisiveBracket(
         f"comparison against alpha undecided at bracket depth {MAX_BRACKET_DEPTH}"
     )
+
+
+def gap_law_offset(
+    spec: IrrationalSpec, k: int, lo: Fraction, hi: Fraction, scale: int = 1
+) -> Optional[bool]:
+    """Decide lo < scale |alpha - p_k/q_k| < hi from the gap law alone, or None.
+
+    The law puts scale |alpha - p_k/q_k| strictly between scale/(2 q_k q_{k+1})
+    and scale/(q_k q_{k+1}), so the comparison is decided when neither lo nor
+    hi lies strictly between those two ends: it holds exactly when lo is below
+    the far end and hi above the near one.  Decided by cross-multiplying
+    integers; None for scale < 1 or a bound strictly inside.  The law itself
+    is certified by :func:`gap_bounds_check`, which must not call this.
+    """
+    if scale < 1:
+        return None
+    pairs = _pairs(spec, k + 1)
+    den = 2 * pairs[k + 1][1] * pairs[k + 2][1]  # 2 q_k q_{k+1}
+    # the law's ends are near/den and far/den; lo den = a/b and hi den = e/f
+    near, far = scale, 2 * scale
+    a, b, e, f = lo.numerator * den, lo.denominator, hi.numerator * den, hi.denominator
+    if near * b < a < far * b or near * f < e < far * f:
+        return None
+    return a < far * b and near * f < e
 
 
 @dataclass(frozen=True)

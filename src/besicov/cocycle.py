@@ -121,6 +121,13 @@ def term(level: LevelParams, variant: str, x: Fraction, shift: Fraction) -> Frac
     return _coboundary((level,), variant, *_on_lattice(x, shift))
 
 
+def _guard_bound(levels: tuple[LevelParams, ...], guard: int) -> int:
+    """The largest q_N the guard refuses: an integer q_N exceeds
+    guard * Lambda_l = guard q_{k_l} q_{k_l+1} / l^2 exactly when it exceeds
+    that value's floor, so the test is one integer maximum of floors."""
+    return max(guard * lv.q * lv.q_next // (lv.n * lv.n) for lv in levels)
+
+
 def _sub_budget(levels: tuple[LevelParams, ...], m: int, gap: int) -> Fraction:
     """Substitution budget of ``levels`` at iterate count m, with gap = q_N q_{N+1}:
     the Lambda_l summed over the lcm S of the l^2, times |m|, over S gap."""
@@ -150,7 +157,7 @@ class CocycleSpec:
         if not 1 <= self.n_levels <= self.profile.n_max:
             raise ValueError("n_levels must be within the profile's levels")
         q_n = self.alpha_hat.denominator
-        if q_n <= self.guard * max(lv.lam for lv in self.levels):
+        if q_n <= _guard_bound(self.levels, self.guard):
             raise ValueError("alpha_hat too shallow for the guard invariant")
 
     @property
@@ -203,10 +210,10 @@ def make_cocycle(
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     profile = select_levels(spec, strategy, variant, max(n_max, n_levels))
-    lam_max = max(lv.lam for lv in profile.levels[:n_levels])
     if alpha_depth is None:
+        refused = _guard_bound(profile.levels[:n_levels], DEFAULT_GUARD)
         alpha_depth = 2
-        while _q(spec, alpha_depth) <= DEFAULT_GUARD * lam_max:
+        while _q(spec, alpha_depth) <= refused:
             alpha_depth += 1
     return CocycleSpec(profile=profile, n_levels=n_levels, alpha_depth=alpha_depth,
                        alpha_hat=convergent(spec, alpha_depth).value, guard=DEFAULT_GUARD)

@@ -12,12 +12,13 @@ period, at a family-specific offset pattern (L, H) in twelfths of P:
 so interval j is [(12j + L)/(12 C_n), (12j + H)/(12 C_n)] and its center is
 (24j + L + H)/(24 C_n).  Every count, containment and grid cell over these
 intervals is therefore an integer floor or ceil: ``child_span`` gives the
-level-(n+1) children of one interval as a lifted index range, and it is the
-one nesting test, for child picks and for the caller-supplied digit paths
-``sample_point`` re-certifies alike; measured nesting counts hold their closed
-form to it.  Membership is decided the same way: x = a/b lies in the level-n
-union when it is at most H twelfths of a period past the band start at or
-below it, one floor division (``_lift``).  ``member`` builds no ``Fraction``;
+level-(n+1) children of one interval as a lifted index range, and its span
+formula is the one nesting test, for child picks, for ``sample_point``'s
+descent and for the caller-supplied digit paths it re-certifies alike;
+measured nesting counts hold their closed form to it.  Membership is decided
+the same way: x = a/b lies in the level-n union when it is at most H twelfths
+of a period past the band start at or below it, one floor division
+(``_lift``).  ``member`` builds no ``Fraction``;
 the per-level reductions x - j_lift P are built only by ``sample_point``,
 which stores them in its ``DigitPath`` (``tests/oracles.member`` keeps the
 Fraction formula with its reductions as the oracle).  Only ``interval`` and
@@ -111,11 +112,12 @@ class MemberResult:
     first_fail: Optional[int]
 
 
-def _lifts(profile: Profile, family: str, a: int, b: int, up_to: int) -> Iterator[Optional[int]]:
-    """``_lift`` of x = a/b at levels 1..up_to, stopping after the first gap."""
+def _lifts(cells: Iterable[int], family: str, a: int, b: int) -> Iterator[Optional[int]]:
+    """``_lift`` of x = a/b at the levels of the cell counts ``cells``, from
+    level 1, stopping after the first gap."""
     lo, hi = TWELFTHS[family]
-    for n in range(1, up_to + 1):
-        j_lift = _lift(profile.level(n).cell_count, lo, hi, a, b)
+    for c in cells:
+        j_lift = _lift(c, lo, hi, a, b)
         yield j_lift
         if j_lift is None:
             return
@@ -128,7 +130,8 @@ def member(profile: Profile, family: str, x: Fraction, up_to: int) -> MemberResu
     A failure reports the minimal failing level.
     """
     fam, b = canonical_family(family), x.denominator
-    for n, j_lift in enumerate(_lifts(profile, fam, x.numerator % b, b, up_to), 1):
+    cells = (profile.level(n).cell_count for n in range(1, up_to + 1))
+    for n, j_lift in enumerate(_lifts(cells, fam, x.numerator % b, b), 1):
         if j_lift is None:
             return MemberResult(ok=False, first_fail=n)
     return MemberResult(ok=True, first_fail=None)
@@ -148,17 +151,30 @@ def child_span(profile: Profile, family: str, n: int, j: int) -> tuple[int, int]
     """
     if n >= profile.n_max:
         raise DepthExceedsProfile(f"no level {n + 1} in profile")
-    lo, hi = TWELFTHS[canonical_family(family)]
-    c = profile.level(n).cell_count
+    return _children(profile.level(n).cell_count, profile.level(n + 1).cell_count,
+                     TWELFTHS[canonical_family(family)], n, j)
+
+
+def _children(c: int, c1: int, twelfths: tuple[int, int], n: int, j: int) -> tuple[int, int]:
+    """``child_span`` of level-n interval j from the cell counts c = C_n and
+    c1 = C_{n+1} and the family's offsets: the one span formula, for
+    ``child_span`` and for ``sample_point``'s descent."""
     if not 0 <= j < c:
         raise IndexOutOfRange(f"j={j} outside 0..{c - 1} at level {n}")
-    c1 = profile.level(n + 1).cell_count
+    lo, hi = twelfths
     a, b = (12 * j + lo) * c1, (12 * j + hi) * c1  # 12 C C' times the parent ends
     jmin = -((lo * c - a) // (12 * c))
     jmax = (b - hi * c) // (12 * c)
+    # With c > 0 the ceil and the floor above imply both containments, so this
+    # cannot fire; it guards the two roundings against a change.
     if jmin <= jmax and not ((12 * jmin + lo) * c >= a and (12 * jmax + hi) * c <= b):
         raise InvariantBroken(f"level {n + 1} children of j={j} escape their level {n} parent")
     return jmin, jmax
+
+
+def _pick(jmin: int, jmax: int, policy: str) -> int:
+    """The lifted child a policy descends through, in a nonempty span."""
+    return jmin if policy == "leftmost" else jmin + (jmax - jmin + 1) // 2
 
 
 def pick_child(
@@ -170,8 +186,7 @@ def pick_child(
     jmin, jmax = child_span(profile, family, n, j)
     if jmin > jmax:
         return None
-    pick = jmin if policy == "leftmost" else jmin + (jmax - jmin + 1) // 2
-    return pick % profile.level(n + 1).cell_count
+    return _pick(jmin, jmax, policy) % profile.level(n + 1).cell_count
 
 
 def _center(profile: Profile, family: str, n: int, j: int) -> Fraction:
@@ -235,27 +250,29 @@ def sample_point(
     if isinstance(policy, DigitPath):
         idx = tuple(policy.indices)
         _check_nesting(profile, fam, idx)
+        cells = [lv.cell_count for lv in profile.levels[: len(idx)]]
     else:
         if policy not in ("center", "leftmost"):
             raise ValueError("policy must be 'center', 'leftmost', or a DigitPath")
         if not 1 <= depth <= profile.n_max:
             raise DepthExceedsProfile(f"depth {depth} outside 1..{profile.n_max}")
+        twelfths = TWELFTHS[fam]
+        cells = [lv.cell_count for lv in profile.levels[:depth]]
         indices = [0]
         for n in range(1, depth):
-            pick = pick_child(profile, fam, n, indices[-1], policy)
-            if pick is None:
+            jmin, jmax = _children(cells[n - 1], cells[n], twelfths, n, indices[-1])
+            if jmin > jmax:
                 raise InvalidDigitPath(
                     f"no children inside level-{n} interval (invalid profile?)"
                 )
-            indices.append(pick)
+            indices.append(_pick(jmin, jmax, policy) % cells[n])
         idx = tuple(indices)
     x = _center(profile, fam, len(idx), idx[-1])
     a, b = x.numerator, x.denominator
     reductions = []
-    for n, j_lift in enumerate(_lifts(profile, fam, a, b, len(idx)), 1):
+    for c, j_lift in zip(cells, _lifts(cells, fam, a, b)):
         if j_lift is None:
-            raise InvalidDigitPath(f"center fails membership at level {n}")
-        c = profile.level(n).cell_count
+            raise InvalidDigitPath(f"center fails membership at level {len(reductions) + 1}")
         reductions.append(Fraction(a * c - j_lift * b, b * c))
     return x, DigitPath(family=fam, indices=idx, point=x, reductions=tuple(reductions))
 

@@ -300,6 +300,45 @@ MUTANTS = (
         "lam_sum += lam",
         TEST_AUDIT,
     ),
+    # comparisons against alpha: the gap law first, the brackets as fallback
+    Mutant(
+        "gap-law-lower-end-no-factor-2",
+        CF,
+        "near, far = scale, 2 * scale",
+        "near, far = 2 * scale, 2 * scale",
+        ("tests/test_cf.py",),
+    ),
+    Mutant(
+        "gap-law-far-end-inclusive",
+        CF,
+        "return a < far * b and near * f < e",
+        "return a <= far * b and near * f < e",
+        ("tests/test_cf.py",),
+    ),
+    Mutant(
+        "mixed-premise-taken-as-true",
+        AUDIT,
+        "        premise = _offset_ok(\n"
+        "            cspec.profile.alpha, lv.k, Fraction(0), Fraction(1, 12 * lv.cell_count), abs(m)\n"
+        "        )\n",
+        "        premise = True\n",
+        TEST_AUDIT,
+    ),
+    Mutant(
+        "aligned-bullets-taken-as-true",
+        AUDIT,
+        "    bullets_ok = _offset_ok(\n",
+        "    bullets_ok = True or _offset_ok(\n",
+        TEST_AUDIT,
+    ),
+    # the guard q_N > guard Lambda_max, on integer floors
+    Mutant(
+        "guard-refusal-strict",
+        COCYCLE,
+        "if q_n <= _guard_bound(self.levels, self.guard):",
+        "if q_n < _guard_bound(self.levels, self.guard):",
+        TEST_COCYCLE,
+    ),
     # the log enclosures' unreduced integer series and its outward ends
     Mutant(
         "log-denominator-drops-odd",
@@ -405,6 +444,17 @@ MUTANTS = (
         "jmin = -((lo * c - a) // (12 * c))",
         "jmin = (a - lo * c) // (12 * c)",
         TEST_COUNTS,
+    ),
+    Mutant(
+        "child-span-containment-check-gone",
+        TARGETS,
+        "    if jmin <= jmax and not ((12 * jmin + lo) * c >= a and (12 * jmax + hi) * c <= b):\n"
+        "        raise InvariantBroken(f\"level {n + 1} children of j={j} escape their level {n} parent\")\n",
+        "",
+        TEST_COUNTS + TEST_MEMBERSHIP,
+        equivalent="the span helper refuses j outside 0..c - 1, so c > 0 at the check, and "
+        "then the ceil gives (12 jmin + L) c >= a and the floor (12 jmax + H) c <= b; the "
+        "check only guards the two roundings (child-span-ceil-floored trips it)",
     ),
     # the JSON form of results, one rule and three overrides
     Mutant(

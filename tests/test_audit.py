@@ -398,7 +398,13 @@ def mixed_path(tent_cocycle):
     return sample_point(tent_cocycle.profile, "-+", "center", 6)[1]
 
 
+def decline_gap_law(monkeypatch):
+    """Send every comparison against alpha to ``certify_offset``'s brackets."""
+    monkeypatch.setattr(audit_mod, "gap_law_offset", lambda *args: None)
+
+
 def test_mixed_fail_names_failed_premises(monkeypatch, tent_cocycle, mixed_path):
+    decline_gap_law(monkeypatch)
     monkeypatch.setattr(audit_mod, "certify_offset", lambda *args: (False, 1, 0, 0, 8))
     rep = audit_mixed(tent_cocycle, mixed_path, 3863)
     assert rep.status == "fail" and rep.n_of_m == 2
@@ -424,6 +430,7 @@ def test_aligned_fail_names_sign_rows_pivot_and_bullets(monkeypatch, greedy_cocy
     change_term(monkeypatch, 3, tiny)  # wraps the patched terms: level 5 stays negated
     rep = audit_aligned(greedy_cocycle, path, 1)
     assert rep.notes == ["level 5: sign check failed", "level 3: pivot bound failed"]
+    decline_gap_law(monkeypatch)
     monkeypatch.setattr(audit_mod, "certify_offset", lambda *args: (False, 1, 0, 0, 8))
     rep = audit_aligned(greedy_cocycle, path, 1)
     assert rep.notes == ["window displacement bullets failed", "level 5: sign check failed",

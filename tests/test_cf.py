@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from besicov import (
     IrrationalSpec,
@@ -17,7 +17,7 @@ from besicov import (
     sample_point,
 )
 from besicov import cf
-from besicov.cf import Enclosure, certify_offset
+from besicov.cf import Enclosure, certify_offset, gap_law_offset
 from besicov.errors import IndecisiveBracket
 
 import oracles
@@ -156,31 +156,61 @@ def test_depth_used_counts_escalations(golden, monkeypatch):
     assert cert.depth_used == 32 == gap_depth(golden, cert)
 
 
-@pytest.mark.parametrize("escalate", [False, True], ids=["direct", "escalated"])
-def test_shift_window_depth_matches_bracket_widths(
-    golden, greedy_cocycle, tent_cocycle, monkeypatch, escalate
-):
-    """The audits' displacement premises report the depth that decided them."""
-    if escalate:
-        undecidable_below(monkeypatch, 64)
+# ``besicov.audit`` as an attribute is the audit function, not the module
+AUDIT_MODULE = importlib.import_module("besicov.audit")
+
+
+def record(monkeypatch, name, fn):
+    """Route the audit module's ``name`` through ``fn``, recording each call's
+    arguments and result in the returned list."""
     calls = []
 
-    def recording(spec, k, lo, hi, scale=1):
-        out = certify_offset(spec, k, lo, hi, scale)
-        calls.append((k, scale, out))
+    def recording(*args):
+        out = fn(*args)
+        calls.append((*args, out))
         return out
 
-    # ``besicov.audit`` as an attribute is the audit function, not the module
-    monkeypatch.setattr(importlib.import_module("besicov.audit"), "certify_offset", recording)
+    monkeypatch.setattr(AUDIT_MODULE, name, recording)
+    return calls
+
+
+def audit_fixtures(greedy_cocycle, tent_cocycle):
+    """One aligned and one mixed audit of the shared fixtures, both passing:
+    five comparisons against alpha (one window bullet pair, four premises)."""
     _, path = sample_point(greedy_cocycle.profile, "++", "center", 5)
     assert audit_aligned(greedy_cocycle, path, 1).status == "pass"
     _, path = sample_point(tent_cocycle.profile, "-+", "center", 6)
     assert audit_mixed(tent_cocycle, path, -3863).status == "pass"
+
+
+@pytest.mark.parametrize("escalate", [False, True], ids=["direct", "escalated"])
+def test_shift_window_depth_matches_bracket_widths(
+    golden, greedy_cocycle, tent_cocycle, monkeypatch, escalate
+):
+    """The audits' displacement premises, once the gap law declines them,
+    report the bracket depth that decided them."""
+    if escalate:
+        undecidable_below(monkeypatch, 64)
+    monkeypatch.setattr(AUDIT_MODULE, "gap_law_offset", lambda *args: None)
+    calls = record(monkeypatch, "certify_offset", certify_offset)
+    audit_fixtures(greedy_cocycle, tent_cocycle)
     assert len(calls) == 5
-    for k, scale, (verdict, _, dist_lo, dist_hi, depth) in calls:
+    for _, k, _, _, scale, (verdict, _, dist_lo, dist_hi, depth) in calls:
         assert verdict
         assert depth == rewalked_depth(golden, k, (dist_hi - dist_lo) / scale), k
         assert (depth > 64) == escalate
+
+
+def test_gap_law_decides_every_audit_premise(greedy_cocycle, tent_cocycle, monkeypatch):
+    """On the same fixtures the gap law decides all five comparisons, each as
+    the brackets do, and no bracket is built."""
+    escalations = record(monkeypatch, "certify_offset", certify_offset)
+    decisions = record(monkeypatch, "gap_law_offset", gap_law_offset)
+    audit_fixtures(greedy_cocycle, tent_cocycle)
+    assert escalations == []
+    assert len(decisions) == 5
+    for *args, verdict in decisions:
+        assert verdict is True and certify_offset(*args)[0] is True
 
 
 def test_certify_offset_gives_up(golden, monkeypatch):
@@ -222,6 +252,47 @@ def test_certify_offset_matches_enclosure_arithmetic(
             assert str(got.value) == str(exc)
         else:
             assert certify_offset(spec, k, lo, hi, scale) == want
+
+
+#: A bound as (end, shift, bits): end 0 is lo = 0, ends 1 and 2 are the gap
+#: law's scale/(2 q q') and scale/(q q'), moved by the relative shift/2^bits.
+LAW_BOUNDS = st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(0, 80))
+
+
+def law_bound(spec, k, scale, placed):
+    end, shift, bits = placed
+    q_q = convergent(spec, k).q * convergent(spec, k + 1).q
+    return Fraction(end * scale, 2 * q_q) * (1 + Fraction(shift, 1 << bits))
+
+
+def test_gap_law_offset_agrees_with_brackets():
+    """Whenever the gap law decides lo < scale |alpha - p_k/q_k| < hi, the
+    Enclosure route decides it alike; some draws are declined, so the
+    fallback stays in use.  Bounds sit below, at and above both ends."""
+    seen = set()
+
+    @given(
+        tail=st.sampled_from(((1,), (2,), (1, 2), (3,), (2, 1, 1))),
+        k=st.integers(1, 40),
+        scale=st.integers(1, 10**6),
+        lo=LAW_BOUNDS,
+        hi=LAW_BOUNDS,
+    )
+    @example(tail=(1,), k=5, scale=7, lo=(1, 0, 0), hi=(2, 0, 0))  # both at an end: holds
+    @example(tail=(1,), k=5, scale=7, lo=(2, 0, 0), hi=(2, 1, 3))  # lo at the far end: fails
+    @example(tail=(1,), k=5, scale=7, lo=(2, -1, 60), hi=(2, 1, 3))  # lo inside: declined
+    @settings(max_examples=300, deadline=None)
+    def check(tail, k, scale, lo, hi):
+        spec = IrrationalSpec(head=(0,), tail=tail)
+        lo, hi = law_bound(spec, k, scale, lo), law_bound(spec, k, scale, hi)
+        verdict = gap_law_offset(spec, k, lo, hi, scale)
+        seen.add(verdict)
+        if verdict is not None:
+            assert verdict == oracles.certify_offset(spec, k, lo, hi, scale)[0]
+
+    check()
+    assert seen == {True, False, None}
+    assert gap_law_offset(IrrationalSpec(), 5, Fraction(-1), Fraction(1), 0) is None
 
 
 def test_spec_validation():

@@ -1,6 +1,7 @@
 """Bump evaluation, ergodic sums, and the telescoped identity."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from besicov import (
     CocycleSpec,
+    IrrationalSpec,
+    convergent,
     birkhoff,
     eval_level,
     level_max,
@@ -181,6 +184,28 @@ def test_guard_invariant_enforced(golden, greedy_cocycle):
             alpha_hat=Fraction(5, 8),
             guard=greedy_cocycle.guard,
         )
+
+
+@pytest.mark.parametrize("variant", ["main", "tent"])
+@pytest.mark.parametrize("spec", [IrrationalSpec.from_preset("golden"),
+                                  IrrationalSpec.from_preset("sqrt2m1"),
+                                  IrrationalSpec(head=(0,), tail=(1, 2))],
+                         ids=["golden", "sqrt2m1", "quotients=1,2"])
+def test_guard_boundary_matches_fraction_oracle(spec, variant):
+    """alpha_depth is the least depth >= 2 with q_N > guard Lambda_max, with
+    Lambda_max in Fractions; alpha_hat = 1/floor(guard Lambda_max) is refused
+    and 1/(floor(guard Lambda_max) + 1) accepted."""
+    for n in (1, 2, 4, 6):
+        cs = make_cocycle(spec, "greedy", variant, n)
+        bound = cs.guard * max(lv.lam for lv in cs.levels)
+        depth = 2
+        while convergent(spec, depth).q <= bound:
+            depth += 1
+        assert cs.alpha_depth == depth, n
+        refused = bound.numerator // bound.denominator
+        with pytest.raises(ValueError, match="too shallow"):
+            replace(cs, alpha_hat=Fraction(1, refused))
+        replace(cs, alpha_hat=Fraction(1, refused + 1))  # builds
 
 
 @pytest.mark.parametrize("count", [0, -2])

@@ -1,5 +1,6 @@
 """Interval families: construction, membership, nesting, sampling."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, floor
 
@@ -169,16 +170,43 @@ def test_path_reconstruction(greedy_profile):
 
 @pytest.mark.parametrize("policy", ["center", "leftmost"])
 def test_policy_sample_descends_once(monkeypatch, greedy_profile, policy):
-    """A depth-D policy sample computes D - 1 child spans; a caller's path
-    costs D - 1 more, for its nesting check."""
+    """A depth-D policy sample computes D - 1 child spans through the span
+    formula ``child_span`` shares; a caller's path costs D - 1 more, for its
+    nesting check."""
     calls = []
-    real = targets.child_span
-    monkeypatch.setattr(targets, "child_span", lambda *args: calls.append(args) or real(*args))
+    real = targets._children
+    monkeypatch.setattr(targets, "_children", lambda *args: calls.append(args) or real(*args))
     _, path = sample_point(greedy_profile, "++", policy, 5)
     assert len(calls) == 4
     calls.clear()
     sample_point(greedy_profile, "++", path)
     assert len(calls) == 4
+
+
+@pytest.fixture
+def unnested_profile(greedy_profile):
+    """Level 1 of the greedy profile under a level 2 of one more cell: its
+    cells are hardly shorter than level 1's, so most level-1 intervals hold
+    no level-2 interval."""
+    lv1 = greedy_profile.level(1)
+    lv2 = replace(lv1, n=2, a=1, q=lv1.cell_count + 1)
+    return replace(greedy_profile, n_max=2, levels=(lv1, lv2))
+
+
+def test_unnested_profile_has_no_children(unnested_profile):
+    """Both routes to the span formula see the empty span: ``child_span``
+    returns it, and a sample refuses to descend, by policy or by path.  The
+    containment check behind them cannot fire for positive cell counts."""
+    c1 = unnested_profile.level(1).cell_count
+    assert child_span(unnested_profile, "-+", 1, 0) == (1, 0)
+    spans = [child_span(unnested_profile, "-+", 1, j) for j in range(c1)]
+    assert sum(jmin <= jmax for jmin, jmax in spans) < c1 // 2
+    for policy in ("center", "leftmost"):
+        with pytest.raises(InvalidDigitPath, match="no children inside level-1"):
+            sample_point(unnested_profile, "-+", policy, 2)
+    path = DigitPath(family="-+", indices=(0, 0), point=Fraction(0), reductions=())
+    with pytest.raises(InvalidDigitPath, match="not inside level 1"):
+        sample_point(unnested_profile, "-+", path)
 
 
 def test_invalid_path_rejected(greedy_profile):
