@@ -22,6 +22,9 @@ reported value.  Window edges are tested on integers (``_edge_index``), and
 membership is re-certified on integers.  Every bump goes through the cocycle's
 potential kernel (its level weights and per-level numerators of
 g = sum_l f_l), so this module never decides a bump's numerator itself.  The
+kernel's (L, weights), the budget's lcm and Lambda sum, and q_N q_{N+1} are
+the constants the ``CocycleSpec`` derived once (``kernel``, ``lam_sum``,
+``gap``); an audit of depth L < n_levels reads the first L weights.  The
 audited terms are each level's g difference between x and x + m alpha_hat
 over one denominator, and must sum to phi_m.  That identity shares the
 kernel with the terms, so it guards only their slicing into levels, not the
@@ -58,7 +61,7 @@ from math import lcm
 from typing import Iterable, Optional
 
 from .cf import IrrationalSpec, certify_offset, gap_law_offset
-from .cocycle import CocycleSpec, _on_lattice, _potential, _sub_budget, _weights, phi_m
+from .cocycle import CocycleSpec, _on_lattice, _potential, phi_m
 from .errors import (BelowFirstWindow, DepthExceedsProfile, InvariantBroken, Result,
                      WindowBeyondProfile)
 from .levels import LevelParams, Profile
@@ -218,7 +221,8 @@ def _audited_terms(
     and membership at every audited level (re-certified on integers, so
     reports stay sound even for hand-built paths), and return the exact terms
     for l <= L = min(n_levels, depth), their total, phi_m of the depth-L
-    truncation, and the terms' numerators over one denominator ``den`` = 4dL,
+    truncation, and the terms' numerators over one denominator ``den`` = 4dK
+    (K the lcm of the cocycle's ``kernel``, whose first L weights they read),
     once those are shown to sum to the total."""
     if family_kind(path.family) != kind:
         raise ValueError(f"family {path.family} is not {kind}")
@@ -239,8 +243,8 @@ def _audited_terms(
         )
     u, s, d = _on_lattice(path.point, cspec.alpha_hat)
     v = cspec.variant
-    levels = cspec.levels[:L]
-    big, weights = _weights(levels, v)
+    big, weights = cspec.kernel
+    weights = weights[:L]
     den = 4 * d * big
     nums = [after - before for before, after in zip(_potential(weights, u, d, v),
                                                     _potential(weights, u + m * s, d, v))]
@@ -252,10 +256,9 @@ def _audited_terms(
 
 def _report(
     cspec: CocycleSpec, path: DigitPath, m: int, w: WindowIndex, total: Fraction,
-    rows: list[ReportRow], gap: int, **own,
+    rows: list[ReportRow], **own,
 ) -> DivergenceReport:
-    """A report with the fields both audits fill alike; ``own`` holds the rest.
-    ``gap`` is q_N q_{N+1}, the inverse bracket width the audit read once."""
+    """A report with the fields both audits fill alike; ``own`` holds the rest."""
     L = len(rows)
     return DivergenceReport(
         family=path.family,
@@ -269,7 +272,7 @@ def _report(
         levels_audited=L,
         rows=rows,
         total=total,
-        sub_budget=_sub_budget(cspec.levels, m, gap),
+        sub_budget=cspec.sub_budget(m),
         extension_tail_bound=Fraction(abs(m), L),
         **own,
     )
@@ -286,7 +289,7 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
     w, terms, total, _, _ = _audited_terms(cspec, path, m, "aligned")
     sign = 1 if path.family == "++" else -1
     lv_n = cspec.profile.level(w.n)
-    gap = cspec.alpha_gap_bound.denominator
+    gap = cspec.gap
     # q_{k_n+1}/(75 A_n n^2) less the level's budget q_{k_n} q_{k_n+1} |m| / (n^2 gap)
     den = 75 * lv_n.a
     certified = Fraction(lv_n.q_next * (gap - den * lv_n.q * abs(m)), den * w.n * w.n * gap)
@@ -313,7 +316,7 @@ def audit_aligned(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceRepo
             notes.append(f"level {w.n}: pivot bound failed")
         status = "fail" if notes else "pass"  # every note here names a failed check
     return _report(
-        cspec, path, m, w, total, rows, gap,
+        cspec, path, m, w, total, rows,
         certified_lower=certified, expected_sign=sign, status=status, notes=notes,
     )
 
@@ -330,8 +333,8 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     each failed premise, sign or bound check by level.
 
     The ledger runs on integer numerators over one denominator, a multiple of
-    every tail level's 24 A_n q_N q_{N+1} l^2 and of the lcm of the head
-    levels' peak denominators, over which each head level's maximum is its
+    every tail level's 24 A_n q_N q_{N+1} l^2 and of the lcm L of the
+    cocycle's ``kernel``, over which each head level's maximum is its kernel
     weight (oracle: ``tests/oracles.audit``, the Fraction ledger).
     """
     w, terms, total, nums, den = _audited_terms(cspec, path, m, "mixed")
@@ -342,11 +345,11 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     lv_n = cspec.profile.level(w.n)
     head, tail = sum(nums[: w.n]), sum(nums[w.n :])  # over den
     levels = cspec.profile.levels
-    gap = cspec.alpha_gap_bound.denominator
-    head_big, head_weights = _weights(levels[: w.n], cspec.variant)
+    gap = cspec.gap
+    kernel_big, weights = cspec.kernel
     scale = 24 * lv_n.a * gap  # times l^2: level l's bound and budget denominator
-    big = lcm(scale * lcm(*(l * l for l in range(w.n + 1, len(terms) + 1))), head_big)
-    head_bound = 2 * sum(wt for _, wt in head_weights) * (big // head_big)
+    big = lcm(scale * lcm(*(l * l for l in range(w.n + 1, len(terms) + 1))), kernel_big)
+    head_bound = 2 * sum(wt for _, wt in weights[: w.n]) * (big // kernel_big)
     rows = [ReportRow(l=l, value=t, sign_ok=True) for l, t in enumerate(terms[: w.n], 1)]
     bound_sum = lam_sum = 0
     failed = []
@@ -376,7 +379,7 @@ def audit_mixed(cspec: CocycleSpec, path: DigitPath, m: int) -> DivergenceReport
     net = Fraction(abs(tail) * big - (tail_budget + head_bound) * den, den * big)
     status = "fail" if failed else "pass" if net > 0 else "indeterminate"
     return _report(
-        cspec, path, m, w, total, rows, gap,
+        cspec, path, m, w, total, rows,
         certified_lower=max(net, Fraction(0)),
         expected_sign=expected,
         status=status,
@@ -442,7 +445,8 @@ def discreteness_scan(
     levels = cspec.levels[:L]
     v = cspec.variant
     u, s, d = _on_lattice(path.point, cspec.alpha_hat)
-    big, weights = _weights(levels, v)
+    big, weights = cspec.kernel
+    weights = weights[:L]
     base = sum(_potential(weights, u, d, v))  # g(x), over 4 d big
     edge_den = _EDGE_DEN[kind]
     bound = _aligned_floor if kind == "aligned" else _mixed_ref

@@ -13,7 +13,9 @@ the cut-off ``tail < 2^-_TAIL_BITS`` is an integer cross-multiplication, and
 the ends are the series' exact floor and ceil on the 2^-_WORK_BITS grid, to
 which the ends of ln 2 belong.  The `Fraction` form of the same series,
 rounded the same way, is the test oracle ``log_enclosure`` in
-``tests/oracles.py``; both give the same enclosure bit for bit.
+``tests/oracles.py``; both give the same enclosure bit for bit.  ln 12 and
+ln 6, which every closed-form dimension row reads, are enclosed once, on
+import (:data:`LN12`, :data:`LN6`).
 """
 
 from __future__ import annotations
@@ -74,3 +76,8 @@ def log_enclosure(x: Union[int, Fraction]) -> Enclosure:
     if enc.width > limit:
         raise InvariantBroken("log enclosure wider than requested tolerance")
     return enc
+
+
+#: ln 12 and ln 6, the closed-form dimension bounds' logarithms, enclosed once.
+LN12 = log_enclosure(12)
+LN6 = log_enclosure(6)

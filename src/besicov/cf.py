@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import IndecisiveBracket, Result
@@ -41,6 +42,11 @@ class IrrationalSpec:
     repeats forever after the head.  An eventually periodic expansion is a
     quadratic irrational, so every valid spec denotes a genuine irrational and
     all convergent inequalities below are strict.
+
+    Every convergent lookup keys the pair cache on the spec, so it hashes
+    itself once: the quotients' hash, kept outside the fields.  Integer tuples
+    hash alike in every process, so a copied or unpickled spec keeps a valid
+    hash; specs that differ only in ``name`` share it and stay unequal.
     """
 
     head: tuple[int, ...] = (0,)
@@ -54,6 +60,13 @@ class IrrationalSpec:
             raise ValueError("partial quotients a_i for i >= 1 must be >= 1")
         if not self.tail or any(a < 1 for a in self.tail):
             raise ValueError("tail must be a nonempty sequence of positive integers")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.head, self.tail))
 
     @staticmethod
     def from_preset(name: str) -> "IrrationalSpec":

@@ -23,9 +23,13 @@ g(x + m alpha_hat) - g(x), one Fraction per result; :func:`term` and
 :func:`eval_level` are its one-level cases, and :mod:`besicov.audit` reads the
 same two helpers.  :func:`birkhoff` weights each level's bump differences
 summed along the orbit instead, so the identity phi_m == birkhoff compares two
-routes to the same sum.  The substitution budgets sum Lambda_l over the lcm of
-the l^2 (``tests/oracles.py`` keeps per-level Fraction sums as the oracles of
-both).  :func:`walk` is the one routine that steps an orbit, for
+routes to the same sum.  The substitution budgets sum Lambda_l over the lcm S
+of the l^2 (``tests/oracles.py`` keeps per-level Fraction sums as the oracles
+of both).  A :class:`CocycleSpec` derives its integer constants once, as
+cached properties outside its fields: ``kernel``, the (L, weights) of its
+levels; ``lam_sum``, S and the Lambda_l summed over it; and ``gap``,
+q_N q_{N+1}.  phi_m, birkhoff, the budgets, both audits and the scan read
+them there.  :func:`walk` is the one routine that steps an orbit, for
 ``birkhoff`` and for the orbit lane in :mod:`besicov.dynamics`, which rounds
 each bump along it as mpf would.  The unit-period ``unit_position``/``bump``
 pair lives in the tests, as the independent oracle of both lanes.
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterator, Optional
 
@@ -87,16 +92,19 @@ def _on_lattice(x: Fraction, shift: Fraction) -> tuple[int, int, int]:
     return x.numerator * (d // b), shift.numerator * (d // q), d
 
 
-def _weights(levels: tuple[LevelParams, ...], variant: str) -> tuple[int, list[tuple[int, int]]]:
+Weights = tuple[tuple[int, int], ...]
+
+
+def _weights(levels: tuple[LevelParams, ...], variant: str) -> tuple[int, Weights]:
     """(L, weights): L the lcm of the levels' peak denominators, and per level
     its cell count C_l and weight q_{k_l+1} L / _peak_den(l), so that f_l is
     weight * _bump_num / (4dL)."""
     dens = [_peak_den(lv, variant) for lv in levels]
     big = lcm(*dens)
-    return big, [(lv.cell_count, lv.q_next * (big // den)) for lv, den in zip(levels, dens)]
+    return big, tuple((lv.cell_count, lv.q_next * (big // den)) for lv, den in zip(levels, dens))
 
 
-def _potential(weights: list[tuple[int, int]], u: int, d: int, variant: str) -> list[int]:
+def _potential(weights: Weights, u: int, d: int, variant: str) -> list[int]:
     """Each level's weighted bump numerator at u/d, over 4dL: their sum is
     g(u/d), the potential g = sum_l f_l, for (L, weights) from :func:`_weights`."""
     return [wt * _bump_num(u * c % d, d, variant) for c, wt in weights]
@@ -109,16 +117,17 @@ def eval_level(level: LevelParams, variant: str, x: Fraction) -> Fraction:
     return Fraction(_potential(weights, x.numerator, d, variant)[0], 4 * d * big)
 
 
-def _coboundary(levels: tuple[LevelParams, ...], variant: str, u: int, s: int, d: int) -> Fraction:
-    """g((u + s)/d) - g(u/d) for the potential g of ``levels``: one Fraction over 4dL."""
-    big, weights = _weights(levels, variant)
+def _coboundary(kernel: tuple[int, Weights], variant: str, u: int, s: int, d: int) -> Fraction:
+    """g((u + s)/d) - g(u/d) for the potential g of ``kernel`` = (L, weights):
+    one Fraction over 4dL."""
+    big, weights = kernel
     at_x = sum(_potential(weights, u, d, variant))
     return Fraction(sum(_potential(weights, u + s, d, variant)) - at_x, 4 * d * big)
 
 
 def term(level: LevelParams, variant: str, x: Fraction, shift: Fraction) -> Fraction:
     """f_n(x + shift) - f_n(x), exact."""
-    return _coboundary((level,), variant, *_on_lattice(x, shift))
+    return _coboundary(_weights((level,), variant), variant, *_on_lattice(x, shift))
 
 
 def _guard_bound(levels: tuple[LevelParams, ...], guard: int) -> int:
@@ -126,14 +135,6 @@ def _guard_bound(levels: tuple[LevelParams, ...], guard: int) -> int:
     guard * Lambda_l = guard q_{k_l} q_{k_l+1} / l^2 exactly when it exceeds
     that value's floor, so the test is one integer maximum of floors."""
     return max(guard * lv.q * lv.q_next // (lv.n * lv.n) for lv in levels)
-
-
-def _sub_budget(levels: tuple[LevelParams, ...], m: int, gap: int) -> Fraction:
-    """Substitution budget of ``levels`` at iterate count m, with gap = q_N q_{N+1}:
-    the Lambda_l summed over the lcm S of the l^2, times |m|, over S gap."""
-    s = lcm(*(lv.n * lv.n for lv in levels))
-    total = sum(lv.q * lv.q_next * (s // (lv.n * lv.n)) for lv in levels)
-    return Fraction(total * abs(m), s * gap)
 
 
 @dataclass(frozen=True)
@@ -168,11 +169,28 @@ class CocycleSpec:
     def variant(self) -> str:
         return self.profile.variant
 
+    @cached_property
+    def kernel(self) -> tuple[int, Weights]:
+        """(L, weights) of the potential g over the truncated levels (:func:`_weights`)."""
+        return _weights(self.levels, self.variant)
+
+    @cached_property
+    def lam_sum(self) -> tuple[int, int]:
+        """(S, sum_l Lambda_l S): S the lcm of the l^2 over the truncated levels,
+        and the Lipschitz constants summed over it, one integer."""
+        s = lcm(*(lv.n * lv.n for lv in self.levels))
+        return s, sum(lv.q * lv.q_next * (s // (lv.n * lv.n)) for lv in self.levels)
+
+    @cached_property
+    def gap(self) -> int:
+        """q_N q_{N+1}: the bracket width's inverse."""
+        spec, n = self.profile.alpha, self.alpha_depth
+        return _q(spec, n) * _q(spec, n + 1)
+
     @property
     def alpha_gap_bound(self) -> Fraction:
         """Exact upper bound on |alpha - alpha_hat|: the bracket width 1/(q_N q_{N+1})."""
-        spec, n = self.profile.alpha, self.alpha_depth
-        return Fraction(1, _q(spec, n) * _q(spec, n + 1))
+        return Fraction(1, self.gap)
 
     @property
     def tail_bound(self) -> Fraction:
@@ -180,8 +198,10 @@ class CocycleSpec:
         return Fraction(1, self.n_levels)
 
     def sub_budget(self, m: int = 1) -> Fraction:
-        """Total substitution budget across all truncated levels."""
-        return _sub_budget(self.levels, m, self.alpha_gap_bound.denominator)
+        """Total substitution budget across all truncated levels: the Lambda_l
+        summed over S, times |m|, over S q_N q_{N+1}."""
+        s, total = self.lam_sum
+        return Fraction(total * abs(m), s * self.gap)
 
     def truncated(self, n_levels: int) -> "CocycleSpec":
         """Same cocycle cut at fewer levels (alpha_hat unchanged, so values
@@ -229,7 +249,7 @@ def phi_m(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
     g(x + m alpha_hat) - g(x), exact for any integer m, one Fraction over 4dL
     on the lattice of x and alpha_hat."""
     u, s, d = _on_lattice(x, cspec.alpha_hat)
-    return _coboundary(cspec.levels, cspec.variant, u, m * s, d)
+    return _coboundary(cspec.kernel, cspec.variant, u, m * s, d)
 
 
 def walk(cspec: CocycleSpec, x: Fraction, steps: int) -> tuple[int, list[Iterator[int]]]:
@@ -266,7 +286,7 @@ def birkhoff(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
     """
     d, walks = walk(cspec, x, m)
     v = cspec.variant
-    big, weights = _weights(cspec.levels, v)
+    big, weights = cspec.kernel
     total = 0
     for (_, wt), rs in zip(weights, walks[1:]):
         g = _bump_num(next(rs), d, v)

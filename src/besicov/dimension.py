@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, log
 from typing import Optional
 
-from .certlog import DEFAULT_REL_BITS, log_enclosure
+from .certlog import DEFAULT_REL_BITS, LN6, LN12, log_enclosure
 from .cf import Enclosure
 from .errors import EnumerationCapExceeded, InvariantBroken
 from .levels import Profile
@@ -195,11 +195,10 @@ class DimensionBounds:
 
 def falconer_bounds(stats: NestingStats) -> DimensionBounds:
     """Dimension sandwich rows for n = 2 .. n_max (nested bounds need the
-    n+1 row, so they stop one short; closed forms run the full range)."""
+    n+1 row, so they stop one short; closed forms run the full range, on the
+    enclosures ``certlog.LN12`` and ``certlog.LN6``)."""
     rows: list[DimensionRow] = []
     one = Enclosure(Fraction(1), Fraction(1))
-    log12 = log_enclosure(12)
-    log6 = log_enclosure(6)
     n_max = len(stats.rows)
     m_prod = Fraction(1)
     mbar_prod = Fraction(1)
@@ -214,8 +213,8 @@ def falconer_bounds(stats: NestingStats) -> DimensionBounds:
             upper = log_enclosure(mbar_prod).div_positive(-log_enclosure(nxt.delta))
         cells = 1 / (6 * stats.row(n).delta)  # A_n q_{k_n}, exact
         log_cells = log_enclosure(cells)
-        closed_lower = one - log12.scale(n).div_positive(log_cells)
-        closed_upper = one - log6.scale(n).div_positive(log_cells)
+        closed_lower = one - LN12.scale(n).div_positive(log_cells)
+        closed_upper = one - LN6.scale(n).div_positive(log_cells)
         rows.append(
             DimensionRow(
                 n=n,

@@ -7,7 +7,11 @@ p_{k_n}, q_{k_n}, q_{k_n + 1} together with the period-count factor
 
 From those everything else is an exact rational: the Lipschitz constant
 Lambda_n = q_{k_n} q_{k_n+1} / n^2, the bump period 1/(A_n q_{k_n}) and the
-bump plateau q_{k_n+1} / (3 A_n n^2).
+bump plateau q_{k_n+1} / (3 A_n n^2).  The growth certificates decide on
+those integers alone.  The constants a stack of levels feeds into every
+exact sum (the potential kernel's lcm and weights, the lcm of the n^2 with
+the Lambda_n summed over it) are derived once per cocycle, on
+``cocycle.CocycleSpec``, not here.
 
 Selection strategies
 --------------------
@@ -34,11 +38,6 @@ from .errors import DepthExceedsProfile, InvariantBroken, Result, ValidationFail
 
 STRATEGIES = ("fixed", "greedy")
 VARIANTS = ("main", "tent")
-
-#: Exact endpoints of the admissible window for the per-level ratio
-#: (q_{k_n+1}/A_n) / (q_{k_{n-1}+1}/A_{n-1}).
-RATIO_LO = Fraction(11, 10)
-RATIO_HI = Fraction(25, 18)
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,8 @@ def select_levels(
                     if cq >= 5 * pq and cq1 >= 5 * pq1:
                         break
                 k += 2
+            # unreachable: k starts at prev + 2 and steps by 2, so it keeps
+            # k_1's parity; the check only guards those two steps
             if k % 2 != parity:
                 raise InvariantBroken(f"greedy level {len(ks) + 1} broke the parity of k_1")
             ks.append(k)
@@ -211,6 +212,11 @@ def validate_levels(profile: Profile) -> ValidationReport:
 
     The asymptotic condition (1/n) log q_{k_n} -> infinity cannot be decided
     at finite n; the report carries the sequence for inspection instead.
+
+    Every verdict is an integer cross-multiplication over the levels' own
+    integers (q and A_n positive); a Fraction is built only for a value a
+    certificate prints (oracle: ``tests/oracles.validate_levels``, the
+    Fraction comparisons).
     """
     L = profile.levels
     rows: list[tuple] = [  # Certificate fields, in order
@@ -237,22 +243,27 @@ def validate_levels(profile: Profile) -> ValidationReport:
              lv.a >= 1 and lv.a == _amp(lv.n, lv.q_next, "main"))
             for lv in L
         ]
+        increasing = True  # each peak q_{k_n+1}/A_n above the last
         for prev, cur in zip(L, L[1:]):
-            ratio = Fraction(cur.q_next * prev.a, cur.a * prev.q_next)
+            num, den = cur.q_next * prev.a, cur.a * prev.q_next  # the ratio is num/den
+            increasing &= num > den
+            ratio = Fraction(num, den)
+            lower_ok = 10 * num > 11 * den  # ratio > 11/10
+            upper_ok = 18 * num < 25 * den  # ratio < 25/18, that is 1/ratio > 18/25
             rows += [
                 ("growth-5x-q", cur.n, f"{cur.q}/{prev.q}", ">= 5", cur.q >= 5 * prev.q),
                 ("growth-5x-q-next", cur.n, f"{cur.q_next}/{prev.q_next}", ">= 5",
                  cur.q_next >= 5 * prev.q_next),
-                ("ratio-window", cur.n, str(ratio), f"({RATIO_LO}, {RATIO_HI})",
-                 RATIO_LO < ratio < RATIO_HI),
-                ("chain-upper", cur.n, str(1 / ratio), "> 18/25", 1 / ratio > Fraction(18, 25)),
-                ("chain-lower", cur.n, str(ratio), "> 11/10", ratio > RATIO_LO),
+                ("ratio-window", cur.n, str(ratio), "(11/10, 25/18)", lower_ok and upper_ok),
+                ("chain-upper", cur.n, str(1 / ratio), "> 18/25", upper_ok),
+                ("chain-lower", cur.n, str(ratio), "> 11/10", lower_ok),
             ]
-        peaks = [Fraction(lv.q_next, lv.a) for lv in L]  # q_{k_n+1}/A_n
-        rises = all(b > a for a, b in zip(peaks, peaks[1:])) and all(
-            p >= RATIO_LO**i * peaks[0] for i, p in enumerate(peaks)
+        # and the i-th peak at least (11/10)^i times the first
+        rises = increasing and all(
+            10**i * lv.q_next * base.a >= 11**i * base.q_next * lv.a for i, lv in enumerate(L)
         )
-        rows.append(("exponential-rise", None, ",".join(map(str, peaks)),
+        rows.append(("exponential-rise", None,
+                     ",".join(str(Fraction(lv.q_next, lv.a)) for lv in L),
                      "strictly increasing, >= (11/10)^(n-1) * first", rises))
     rows.append(("log-growth", None, ",".join(f"{math.log(lv.q) / lv.n:.6f}" for lv in L),
                  "-> infinity (asymptotic, reported only)", True,

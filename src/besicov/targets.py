@@ -21,8 +21,10 @@ of a period past the band start at or below it, one floor division
 (``_lift``).  ``member`` builds no ``Fraction``;
 the per-level reductions x - j_lift P are built only by ``sample_point``,
 which stores them in its ``DigitPath`` (``tests/oracles.member`` keeps the
-Fraction formula with its reductions as the oracle).  Only ``interval`` and
-the interval tables build the endpoints as ``Fraction``s.
+Fraction formula with its reductions as the oracle).  No audit reads them:
+``besicov target`` prints them and the benchmark's digests include them.
+Only ``interval`` and the interval tables build the endpoints as
+``Fraction``s.
 
 The j = 0 interval of "++" straddles 0 and is kept as a single wrapped
 interval on the circle, so counting and membership treat the circle metric
@@ -202,7 +204,8 @@ class DigitPath:
 
     ``point`` is the center of the depth-N interval; ``reductions[l-1]`` is
     point - j_l * P_l (lifted), which lies in the family's offset band at
-    every level and is what the divergence audits consume.
+    every level.  The divergence audits read only ``point``, ``indices`` and
+    the depth; the reductions are printed by ``besicov target``.
     """
 
     family: str

@@ -50,6 +50,8 @@ CF = "src/besicov/cf.py"
 TARGETS = "src/besicov/targets.py"
 TEST_AUDIT = ("tests/test_audit.py",)
 TEST_MEMBERSHIP = ("tests/test_targets.py", "tests/test_crosschecks.py")
+LEVELS = "src/besicov/levels.py"
+TEST_LEVELS = ("tests/test_levels.py",)
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,13 @@ MUTANTS = (
         TEST_COCYCLE,
     ),
     Mutant(
+        "kernel-over-profile-levels",
+        COCYCLE,
+        "return _weights(self.levels, self.variant)",
+        "return _weights(self.profile.levels, self.variant)",
+        TEST_COCYCLE,
+    ),
+    Mutant(
         "phi-base-at-shifted-point",
         COCYCLE,
         "at_x = sum(_potential(weights, u, d, variant))",
@@ -251,10 +260,10 @@ MUTANTS = (
     ),
     Mutant(
         "greedy-q-next-read-as-q",
-        "src/besicov/levels.py",
+        LEVELS,
         "pq, pq1 = _q(spec, prev), _q(spec, prev + 1)",
         "pq, pq1 = _q(spec, prev), _q(spec, prev)",
-        ("tests/test_levels.py",),
+        TEST_LEVELS,
     ),
     # the scan on one lattice, membership on integers, the aligned
     # indeterminate branch, the mixed ledger
@@ -291,6 +300,13 @@ MUTANTS = (
         AUDIT,
         "abs(t.numerator) * big > bound * t.denominator",
         "abs(t.numerator) * big > bound * big",
+        TEST_AUDIT,
+    ),
+    Mutant(
+        "mixed-head-bound-unscaled",
+        AUDIT,
+        "head_bound = 2 * sum(wt for _, wt in weights[: w.n]) * (big // kernel_big)",
+        "head_bound = 2 * sum(wt for _, wt in weights[: w.n])",
         TEST_AUDIT,
     ),
     Mutant(
@@ -339,7 +355,31 @@ MUTANTS = (
         "if q_n < _guard_bound(self.levels, self.guard):",
         TEST_COCYCLE,
     ),
-    # the log enclosures' unreduced integer series and its outward ends
+    # the growth certificates on integers, and greedy selection's parity
+    Mutant(
+        "ratio-window-upper-inclusive",
+        LEVELS,
+        "upper_ok = 18 * num < 25 * den",
+        "upper_ok = 18 * num <= 25 * den",
+        TEST_LEVELS,
+    ),
+    Mutant(
+        "rise-drops-10-power",
+        LEVELS,
+        "10**i * lv.q_next * base.a",
+        "lv.q_next * base.a",
+        TEST_LEVELS,
+    ),
+    Mutant(
+        "greedy-parity-check-gone",
+        LEVELS,
+        "            if k % 2 != parity:\n",
+        "            if False:\n",
+        TEST_LEVELS,
+        equivalent="k starts at k_{n-1} + 2 and steps by 2, so every k_n keeps k_1's "
+        "parity and the check cannot fire",
+    ),
+    # the log enclosures' unreduced integer series, its outward ends, its width check
     Mutant(
         "log-denominator-drops-odd",
         CERTLOG,
@@ -361,7 +401,22 @@ MUTANTS = (
         "_LN2",
         TEST_DIMENSION,
     ),
-    # measured child counts: the closed form over r = j C' mod C, and child_span
+    Mutant(
+        "log-width-check-gone",
+        CERTLOG,
+        "    if enc.width > limit:\n",
+        "    if False:\n",
+        TEST_DIMENSION,
+    ),
+    # measured child counts: the closed form over r = j C' mod C, its sandwich
+    # check, and child_span
+    Mutant(
+        "nesting-sandwich-check-gone",
+        DIMENSION,
+        "if not (m_f <= m_meas and m_meas <= mbar_meas <= mbar_f + 1):",
+        "if False:",
+        TEST_DIMENSION,
+    ),
     Mutant(
         "count-range-no-last-end",
         DIMENSION,
@@ -473,7 +528,7 @@ MUTANTS = (
     ),
     Mutant(
         "json-no-passed",
-        "src/besicov/levels.py",
+        LEVELS,
         'return {**super().as_dict(), "passed": self.passed}',
         "return super().as_dict()",
         TEST_GOLDEN,

@@ -38,8 +38,13 @@ did before it decided on integers alone.  :func:`discreteness_scan` finds each
 m's window and its |phi_m| one m at a time, and :func:`audit` keeps the
 divergence ledgers in Fractions, per-level budgets and all: the references for
 the library's scan and audits on one lattice and one ledger denominator.
+
+:func:`validate_levels` decides the main variant's ratio window, its two
+chains and the exponential rise on ``Fraction`` ratios and powers of 11/10,
+as ``levels.validate_levels`` did before it cross-multiplied integers.
 """
 
+import math
 from fractions import Fraction
 from math import ceil, floor
 from types import SimpleNamespace
@@ -54,7 +59,7 @@ from besicov.cf import convergent
 from besicov.cocycle import level_max, term
 from besicov.errors import (BelowFirstWindow, DepthExceedsProfile, IndecisiveBracket,
                             InvariantBroken, WindowBeyondProfile)
-from besicov.levels import LevelParams
+from besicov.levels import Certificate, LevelParams, ValidationReport, _amp
 from besicov.targets import TWELFTHS, child_span, family_kind
 
 
@@ -414,3 +419,53 @@ def audit(cspec, path, m: int) -> DivergenceReport:
         x=path.point, indices=path.indices, levels_audited=L, rows=rows, total=total,
         sub_budget=sub_budget(cspec, m), extension_tail_bound=abs(m) * Fraction(1, L), **own,
     )
+
+
+RATIO_LO, RATIO_HI = Fraction(11, 10), Fraction(25, 18)
+
+
+def validate_levels(profile) -> ValidationReport:
+    """Every growth certificate of ``levels.validate_levels``, the main
+    variant's ratio window, chains and exponential rise decided on the
+    Fraction ratio (q_{k_n+1}/A_n)/(q_{k_{n-1}+1}/A_{n-1}), its inverse and
+    the Fraction peaks against (11/10)^(n-1) times the first."""
+    L = profile.levels
+    rows = [("parity", None, ",".join(str(lv.k) for lv in L), "all k_n even or all odd",
+             len({lv.k % 2 for lv in L}) == 1)]
+    if profile.variant == "tent":
+        rows += [("amp-one", lv.n, str(lv.a), "A_n = 1", lv.a == 1) for lv in L]
+        for prev, cur in zip(L, L[1:]):
+            rows += [
+                ("growth-18x", cur.n, f"{cur.q}/{prev.q}", ">= 18", cur.q >= 18 * prev.q),
+                ("peak-ratio-increasing", cur.n, f"{cur.q_next} > {prev.q_next}",
+                 "q_{k_n+1} strictly increasing", cur.q_next > prev.q_next),
+            ]
+    else:
+        base = L[0]
+        rows += [
+            ("base-q-next", 1, str(base.q_next), ">= 9", base.q_next >= 9),
+            ("base-q", 1, str(base.q), ">= 9", base.q >= 9,
+             False, "alternative base reading, recorded only"),
+        ]
+        rows += [("amplitude", lv.n, str(lv.a), "floor((3/4)^n q_{k_n+1}), >= 1",
+                  lv.a >= 1 and lv.a == _amp(lv.n, lv.q_next, "main")) for lv in L]
+        for prev, cur in zip(L, L[1:]):
+            ratio = Fraction(cur.q_next * prev.a, cur.a * prev.q_next)
+            rows += [
+                ("growth-5x-q", cur.n, f"{cur.q}/{prev.q}", ">= 5", cur.q >= 5 * prev.q),
+                ("growth-5x-q-next", cur.n, f"{cur.q_next}/{prev.q_next}", ">= 5",
+                 cur.q_next >= 5 * prev.q_next),
+                ("ratio-window", cur.n, str(ratio), f"({RATIO_LO}, {RATIO_HI})",
+                 RATIO_LO < ratio < RATIO_HI),
+                ("chain-upper", cur.n, str(1 / ratio), "> 18/25", 1 / ratio > Fraction(18, 25)),
+                ("chain-lower", cur.n, str(ratio), "> 11/10", ratio > RATIO_LO),
+            ]
+        peaks = [Fraction(lv.q_next, lv.a) for lv in L]
+        rises = all(b > a for a, b in zip(peaks, peaks[1:])) and all(
+            p >= RATIO_LO**i * peaks[0] for i, p in enumerate(peaks))
+        rows.append(("exponential-rise", None, ",".join(map(str, peaks)),
+                     "strictly increasing, >= (11/10)^(n-1) * first", rises))
+    rows.append(("log-growth", None, ",".join(f"{math.log(lv.q) / lv.n:.6f}" for lv in L),
+                 "-> infinity (asymptotic, reported only)", True,
+                 False, "(1/n) log q_{k_n}; informational"))
+    return ValidationReport(certificates=[Certificate(*row) for row in rows])

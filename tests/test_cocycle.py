@@ -20,7 +20,8 @@ from besicov import (
     phi_m,
     term,
 )
-from besicov.cocycle import walk
+from besicov.cf import _q
+from besicov.cocycle import _weights, walk
 
 import oracles
 
@@ -263,3 +264,54 @@ def test_substitution_budgets_match_fraction_products(greedy_cocycle, tent_cocyc
     assert cs.sub_budget(m) == oracles.sub_budget(cs, m)
     for l in range(1, cs.n_levels + 1):
         assert cs.truncated(l).sub_budget(m) == oracles.sub_budget(cs, m, range(1, l + 1))
+
+
+CONSTANTS = ("kernel", "lam_sum", "gap")
+specs = st.one_of(
+    st.sampled_from([IrrationalSpec.from_preset("golden"), IrrationalSpec.from_preset("sqrt2m1")]),
+    st.builds(lambda head, tail: IrrationalSpec(head=(0, *head), tail=tuple(tail)),
+              st.lists(st.integers(1, 9), max_size=3),
+              st.lists(st.integers(1, 9), min_size=1, max_size=3)),
+)
+
+
+def assert_fresh(cs):
+    """Each constant cs derives equals a fresh computation over its own levels."""
+    n = cs.alpha_depth
+    assert cs.kernel == _weights(cs.levels, cs.variant)
+    s, total = cs.lam_sum
+    assert Fraction(total, s) == sum(lv.lam for lv in cs.levels)
+    assert cs.gap == _q(cs.profile.alpha, n) * _q(cs.profile.alpha, n + 1)
+    assert cs.sub_budget(7) == oracles.sub_budget(cs, 7)
+
+
+@given(spec=specs, strategy=st.sampled_from(["fixed", "greedy"]),
+       variant=st.sampled_from(["main", "tent"]), n_max=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_cached_constants_are_each_objects_own(spec, strategy, variant, n_max):
+    """The kernel, the Lambda sum and the gap equal a fresh computation on
+    every truncation, and neither ``truncated`` nor ``replace`` carries the
+    parent's values: a new object derives its own when first read."""
+    cs = make_cocycle(spec, strategy, variant, n_max)
+    assert_fresh(cs)
+    for n_levels in range(1, cs.n_levels):
+        cut = cs.truncated(n_levels)
+        assert not set(CONSTANTS) & cut.__dict__.keys()
+        assert_fresh(cut)
+    deeper = replace(cs, alpha_depth=cs.alpha_depth + 1,
+                     alpha_hat=convergent(spec, cs.alpha_depth + 1).value)
+    assert not set(CONSTANTS) & deeper.__dict__.keys()
+    assert_fresh(deeper)
+    assert deeper.gap != cs.gap
+
+
+@given(spec=specs)
+@settings(max_examples=40, deadline=None)
+def test_spec_hash_is_its_quotients(spec):
+    """The spec's hash is derived once, equals a fresh spec's, and a replaced
+    spec derives its own."""
+    assert hash(spec) == hash((spec.head, spec.tail)) == hash(IrrationalSpec(spec.head, spec.tail))
+    longer = replace(spec, tail=spec.tail + (1,))
+    assert "_hash" not in longer.__dict__
+    assert hash(longer) == hash((longer.head, longer.tail))
+    assert longer != spec and replace(spec, name="other") != spec

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from besicov import box_count, certlog, dimension, falconer_bounds, nesting_stats, select_levels
+from besicov import (IrrationalSpec, box_count, certlog, dimension, falconer_bounds, nesting_stats,
+                     select_levels)
 from besicov.certlog import Enclosure, log_enclosure
-from besicov.errors import EnumerationCapExceeded
+from besicov.errors import EnumerationCapExceeded, InvariantBroken
+from besicov.levels import LevelParams, Profile
 from besicov.targets import FAMILIES
 
 import oracles
@@ -194,3 +196,29 @@ def test_log_enclosure_domain():
         log_enclosure(Fraction(-3, 7))
     enc = log_enclosure(Fraction(1))
     assert enc.lo == enc.hi == 0
+
+
+def test_ln12_and_ln6_are_the_log_enclosures():
+    assert certlog.LN12 == log_enclosure(12) == oracles.log_enclosure(Fraction(12))
+    assert certlog.LN6 == log_enclosure(6) == oracles.log_enclosure(Fraction(6))
+
+
+def test_log_enclosure_refuses_a_wide_ln2(monkeypatch):
+    """The width check fires when an ingredient is too wide: ln 2's ends
+    widened by 2^30 grid units make 8 = 2^3 three times as wide."""
+    lo, hi = certlog._LN2
+    monkeypatch.setattr(certlog, "_LN2", (lo - 2**30, hi + 2**30))
+    with pytest.raises(InvariantBroken, match="wider than requested"):
+        log_enclosure(Fraction(8))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_measured_counts_refuse_a_profile_that_does_not_nest(family):
+    """C_2 = C_1 + 1 puts at most one level-2 interval inside a level-1 one,
+    below the closed form's C_2 / (12 C_1): the sandwich check fires."""
+    levels = (LevelParams(n=1, k=1, p=1, q=13, q_next=21, a=1),
+              LevelParams(n=2, k=3, p=1, q=14, q_next=21, a=1))
+    prof = Profile(alpha=IrrationalSpec.from_preset("golden"), strategy="greedy",
+                   variant="main", n_max=2, levels=levels)
+    with pytest.raises(InvariantBroken, match=r"escape the formula sandwich .* at level 2"):
+        nesting_stats(prof, "measured", family)

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besicov import IrrationalSpec, convergent, select_levels, validate_levels
 from besicov.errors import ValidationFailure
 from besicov.levels import LevelParams, Profile, profile_to_dict
+
+import oracles
 
 
 def test_fixed_golden_indices(golden):
@@ -144,3 +147,54 @@ def test_greedy_levels_match_convergent_scan(tail, variant):
     spec = IrrationalSpec(tail=tail)
     p = select_levels(spec, "greedy", variant, 6)
     assert [lv.k for lv in p.levels] == greedy_indices(spec, variant, 6)
+
+
+specs = st.builds(lambda head, tail: IrrationalSpec(head=(0, *head), tail=tuple(tail)),
+                  st.lists(st.integers(1, 12), max_size=3),
+                  st.lists(st.integers(1, 12), min_size=1, max_size=3))
+
+
+@given(spec=specs, strategy=st.sampled_from(["fixed", "greedy"]),
+       variant=st.sampled_from(["main", "tent"]), n_max=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_validate_levels_matches_fraction_oracle(spec, strategy, variant, n_max):
+    """Selected profiles: the integer verdicts equal the Fraction ones,
+    certificate by certificate (fixed tent profiles fail amp-one and growth)."""
+    prof = select_levels(spec, strategy, variant, n_max)
+    assert validate_levels(prof).certificates == oracles.validate_levels(prof).certificates
+
+
+def hand_built(variant, rows):
+    """A profile of levels (q, q_next, A) with k_n = 2n + 1, p = 1."""
+    levels = tuple(LevelParams(n=n, k=2 * n + 1, p=1, q=q, q_next=q1, a=a)
+                   for n, (q, q1, a) in enumerate(rows, 1))
+    return Profile(alpha=IrrationalSpec.from_preset("golden"), strategy="greedy",
+                   variant=variant, n_max=len(levels), levels=levels)
+
+
+level_rows = st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 8)),
+                      min_size=1, max_size=5)
+
+
+@given(rows=level_rows, variant=st.sampled_from(["main", "tent"]))
+@settings(max_examples=200, deadline=None)
+def test_hand_built_validation_matches_fraction_oracle(rows, variant):
+    prof = hand_built(variant, rows)
+    assert validate_levels(prof).certificates == oracles.validate_levels(prof).certificates
+
+
+# (q, q_next, A) rows on the window's ends and off the rise
+@pytest.mark.parametrize("rows, failing", [
+    ([(9, 18, 1), (45, 25, 1)], {"ratio-window", "chain-upper"}),        # ratio 25/18
+    ([(9, 10, 1), (45, 11, 1)], {"ratio-window", "chain-lower"}),        # ratio 11/10
+    ([(9, 100, 1), (45, 121, 1), (225, 133, 1)], {"ratio-window", "chain-lower"}),  # 133 >= 121
+    ([(9, 100, 1), (45, 105, 1)], {"ratio-window", "chain-lower", "exponential-rise"}),
+    ([(9, 100, 1), (45, 100, 1)], {"ratio-window", "chain-lower", "exponential-rise"}),
+    ([(9, 18, 1), (45, 24, 1)], set()),                                  # ratio 4/3
+])
+def test_ratio_window_and_rise_verdicts_at_their_ends(rows, failing):
+    prof = hand_built("main", rows)
+    report = validate_levels(prof)
+    assert report.certificates == oracles.validate_levels(prof).certificates
+    assert {c.name for c in report.certificates if c.binding and not c.passed} - {
+        "amplitude", "growth-5x-q-next"} == failing
