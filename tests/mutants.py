@@ -379,19 +379,47 @@ MUTANTS = (
         equivalent="k starts at k_{n-1} + 2 and steps by 2, so every k_n keeps k_1's "
         "parity and the check cannot fire",
     ),
-    # the log enclosures' unreduced integer series, its outward ends, its width check
+    # the log enclosures' stop index, Horner sum and outward ends, its width check
+    Mutant(
+        "log-stop-one-term-late",
+        CERTLOG,
+        "            if below:\n                return n // 2\n",
+        "            if below:\n                return n // 2 + 1\n",
+        TEST_DIMENSION,
+    ),
+    Mutant(
+        "log-stop-walk-down-one-short",
+        CERTLOG,
+        "            if not below:\n                return n // 2 + 1\n",
+        "            if not below:\n                return n // 2\n",
+        TEST_DIMENSION,
+    ),
+    Mutant(
+        "log-stop-heads-without-slack",
+        CERTLOG,
+        "slack = y * n >> _HEAD_BITS - 2",
+        "slack = 0",
+        TEST_DIMENSION,
+    ),
     Mutant(
         "log-denominator-drops-odd",
         CERTLOG,
-        "term, den * b2 * odd\n",
-        "term, den * b2\n",
+        "coeff // odd * power",
+        "coeff * power",
+        TEST_DIMENSION,
+    ),
+    Mutant(
+        "log-horner-coefficient-next-odd",
+        CERTLOG,
+        "num = num * b2 + coeff // odd * power",
+        "num = num * b2 + coeff // (odd + 2) * power",
         TEST_DIMENSION,
     ),
     Mutant(
         "log-upper-end-floored",
         CERTLOG,
-        "-((-(num * odd * gap + term) << scale) // cut)",
-        "((num * odd * gap + term) << scale) // cut",
+        "lo + (x > 0) + (x > y)",
+        "lo + (x >= y)",
         TEST_DIMENSION,
     ),
     Mutant(

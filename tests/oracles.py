@@ -7,9 +7,12 @@ integer-lattice kernel; fed an mpf, it is the orbit lane's former evaluator,
 and :func:`t_values` replays that lane so that :mod:`besicov.dynamics` can be
 held to the same bits.  The library defines and imports neither name.
 
-:func:`log_enclosure` is the `Fraction` form of :mod:`besicov.certlog`'s
-series: each partial sum reduced, the tail bound compared as a `Fraction`,
-and the ends rounded outward to the same grid afterwards.
+:func:`atanh_ends` is :mod:`besicov.certlog`'s series as it was before the
+stop index was settled first: the unreduced integer partial sums carried
+forward, the cut-off tested after every term.  :func:`log_enclosure` is the
+`Fraction` form of the same series: each partial sum reduced, the tail bound
+compared as a `Fraction`, and the ends rounded outward to the same grid
+afterwards.
 
 :func:`child_count_range` scans every parent's
 :func:`besicov.targets.child_span`: the reference for the closed-form
@@ -121,6 +124,24 @@ def outward(enc: Enclosure) -> Enclosure:
     """Round both ends of ``enc`` outward to the 2^-_WORK_BITS grid."""
     s = 1 << _WORK_BITS
     return Enclosure(Fraction(floor(enc.lo * s), s), Fraction(ceil(enc.hi * s), s))
+
+
+def atanh_ends(a: int, b: int) -> tuple[int, int]:
+    """floor and ceil of 2 atanh(a/b) * 2^_WORK_BITS, 0 <= a/b < 1, summed
+    forward as one unreduced fraction num/den, den = b^(2k-1) prod_{i<k}
+    (2i+1), until the tail bound term/cut falls below 2^-_TAIL_BITS."""
+    a2, b2, gap = a * a, b * b, b * b - a * a
+    num, den, power, prod, odd = a, b, a, 1, 1
+    while True:
+        power *= a2
+        prod *= odd
+        odd += 2
+        term, cut = power * prod, den * odd * gap  # the next term is term / (den b^2 odd)
+        if (term << _TAIL_BITS) < cut:  # the tail bound is term / cut
+            break
+        num, den = num * b2 * odd + term, den * b2 * odd
+    scale = _WORK_BITS + 1
+    return (num << scale) // den, -((-(num * odd * gap + term) << scale) // cut)
 
 
 def atanh_enclosure(z: Fraction) -> Enclosure:

@@ -1,5 +1,6 @@
 """Nesting statistics, certified logs, dimension bounds, box counting."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,92 @@ def test_log_enclosure_matches_fraction_series(x):
     """The unreduced integer series gives the reduced Fraction series'
     enclosure bit for bit."""
     assert log_enclosure(x) == oracles.log_enclosure(x)
+
+
+@st.composite
+def _atanh_args(draw):
+    """(a, b), 0 <= a/b < 1, b up to 3000 bits: a = 0; a/b below 2^-60, where
+    one or two terms suffice; a/b within 2^-40 of 1/3, the widest argument
+    log_enclosure passes; or any a/b up to 1/3."""
+    kind = draw(st.sampled_from(["zero", "tiny", "third", "any"]))
+    if kind == "zero":
+        return 0, draw(st.integers(1, 2**3000))
+    if kind == "tiny":
+        b = draw(st.integers(2**60 + 1, 2**3000))
+        return draw(st.integers(1, (b - 1) >> 60)), b
+    if kind == "third":
+        b = draw(st.integers(2**42, 2**3000))
+        return b // 3 + draw(st.integers(-(b >> 41), b >> 41)), b
+    b = draw(st.integers(1, 2**3000))
+    return draw(st.integers(0, b // 3)), b
+
+
+def _tail_below(a: int, b: int, k: int) -> bool:
+    """The cut-off test after k terms, on full powers."""
+    n = 2 * k + 1
+    return a**n << certlog._TAIL_BITS < n * b ** (n - 2) * (b * b - a * a)
+
+
+def _boundary_a(b: int, k: int) -> int:
+    """The greatest a whose tail bound after k terms is below 2^-_TAIL_BITS:
+    at a and a + 1 both sides of the test agree to about a's width in bits,
+    far past the 64-bit heads."""
+    lo, hi = 0, b  # _tail_below holds at lo and fails at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _tail_below(mid, b, k) else (lo, mid)
+    return lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(_atanh_args())
+def test_atanh_ends_match_forward_series(ab):
+    """Horner's sum over the settled stop index gives the forward series'
+    ends bit for bit."""
+    assert certlog._atanh_ends(*ab) == oracles.atanh_ends(*ab)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_atanh_args())
+def test_stop_index_is_least(ab):
+    a, b = ab
+    k = certlog._stop_index(a, b, b * b - a * a)
+    assert _tail_below(a, b, k)
+    assert k == 1 or not _tail_below(a, b, k - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 20])
+def test_stop_index_where_the_heads_cannot_decide(k):
+    """At the edge of the k-term cut-off the heads' brackets overlap and the
+    full powers decide."""
+    b = 3**180 + 12345
+    a = _boundary_a(b, k)
+    for x in (a, a + 1):
+        want = k if x == a else k + 1
+        assert certlog._stop_index(x, b, b * b - x * x) == want
+        assert certlog._atanh_ends(x, b) == oracles.atanh_ends(x, b)
+
+
+@pytest.mark.parametrize("skew", [0.9, 1.1])
+def test_stop_index_from_a_misplaced_estimate(monkeypatch, skew):
+    """The walk finds the least k wherever the float estimate starts it:
+    skewed logarithms put the estimate a few terms past k or short of it."""
+    monkeypatch.setattr(certlog, "log2", lambda v: skew * math.log2(v))
+    w = 3**400
+    pairs = [(1, 3), (1, 5), (w // 4, w), (w // 3 - 1, w), (w >> 30, w), (w >> 100, w)]
+    for a, b in pairs:
+        k = certlog._stop_index(a, b, b * b - a * a)
+        assert _tail_below(a, b, k)
+        assert k == 1 or not _tail_below(a, b, k - 1)
+
+
+@pytest.mark.parametrize("ab", [(83822594, 329387975), (186658314, 563365191)])
+def test_atanh_upper_end_two_cells_up(ab):
+    """S + tail crosses a grid point that S does not reach: the upper end is
+    two cells above the lower one (found by a random search over 30-bit b)."""
+    lo, hi = certlog._atanh_ends(*ab)
+    assert (lo, hi) == oracles.atanh_ends(*ab)
+    assert hi - lo == 2
 
 
 def test_enclosure_arithmetic():

@@ -3,7 +3,7 @@
 Each ``tests/golden/*.json`` holds one argv and what ``cli.main`` printed for
 it: every README CLI example, every ``--help`` page at 80 columns,
 argparse-level errors, the growth certificates of three more level
-profiles and float-lane rows at the edges of decimal printing.  The replay
+profiles, dimension rows on wide logarithms and float-lane rows at the edges of decimal printing.  The replay
 test runs each argv again and wants the same bytes.  ``golden/results/``
 holds the JSON form of library results that no CLI run prints (gap-law
 certificates and discreteness scans), which the benchmark also hashes.
@@ -58,6 +58,14 @@ VALIDATION = {
     "fixed-n3": ["levels", "--strategy", "fixed", "--n", "3", "--out", "json"],
     "sqrt2m1-tent-n5": [
         "levels", "--alpha", "sqrt2m1", "--variant", "tent", "--n", "5", "--out", "json",
+    ],
+}
+
+#: Dimension rows whose log inputs are wider than any the benchmark reaches
+#: (up to 2219 bits at n = 20, against exact-bigint's 1467), by slug.
+WIDE_LOGS = {
+    "golden-fixed-n20": [
+        "dimension", "--alpha", "golden", "--strategy", "fixed", "--n", "20", "--out", "json",
     ],
 }
 
@@ -148,6 +156,7 @@ def cases() -> dict[str, list[str]]:
     named.update((f"error-{slug}", argv) for slug, argv in ERRORS.items())
     named.update((f"validation-{slug}", argv) for slug, argv in VALIDATION.items())
     named.update((f"float-{slug}", argv) for slug, argv in FLOAT_EDGES.items())
+    named.update((f"dimension-{slug}", argv) for slug, argv in WIDE_LOGS.items())
     return named
 
 
