@@ -69,10 +69,6 @@ class WindowBeyondProfile(BesicovError):
     """|m| falls past the last window the profile's levels can certify."""
 
 
-class EnumerationCapExceeded(BesicovError):
-    """A measured scan would enumerate more intervals than the configured cap."""
-
-
 class ErrorBudgetBlown(BesicovError):
     """Accumulated floating-point error bound exceeds the tolerance of the
     requested probe."""

@@ -14,11 +14,11 @@ so interval j is [(12j + L)/(12 C_n), (12j + H)/(12 C_n)] and its center is
 intervals is therefore an integer floor or ceil: ``child_span`` gives the
 level-(n+1) children of one interval as a lifted index range, and its span
 formula is the one nesting test, for child picks, for ``sample_point``'s
-descent and for the caller-supplied digit paths it re-certifies alike;
-measured nesting counts hold their closed form to it.  Membership is decided
-the same way: x = a/b lies in the level-n union when it is at most H twelfths
-of a period past the band start at or below it, one floor division
-(``_lift``).  ``member`` builds no ``Fraction``;
+descent and for the caller-supplied digit paths it re-certifies alike, and
+measured nesting counts read it (``_span``) over the residues j C' mod C.
+Membership is decided the same way: x = a/b lies in the level-n union when
+it is at most H twelfths of a period past the band start at or below it, one
+floor division (``_lift``).  ``member`` builds no ``Fraction``;
 the per-level reductions x - j_lift P are built only by ``sample_point``,
 which stores them in its ``DigitPath`` (``tests/oracles.member`` keeps the
 Fraction formula with its reductions as the oracle).  No audit reads them:
@@ -157,17 +157,26 @@ def child_span(profile: Profile, family: str, n: int, j: int) -> tuple[int, int]
                      TWELFTHS[canonical_family(family)], n, j)
 
 
+def _span(r: int, c: int, c1: int, twelfths: tuple[int, int]) -> tuple[int, int]:
+    """``child_span`` of a parent j less q, where j C' = q C + r, C = c and
+    C' = c1: ceil((12r + L D) / 12C) and floor((12r + H D) / 12C), D = C' - C."""
+    lo, hi = twelfths
+    d, den = c1 - c, 12 * c
+    return -((-12 * r - lo * d) // den), (12 * r + hi * d) // den
+
+
 def _children(c: int, c1: int, twelfths: tuple[int, int], n: int, j: int) -> tuple[int, int]:
     """``child_span`` of level-n interval j from the cell counts c = C_n and
-    c1 = C_{n+1} and the family's offsets: the one span formula, for
+    c1 = C_{n+1} and the family's offsets: the span formula, for
     ``child_span`` and for ``sample_point``'s descent."""
     if not 0 <= j < c:
         raise IndexOutOfRange(f"j={j} outside 0..{c - 1} at level {n}")
     lo, hi = twelfths
+    q, r = divmod(j * c1, c)
+    jmin, jmax = _span(r, c, c1, twelfths)
+    jmin, jmax = q + jmin, q + jmax
     a, b = (12 * j + lo) * c1, (12 * j + hi) * c1  # 12 C C' times the parent ends
-    jmin = -((lo * c - a) // (12 * c))
-    jmax = (b - hi * c) // (12 * c)
-    # With c > 0 the ceil and the floor above imply both containments, so this
+    # With c > 0 the span's ceil and floor imply both containments, so this
     # cannot fire; it guards the two roundings against a change.
     if jmin <= jmax and not ((12 * jmin + lo) * c >= a and (12 * jmax + hi) * c <= b):
         raise InvariantBroken(f"level {n + 1} children of j={j} escape their level {n} parent")

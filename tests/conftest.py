@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import Phase, settings
 
 from besicov import IrrationalSpec, make_cocycle, select_levels
+
+# Reports a failing example as found, without shrinking it: a mutant that fails
+# many examples is then killed in seconds (``tests/mutants.py`` runs with it).
+settings.register_profile(
+    "no-shrink", phases=tuple(p for p in settings.default.phases if p is not Phase.shrink)
+)
 
 
 @pytest.fixture(scope="session")

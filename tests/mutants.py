@@ -12,9 +12,11 @@ selection" (1978).
 
 Each mutant is applied to a fresh temporary copy of ``src/``, ``tests/``,
 ``pyproject.toml`` and ``README.md``, whose kill files are then run with
-pytest.  The report has one line per mutant, followed by the tests that
-failed; a kill-file run that has not finished after ``TIMEOUT_S`` seconds is
-stopped and the mutant counted as killed, since a hang fails the suite too.
+pytest under the ``no-shrink`` hypothesis profile of ``tests/conftest.py``, so
+a property that fails is reported at once rather than shrunk.  The report has
+one line per mutant, followed by the tests that failed; a kill-file run that
+has not finished after ``TIMEOUT_S`` seconds is stopped and the mutant counted
+as killed, since a hang fails the suite too.
 The exit status is 0 when every mutant met its expectation.  Standard
 library only: pytest runs in the child process.
 """
@@ -379,27 +381,30 @@ MUTANTS = (
         equivalent="k starts at k_{n-1} + 2 and steps by 2, so every k_n keeps k_1's "
         "parity and the check cannot fire",
     ),
-    # the log enclosures' stop index, Horner sum and outward ends, its width check
+    # the log enclosures' stop index (its step up or step down dropped, its estimate one
+    # late), Horner sum and outward ends, its width check
     Mutant(
         "log-stop-one-term-late",
         CERTLOG,
-        "            if below:\n                return n // 2\n",
-        "            if below:\n                return n // 2 + 1\n",
+        "        if tail << _TAIL_BITS >= den_cut:",
+        "        if False:",
         TEST_DIMENSION,
     ),
     Mutant(
         "log-stop-walk-down-one-short",
         CERTLOG,
-        "            if not below:\n                return n // 2 + 1\n",
-        "            if not below:\n                return n // 2\n",
+        "        if k == 1 or last >= den or last * b2 >= den * gap:",
+        "        if True:",
         TEST_DIMENSION,
     ),
     Mutant(
-        "log-stop-heads-without-slack",
+        "log-stop-estimate-one-late",
         CERTLOG,
-        "slack = y * n >> _HEAD_BITS - 2",
-        "slack = 0",
+        "k = int(max(c - log2(2 * k + 1), 0) // d) + 1",
+        "k = int(max(c - log2(2 * k + 1), 0) // d) + 2",
         TEST_DIMENSION,
+        equivalent="the estimate only picks where the sum starts; the sum's integer tests "
+        "move k back to the least index, so only the number of reruns changes",
     ),
     Mutant(
         "log-denominator-drops-odd",
@@ -418,8 +423,8 @@ MUTANTS = (
     Mutant(
         "log-upper-end-floored",
         CERTLOG,
-        "lo + (x > 0) + (x > y)",
-        "lo + (x >= y)",
+        "lo + (x > 0) + (x > den_cut)",
+        "lo + (x >= den_cut)",
         TEST_DIMENSION,
     ),
     Mutant(
@@ -524,8 +529,8 @@ MUTANTS = (
     Mutant(
         "child-span-ceil-floored",
         TARGETS,
-        "jmin = -((lo * c - a) // (12 * c))",
-        "jmin = (a - lo * c) // (12 * c)",
+        "return -((-12 * r - lo * d) // den), (12 * r + hi * d) // den",
+        "return (12 * r + lo * d) // den, (12 * r + hi * d) // den",
         TEST_COUNTS,
     ),
     Mutant(
@@ -626,7 +631,7 @@ def run(mutant: Mutant) -> tuple[str, list[str]]:
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-                 *mutant.kills],
+                 "--hypothesis-profile", "no-shrink", *mutant.kills],
                 cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
                 capture_output=True, text=True, timeout=TIMEOUT_S,
             )

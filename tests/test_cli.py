@@ -167,12 +167,29 @@ def test_certificate_failure_exit_two(capsys, monkeypatch):
     assert "failed" in err
 
 
+def test_failed_audit_exits_two_with_its_report(capsys, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("besicov.audit"), "_offset_ok", lambda *args: False)
+    code, out, _ = run(capsys, "audit", "--alpha", "golden", "--family", "pp", "--m", "1",
+                       "--out", "json")
+    assert code == 2
+    assert [r["status"] for r in json.loads(out)["reports"]] == ["fail"]
+
+
+def test_failed_gap_check_exits_two_with_its_table(capsys, monkeypatch):
+    cf_mod = importlib.import_module("besicov.cf")
+    real = cf_mod.certify_offset
+    monkeypatch.setattr(cf_mod, "certify_offset", lambda *args: (False, *real(*args)[1:]))
+    code, out, _ = run(capsys, "cf", "--alpha", "golden", "--upto", "3", "--check", "--out", "json")
+    assert code == 2
+    assert [r["gap_ok"] for r in json.loads(out)["convergents"]] == ["", False, False, False]
+
+
 @pytest.mark.parametrize(
     "module, name, broken, argv",
     [
         ("besicov.audit", "phi_m", lambda real: lambda cspec, x, m: real(cspec, x, m) + 1,
          ("audit", "--alpha", "golden", "--family", "pp", "--m", "1")),
-        ("besicov.dimension", "child_span", lambda real: lambda *args: (0, 10**9),
+        ("besicov.dimension", "_count_range", lambda real: lambda *args: (0, 10**9),
          ("dimension", "--mode", "measured", "--n", "3")),
     ],
 )

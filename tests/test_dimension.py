@@ -10,7 +10,7 @@ from mpmath import mp
 from besicov import (IrrationalSpec, box_count, certlog, dimension, falconer_bounds, nesting_stats,
                      select_levels)
 from besicov.certlog import Enclosure, log_enclosure
-from besicov.errors import EnumerationCapExceeded, InvariantBroken
+from besicov.errors import InvariantBroken
 from besicov.levels import LevelParams, Profile
 from besicov.targets import FAMILIES
 
@@ -99,13 +99,18 @@ def _tail_below(a: int, b: int, k: int) -> bool:
 
 def _boundary_a(b: int, k: int) -> int:
     """The greatest a whose tail bound after k terms is below 2^-_TAIL_BITS:
-    at a and a + 1 both sides of the test agree to about a's width in bits,
-    far past the 64-bit heads."""
+    at a and a + 1 both sides of the test agree to about a's width in bits."""
     lo, hi = 0, b  # _tail_below holds at lo and fails at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if _tail_below(mid, b, k) else (lo, mid)
     return lo
+
+
+def _assert_least(a: int, b: int, k: int) -> None:
+    """k terms suffice and k - 1 do not."""
+    assert _tail_below(a, b, k)
+    assert k == 1 or not _tail_below(a, b, k - 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,35 +124,42 @@ def test_atanh_ends_match_forward_series(ab):
 @settings(max_examples=60, deadline=None)
 @given(_atanh_args())
 def test_stop_index_is_least(ab):
-    a, b = ab
-    k = certlog._stop_index(a, b, b * b - a * a)
-    assert _tail_below(a, b, k)
-    assert k == 1 or not _tail_below(a, b, k - 1)
+    _assert_least(*ab, certlog._series(*ab)[0])
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 20])
-def test_stop_index_where_the_heads_cannot_decide(k):
-    """At the edge of the k-term cut-off the heads' brackets overlap and the
-    full powers decide."""
+def test_stop_index_at_the_cut_off_edge(k):
+    """At the edge of the k-term cut-off a takes k terms and a + 1 takes
+    k + 1, decided on the sum's full integers."""
     b = 3**180 + 12345
     a = _boundary_a(b, k)
     for x in (a, a + 1):
-        want = k if x == a else k + 1
-        assert certlog._stop_index(x, b, b * b - x * x) == want
+        assert certlog._series(x, b)[0] == (k if x == a else k + 1)
         assert certlog._atanh_ends(x, b) == oracles.atanh_ends(x, b)
+
+
+def test_stop_index_from_the_last_terms_product():
+    """At (333090, 10^6) the sum's last term is below den 2^-_TAIL_BITS, so
+    whether k - 1 terms would have sufficed takes the exact product."""
+    a, b = 333090, 10**6
+    k = certlog._series(a, b)[0]
+    coeff = math.perm(2 * k, k) >> k
+    last = coeff // (2 * k - 1) * a ** (2 * k - 1) << certlog._TAIL_BITS
+    assert k > 1 and last < b ** (2 * k - 1) * coeff
+    _assert_least(a, b, k)
+    assert certlog._atanh_ends(a, b) == oracles.atanh_ends(a, b)
 
 
 @pytest.mark.parametrize("skew", [0.9, 1.1])
 def test_stop_index_from_a_misplaced_estimate(monkeypatch, skew):
-    """The walk finds the least k wherever the float estimate starts it:
+    """The sum settles the least k wherever the float estimate starts it:
     skewed logarithms put the estimate a few terms past k or short of it."""
     monkeypatch.setattr(certlog, "log2", lambda v: skew * math.log2(v))
     w = 3**400
     pairs = [(1, 3), (1, 5), (w // 4, w), (w // 3 - 1, w), (w >> 30, w), (w >> 100, w)]
     for a, b in pairs:
-        k = certlog._stop_index(a, b, b * b - a * a)
-        assert _tail_below(a, b, k)
-        assert k == 1 or not _tail_below(a, b, k - 1)
+        _assert_least(a, b, certlog._series(a, b)[0])
+        assert certlog._atanh_ends(a, b) == oracles.atanh_ends(a, b)
 
 
 @pytest.mark.parametrize("ab", [(83822594, 329387975), (186658314, 563365191)])
@@ -186,10 +198,8 @@ def test_measured_counts_sandwich(greedy_profile):
         assert r.m_formula <= r.m_measured <= r.mbar_measured <= r.mbar_formula + 1
 
 
-def test_measured_counts_ignore_the_cap(golden, sqrt2m1, monkeypatch):
-    """Measured counts scan no parents, so a cap of 100 intervals, which box
-    counting still enforces, leaves them equal to the per-parent scan."""
-    monkeypatch.setattr(dimension, "DEFAULT_ENUM_CAP", 100)
+def test_measured_counts_ignore_the_cap(golden, sqrt2m1):
+    """Measured counts scan no parents and equal the per-parent scan."""
     for profile in (
         select_levels(golden, "greedy", "main", 3), select_levels(sqrt2m1, "fixed", "main", 2)
     ):
@@ -200,8 +210,6 @@ def test_measured_counts_ignore_the_cap(golden, sqrt2m1, monkeypatch):
                 assert (row.m_measured, row.mbar_measured) == oracles.child_count_range(
                     profile, family, n
                 )
-        with pytest.raises(EnumerationCapExceeded, match="cap 100"):
-            box_count(profile, "++", profile.n_max, 1000)
 
 
 def test_measured_lower_bounds_beat_formula_on_fixed(golden, sqrt2m1):
@@ -270,10 +278,12 @@ def test_box_slope_in_expected_band(greedy_profile):
 
 
 def test_box_count_cap(greedy_profile):
-    # greedy level 5 holds 3.2e8 intervals, far above DEFAULT_ENUM_CAP
-    assert greedy_profile.level(5).cell_count > dimension.DEFAULT_ENUM_CAP
-    with pytest.raises(EnumerationCapExceeded):
-        box_count(greedy_profile, "++", 5, 100)
+    """Box counting has no cap on the intervals a level holds: greedy level 5
+    (3.2e8 intervals) is counted on every grid of the ladder."""
+    res = box_count(greedy_profile, "++", 5, 10**6)
+    assert [g for g, _ in res.counts] == [125_000, 250_000, 500_000, 10**6]
+    for g, c in res.counts:
+        assert c == dimension._occupied_cells(greedy_profile, "++", 5, g)
 
 
 def test_log_enclosure_domain():

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from besicov import (
     DigitPath,
-    dimension,
     dynamics,
     interval,
     member,
@@ -187,13 +186,10 @@ def test_occupied_cells_match_loop(data):
 @pytest.mark.parametrize("n", [2, 5])
 def test_occupied_cells_match_cell_oracle(n):
     """Cell by cell on golden greedy main: level 2 (7209 intervals) at the
-    thresholds, and level 5 (3.2e8 intervals, past the box-counting cap, which
-    ``_occupied_cells`` itself does not read) on grids small enough to walk."""
+    thresholds, and level 5 (3.2e8 intervals) on grids small enough to walk."""
     profile = _profile("golden", "greedy", "main", n)
     cells = profile.level(n).cell_count
     grids = _edge_grids(cells) if n == 2 else [2, 3, 7, 1000, 65_537]
-    if n == 5:
-        assert cells > dimension.DEFAULT_ENUM_CAP
     for family in FAMILIES:
         for grid in grids:
             expected = oracles.occupied_cells_by_cell(profile, family, n, grid)
