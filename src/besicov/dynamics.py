@@ -16,9 +16,10 @@ Distances use the taxicab metric: circle distance in x plus |difference| in t.
 Probes are diagnostics, not certificates: each one carries its accumulated
 error bound and refuses to assert anything the bound could explain away.
 A sensitivity witness is only reported after re-simulation at doubled
-precision reproduces the separation.  The interval point the sensitivity
-probe tries first is descended and centred by ``targets`` on its integer
-twelfths; this module keeps no interval geometry of its own.
+precision reproduces the separation.  The sensitivity probe's first
+candidate is ``targets._probe_start``, the descent that samples target points
+started near x; this module only chooses its family and keeps no interval
+geometry of its own.
 """
 
 from __future__ import annotations
@@ -310,6 +311,8 @@ def orbit(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if store_every < 1:
+        raise ValueError("store_every must be >= 1")
     bound = orbit_error_bound(cspec, precision_bits)
     if bound > ERROR_CAP:
         cap = float(ERROR_CAP)
@@ -347,8 +350,10 @@ def coverage(record: OrbitRecord, box_height: float, grid: int) -> float:
     """Fraction of grid cells of [0,1) x [-H, H] visited by the stored points."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    seen: set[tuple[int, int]] = set()
     h = float(box_height)
+    if not h > 0:
+        raise ValueError("box_height must be positive")
+    seen: set[tuple[int, int]] = set()
     for x, t in zip(record.xs, record.ts):
         if not -h <= t < h:
             continue
@@ -430,39 +435,6 @@ def nonrecurrence_test(
     )
 
 
-def _target_candidate(
-    cspec: CocycleSpec, x: Fraction, delta: Fraction
-) -> Optional[Fraction]:
-    """A point within delta of x on the fine levels of the target intervals.
-
-    The start level n is the first whose period is at most delta/2; from
-    the level-n interval nearest x the descent takes the middle child down
-    to depth min(n + 2, n_levels) and returns that interval's center if it
-    lies within delta of x.  The point lies in the level-l union for every
-    l from n to the depth, but the levels below n are never checked, so it
-    need not lie in the target set.  Family "-+" for tent cocycles, "++"
-    for main.
-    """
-    from .targets import _center, pick_child
-
-    profile = cspec.profile
-    fam = "-+" if cspec.variant == "tent" else "++"
-    for n in range(1, cspec.n_levels + 1):
-        lv = profile.level(n)
-        # period <= delta/2 puts the whole descended interval within delta of x
-        if lv.period > delta / 2:
-            continue
-        depth = min(n + 2, cspec.n_levels)
-        j = round(x / lv.period) % lv.cell_count
-        for level in range(n, depth):
-            j = pick_child(profile, fam, level, j)
-            if j is None:
-                return None
-        y = _center(profile, fam, depth, j)
-        return y if _circle_dist(y, x) <= delta else None
-    return None
-
-
 def sensitivity_probe(
     cspec: CocycleSpec,
     x: Fraction,
@@ -476,7 +448,7 @@ def sensitivity_probe(
     """Search for a delta-close starting point whose orbit separates by > eps.
 
     Candidates: one point near x from the target intervals of the levels
-    that resolve delta (see ``_target_candidate``: it lies in those levels'
+    that resolve delta (see ``targets._probe_start``: it lies in those levels'
     unions, not necessarily in the coarser ones), then seeded random
     rationals in (x - delta, x + delta).  The base separation is
     constant in time (rotations are isometries), so separation is driven by
@@ -484,6 +456,10 @@ def sensitivity_probe(
     precision before being reported; absence of a witness is "not-found",
     never a disproof.
     """
+    from .targets import _probe_start
+
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1 (a vacuous test is rejected)")
     delta, eps = Fraction(delta), Fraction(eps)
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
@@ -493,7 +469,8 @@ def sensitivity_probe(
     rng = random.Random(seed)
     x0 = x % 1
     candidates: list[Fraction] = []
-    tgt = _target_candidate(cspec, x0, delta)
+    fam = "-+" if cspec.variant == "tent" else "++"
+    tgt = _probe_start(cspec.profile, fam, cspec.n_levels, x0, delta)
     if tgt is not None and tgt != x0:
         candidates.append(tgt)
     while len(candidates) < samples:

@@ -13,9 +13,11 @@ so interval j is [(12j + L)/(12 C_n), (12j + H)/(12 C_n)] and its center is
 (24j + L + H)/(24 C_n).  Every count, containment and grid cell over these
 intervals is therefore an integer floor or ceil: ``child_span`` gives the
 level-(n+1) children of one interval as a lifted index range, and its span
-formula is the one nesting test, for child picks, for ``sample_point``'s
-descent and for the caller-supplied digit paths it re-certifies alike, and
-measured nesting counts read it (``_span``) over the residues j C' mod C.
+formula is the one nesting test; measured nesting counts read it (``_span``)
+over the residues j C' mod C.  One descent (``_descend``) follows the spans
+down, picking a child by policy or checking a caller's index at each level:
+``sample_point`` runs it from level-1 interval 0, by policy or along a digit
+path, and ``_probe_start`` by centers from the interval nearest a point.
 Membership is decided the same way: x = a/b lies in the level-n union when
 it is at most H twelfths of a period past the band start at or below it, one
 floor division (``_lift``).  ``member`` builds no ``Fraction``;
@@ -81,15 +83,20 @@ class TargetInterval:
 
 def interval(profile: Profile, family: str, n: int, j: int) -> TargetInterval:
     fam = canonical_family(family)
-    lv = profile.level(n)
-    count = lv.cell_count
-    if not 0 <= j < count:
-        raise IndexOutOfRange(f"j={j} outside 0..{count - 1} at level {n}")
+    count = profile.level(n).cell_count
+    _index(j, count, n)
     lo, hi = TWELFTHS[fam]
     den = 12 * count
     return TargetInterval(
         family=fam, n=n, j=j, a=Fraction(12 * j + lo, den), b=Fraction(12 * j + hi, den)
     )
+
+
+def _index(j: int, c: int, n: int) -> int:
+    """j, refused unless it indexes one of the c intervals of level n."""
+    if not 0 <= j < c:
+        raise IndexOutOfRange(f"j={j} outside 0..{c - 1} at level {n}")
+    return j
 
 
 def _lift(c: int, lo: int, hi: int, a: int, b: int) -> Optional[int]:
@@ -168,9 +175,8 @@ def _span(r: int, c: int, c1: int, twelfths: tuple[int, int]) -> tuple[int, int]
 def _children(c: int, c1: int, twelfths: tuple[int, int], n: int, j: int) -> tuple[int, int]:
     """``child_span`` of level-n interval j from the cell counts c = C_n and
     c1 = C_{n+1} and the family's offsets: the span formula, for
-    ``child_span`` and for ``sample_point``'s descent."""
-    if not 0 <= j < c:
-        raise IndexOutOfRange(f"j={j} outside 0..{c - 1} at level {n}")
+    ``child_span`` and for ``_descend``."""
+    _index(j, c, n)
     lo, hi = twelfths
     q, r = divmod(j * c1, c)
     jmin, jmax = _span(r, c, c1, twelfths)
@@ -183,21 +189,29 @@ def _children(c: int, c1: int, twelfths: tuple[int, int], n: int, j: int) -> tup
     return jmin, jmax
 
 
-def _pick(jmin: int, jmax: int, policy: str) -> int:
-    """The lifted child a policy descends through, in a nonempty span."""
-    return jmin if policy == "leftmost" else jmin + (jmax - jmin + 1) // 2
-
-
-def pick_child(
-    profile: Profile, family: str, n: int, j: int, policy: str = "center"
-) -> Optional[int]:
-    """The level-(n+1) child of level-n interval j that ``policy`` descends
-    through: "leftmost" is the first in circle order, "center" the middle one
-    of the ``child_span`` range.  None when j has no children."""
-    jmin, jmax = child_span(profile, family, n, j)
-    if jmin > jmax:
-        return None
-    return _pick(jmin, jmax, policy) % profile.level(n + 1).cell_count
+def _descend(cells: list[int], twelfths: tuple[int, int], n: int, j: int,
+             steps: Iterable[Union[str, int]]) -> list[int]:
+    """The index chain from level-n interval j, one level down per step, as
+    far as the cell counts ``cells`` (from level n on) reach: a policy picks
+    the "leftmost" or "center" child of the span and refuses an empty span; a
+    caller's index is checked to lie in the span."""
+    chain = [_index(j, cells[0], n)]
+    for c, c1, step in zip(cells, cells[1:], steps):
+        jmin, jmax = _children(c, c1, twelfths, n, j)
+        n += 1
+        if isinstance(step, str):
+            if jmin > jmax:
+                raise InvalidDigitPath(
+                    f"no children inside level-{n - 1} interval (invalid profile?)"
+                )
+            j = (jmin if step == "leftmost" else jmin + (jmax - jmin + 1) // 2) % c1
+        else:
+            j = _index(step, c1, n)
+            # j is one of the parent's children when its lift falls in the span
+            if (j - jmin) % c1 > jmax - jmin:
+                raise InvalidDigitPath(f"level {n} interval j={j} not inside level {n - 1}")
+        chain.append(j)
+    return chain
 
 
 def _center(profile: Profile, family: str, n: int, j: int) -> Fraction:
@@ -227,21 +241,6 @@ class DigitPath:
         return len(self.indices)
 
 
-def _check_nesting(profile: Profile, family: str, idx: tuple[int, ...]) -> None:
-    """Raise unless a caller-supplied index tuple is a nested chain of intervals."""
-    if not idx:
-        raise InvalidDigitPath("a digit path needs at least one index")
-    for n, j in enumerate(idx, start=1):
-        c = profile.level(n).cell_count
-        if not 0 <= j < c:
-            raise IndexOutOfRange(f"j={j} outside 0..{c - 1} at level {n}")
-        if n > 1:
-            # j is one of the parent's children when its lift falls in the span
-            jmin, jmax = child_span(profile, family, n - 1, idx[n - 2])
-            if (j - jmin) % c > jmax - jmin:
-                raise InvalidDigitPath(f"level {n} interval j={j} not inside level {n - 1}")
-
-
 def sample_point(
     profile: Profile,
     family: str,
@@ -250,35 +249,31 @@ def sample_point(
 ) -> tuple[Fraction, DigitPath]:
     """Produce a certified point of the depth-``depth`` intersection.
 
-    policy "center" descends through the middle child at every level (keeping
-    audit margins fat), "leftmost" through the first child in circle order;
-    both are rooted at j_1 = 0 and nested by construction.  A DigitPath may
-    be passed instead to reconstruct and re-certify a specific point; its
-    indices are checked for nesting first.  On both routes membership of the
+    One descent (``_descend``) builds the index chain.  Policy "center" takes
+    the middle child at every level (keeping audit margins fat), "leftmost"
+    the first in circle order; both are rooted at j_1 = 0.  A DigitPath may
+    be passed instead to reconstruct and re-certify a specific point: the
+    descent then follows its indices, checking each against its parent's
+    span, and ``depth`` is the path's.  On both routes membership of the
     center at every level up to the depth is verified exactly before
     returning.
     """
     fam = canonical_family(family)
     if isinstance(policy, DigitPath):
-        idx = tuple(policy.indices)
-        _check_nesting(profile, fam, idx)
-        cells = [lv.cell_count for lv in profile.levels[: len(idx)]]
+        if not policy.indices:
+            raise InvalidDigitPath("a digit path needs at least one index")
+        root, *steps = policy.indices
+        depth = len(policy.indices)
     else:
         if policy not in ("center", "leftmost"):
             raise ValueError("policy must be 'center', 'leftmost', or a DigitPath")
         if not 1 <= depth <= profile.n_max:
             raise DepthExceedsProfile(f"depth {depth} outside 1..{profile.n_max}")
-        twelfths = TWELFTHS[fam]
-        cells = [lv.cell_count for lv in profile.levels[:depth]]
-        indices = [0]
-        for n in range(1, depth):
-            jmin, jmax = _children(cells[n - 1], cells[n], twelfths, n, indices[-1])
-            if jmin > jmax:
-                raise InvalidDigitPath(
-                    f"no children inside level-{n} interval (invalid profile?)"
-                )
-            indices.append(_pick(jmin, jmax, policy) % cells[n])
-        idx = tuple(indices)
+        root, steps = 0, (policy,) * (depth - 1)
+    cells = [lv.cell_count for lv in profile.levels[:depth]]
+    idx = tuple(_descend(cells, TWELFTHS[fam], 1, root, steps))
+    if len(idx) < depth:  # a caller's path runs past the profile
+        raise DepthExceedsProfile(f"level {len(idx) + 1} outside 1..{profile.n_max}")
     x = _center(profile, fam, len(idx), idx[-1])
     a, b = x.numerator, x.denominator
     reductions = []
@@ -287,6 +282,28 @@ def sample_point(
             raise InvalidDigitPath(f"center fails membership at level {len(reductions) + 1}")
         reductions.append(Fraction(a * c - j_lift * b, b * c))
     return x, DigitPath(family=fam, indices=idx, point=x, reductions=tuple(reductions))
+
+
+def _probe_start(profile: Profile, family: str, n_max: int, x: Fraction,
+                 delta: Fraction) -> Optional[Fraction]:
+    """The sensitivity probe's first candidate: from the level-n interval
+    nearest x, n the first level whose period is at most delta/2, the center
+    of the middle-child descent to depth min(n + 2, n_max) if within delta of
+    x, else None.  It lies in the unions of levels n to that depth, but the
+    levels below n are unchecked, so it need not lie in the target set."""
+    cells = [lv.cell_count for lv in profile.levels[:n_max]]
+    for n, c in enumerate(cells, 1):
+        if delta * c >= 2:  # period <= delta/2 puts the descended interval within delta of x
+            depth = min(n + 2, n_max)
+            try:
+                j = _descend(cells[n - 1 : depth], TWELFTHS[family], n, round(x * c) % c,
+                             ("center",) * (depth - n))[-1]
+            except InvalidDigitPath:  # an interval with no children
+                return None
+            y = _center(profile, family, depth, j)
+            d = (y - x) % 1
+            return y if min(d, 1 - d) <= delta else None
+    return None
 
 
 def interval_row(profile: Profile, family: str, n: int, j: int) -> dict:

@@ -52,6 +52,7 @@ CF = "src/besicov/cf.py"
 TARGETS = "src/besicov/targets.py"
 TEST_AUDIT = ("tests/test_audit.py",)
 TEST_MEMBERSHIP = ("tests/test_targets.py", "tests/test_crosschecks.py")
+TEST_DESCENT = ("tests/test_targets.py", "tests/test_lattice.py", "tests/test_dynamics.py")
 LEVELS = "src/besicov/levels.py"
 TEST_LEVELS = ("tests/test_levels.py",)
 
@@ -543,6 +544,29 @@ MUTANTS = (
         equivalent="the span helper refuses j outside 0..c - 1, so c > 0 at the check, and "
         "then the ceil gives (12 jmin + L) c >= a and the floor (12 jmax + H) c <= b; the "
         "check only guards the two roundings (child-span-ceil-floored trips it)",
+    ),
+    # the one descent through the child spans: a policy's pick, a caller's
+    # path and the sensitivity probe's start point
+    Mutant(
+        "descent-center-pick-low",
+        TARGETS,
+        "jmin + (jmax - jmin + 1) // 2",
+        "jmin + (jmax - jmin) // 2",
+        TEST_DESCENT,
+    ),
+    Mutant(
+        "descent-path-span-check-inclusive",
+        TARGETS,
+        "if (j - jmin) % c1 > jmax - jmin:",
+        "if (j - jmin) % c1 >= jmax - jmin:",
+        TEST_DESCENT,
+    ),
+    Mutant(
+        "probe-start-one-level-shallow",
+        TARGETS,
+        "depth = min(n + 2, n_max)",
+        "depth = min(n + 1, n_max)",
+        TEST_DESCENT,
     ),
     # the JSON form of results, one rule and three overrides
     Mutant(

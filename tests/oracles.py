@@ -37,7 +37,9 @@ so a test that patches either patches the oracle too.
 
 :func:`member_level` and :func:`member` decide membership by the defining
 formula in Fractions and keep each level's reduction, as ``targets.member``
-did before it decided on integers alone.  :func:`discreteness_scan` finds each
+did before it decided on integers alone.  :func:`probe_start` is the
+sensitivity probe's start point as its own loop of child picks, before it
+became a caller of the descent in ``targets``.  :func:`discreteness_scan` finds each
 m's window and its |phi_m| one m at a time, and :func:`audit` keeps the
 divergence ledgers in Fractions, per-level budgets and all: the references for
 the library's scan and audits on one lattice and one ledger denominator.
@@ -324,6 +326,31 @@ def member(profile, family: str, x: Fraction, up_to: int):
             return False, n, tuple(entries)
         entries.append(hit)
     return True, None, tuple(entries)
+
+
+def probe_start(profile, family: str, n_levels: int, x: Fraction, delta: Fraction):
+    """The sensitivity probe's first candidate as ``dynamics`` found it
+    before the descent moved to ``targets``: the first level whose period is
+    at most delta/2, its interval nearest x, the middle child of each
+    :func:`child_span` down to min(n + 2, n_levels), and that interval's
+    center if within delta of x; None otherwise."""
+    lo, hi = TWELFTHS[family]
+    for n in range(1, n_levels + 1):
+        lv = profile.level(n)
+        if lv.period > delta / 2:
+            continue
+        depth = min(n + 2, n_levels)
+        j = round(x / lv.period) % lv.cell_count
+        for level in range(n, depth):
+            jmin, jmax = child_span(profile, family, level, j)
+            if jmin > jmax:
+                return None
+            j = (jmin + (jmax - jmin + 1) // 2) % profile.level(level + 1).cell_count
+        den = 24 * profile.level(depth).cell_count
+        y = Fraction((24 * j + lo + hi) % den, den)
+        d = (y - x) % 1
+        return y if min(d, 1 - d) <= delta else None
+    return None
 
 
 def discreteness_scan(cspec, path, m_lo: int, m_hi: int) -> ScanTable:

@@ -23,6 +23,7 @@ from besicov import (
     phi_m,
     sample_point,
     sensitivity_probe,
+    targets,
 )
 from besicov.cocycle import walk
 from besicov.errors import ErrorBudgetBlown
@@ -345,8 +346,30 @@ def test_nonrecurrence_on_target_sample(tent_cocycle):
 
 
 def test_nonrecurrence_rejects_vacuous_horizon(tent_cocycle):
-    with pytest.raises(ValueError):
-        nonrecurrence_test(tent_cocycle, Fraction(1, 3), Fraction(0), Fraction(1, 10), 0)
+    """Both probes refuse a horizon below 1: none would test nothing, and a
+    negative one would walk backward and report the steps as forward ones."""
+    x, eps = Fraction(1, 3), Fraction(1, 10)
+    probes = [
+        lambda h: nonrecurrence_test(tent_cocycle, x, Fraction(0), eps, h),
+        lambda h: sensitivity_probe(tent_cocycle, x, Fraction(1, 1000), eps, h, samples=1),
+    ]
+    for probe in probes:
+        for horizon in (0, -5):
+            with pytest.raises(ValueError, match="horizon must be >= 1"):
+                probe(horizon)
+
+
+@pytest.mark.parametrize("store_every", [0, -2])
+def test_orbit_rejects_store_every_below_one(tent_cocycle, store_every):
+    with pytest.raises(ValueError, match="store_every must be >= 1"):
+        orbit(tent_cocycle, Fraction(1, 3), steps=10, store_every=store_every)
+
+
+@pytest.mark.parametrize("box_height", [0.0, -1.0, float("nan")])
+def test_coverage_rejects_empty_box(tent_cocycle, box_height):
+    rec = orbit(tent_cocycle, Fraction(1, 7), steps=10)
+    with pytest.raises(ValueError, match="box_height must be positive"):
+        coverage(rec, box_height, 10)
 
 
 def test_nonrecurrence_refuses_tiny_eps(tent_cocycle):
@@ -381,9 +404,9 @@ def test_sensitivity_candidate_lies_in_the_levels_it_descends(golden, variant, x
     """The candidate is in the union of every level from its start level (the
     first with period <= delta/2) to its depth; coarser levels are unchecked."""
     cspec = make_cocycle(golden, "greedy", variant, 4)
-    y = dynamics._target_candidate(cspec, x, delta)
-    assert y is not None and abs(y - x) <= delta
     family = "-+" if variant == "tent" else "++"
+    y = targets._probe_start(cspec.profile, family, cspec.n_levels, x, delta)
+    assert y is not None and abs(y - x) <= delta
     start = next(l for l in range(1, cspec.n_levels + 1)
                  if cspec.profile.level(l).period <= delta / 2)
     for l in range(start, min(start + 2, cspec.n_levels) + 1):

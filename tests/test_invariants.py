@@ -39,19 +39,35 @@ def test_broken_invariants_are_library_errors():
     assert raised == []
 
 
-def test_bump_kernel_names_stay_in_cocycle():
-    # the bump-to-numerator decision lives in one module; everything else
-    # reads it through the weights and potential helpers
-    kernel = {"_bump_num", "_peak_den"}
-    users = {
+def _modules_naming(names: set[str]) -> set[str]:
+    """The library modules that name, read or import any of ``names``."""
+    return {
         path.name
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Name) and node.id in kernel
-        or isinstance(node, ast.Attribute) and node.attr in kernel
-        or isinstance(node, ast.alias) and node.name in kernel
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
     }
-    assert users == {"cocycle.py"}
+
+
+def test_bump_kernel_names_stay_in_cocycle():
+    # the bump-to-numerator decision lives in one module; everything else
+    # reads it through the weights and potential helpers
+    assert _modules_naming({"_bump_num", "_peak_den"}) == {"cocycle.py"}
+
+
+def test_child_span_walk_stays_in_targets():
+    # the interval geometry lives in one module: only targets walks the child
+    # spans, and dimension reads the span formula alone, for its counts
+    assert _modules_naming({"_children", "_descend"}) == {"targets.py"}
+    assert _modules_naming({"_span"}) == {"targets.py", "dimension.py"}
+    # dynamics takes its first probe candidate from targets and nothing else
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "targets"
+                for alias in node.names}
+    assert imported == {"_probe_start"}
 
 
 def test_audits_raise_when_master_identity_breaks(greedy_cocycle, tent_cocycle, monkeypatch):

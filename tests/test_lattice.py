@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from besicov import (
     DigitPath,
-    dynamics,
     interval,
     member,
     nesting_stats,
@@ -32,7 +31,7 @@ from besicov import (
 from besicov.cli import parse_alpha
 from besicov.dimension import _count_range, _occupied_cells
 from besicov.errors import IndexOutOfRange, InvalidDigitPath
-from besicov.targets import FAMILIES, child_span, pick_child
+from besicov.targets import FAMILIES, TWELFTHS, child_span
 
 import oracles
 
@@ -77,8 +76,8 @@ def test_children_match_full_scan(alpha, variant):
             jmin, jmax = child_span(profile, family, 1, j)
             kids = [k % c2 for k in range(jmin, jmax + 1)]
             assert kids == _oracle_children(profile, family, parent, level2)
-            assert pick_child(profile, family, 1, j, "leftmost") == kids[0]
-            assert pick_child(profile, family, 1, j, "center") == kids[len(kids) // 2]
+            for policy, kid in (("leftmost", kids[0]), ("center", kids[len(kids) // 2])):
+                assert targets._descend([c1, c2], TWELFTHS[family], 1, j, [policy]) == [j, kid]
 
 
 def _oracle_counts(profile, family, n):
@@ -254,6 +253,7 @@ def test_sampling_builds_no_interval(monkeypatch, tent_cocycle):
             for policy in ("center", "leftmost"):
                 sample_point(_profile("golden", "greedy", variant, 4), family, policy, 4)
     x, delta = Fraction(1, 4), Fraction(1, 1000)
-    assert dynamics._target_candidate(tent_cocycle, x, delta) is not None
+    start = targets._probe_start(tent_cocycle.profile, "-+", tent_cocycle.n_levels, x, delta)
+    assert start is not None
     res = sensitivity_probe(tent_cocycle, x, delta, Fraction(1), 50, samples=1, seed=7)
     assert res.outcome in ("witness-found", "not-found")

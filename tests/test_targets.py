@@ -2,12 +2,13 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from besicov import interval, member, sample_point, targets
+from besicov import IrrationalSpec, interval, member, sample_point, select_levels, targets
 from besicov.errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath
 from besicov.targets import (
     FAMILIES,
@@ -183,7 +184,7 @@ def test_policy_sample_descends_once(monkeypatch, greedy_profile, policy):
     assert len(calls) == 4
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def unnested_profile(greedy_profile):
     """Level 1 of the greedy profile under a level 2 of one more cell: its
     cells are hardly shorter than level 1's, so most level-1 intervals hold
@@ -209,6 +210,45 @@ def test_unnested_profile_has_no_children(unnested_profile):
         sample_point(unnested_profile, "-+", path)
 
 
+@cache
+def _probe_profile(alpha, strategy, variant):
+    return select_levels(IrrationalSpec.from_preset(alpha), strategy, variant, 4)
+
+
+PROBE_PROFILES = [(alpha, strategy, variant) for alpha in ("golden", "sqrt2m1")
+                  for strategy in ("greedy", "fixed") for variant in ("main", "tent")]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_probe_start_matches_oracle(unnested_profile, data):
+    """The sensitivity probe's start point, a caller of the one descent, is
+    the point its former loop of child picks (``oracles.probe_start``) finds,
+    None included: for a delta below every level's period, and on the
+    unnested profile, where most intervals hold no child."""
+    key = data.draw(st.sampled_from(PROBE_PROFILES) | st.none())
+    profile = unnested_profile if key is None else _probe_profile(*key)
+    family = data.draw(st.sampled_from(FAMILIES))
+    n_levels = data.draw(st.integers(1, profile.n_max))
+    x = data.draw(st.fractions(0, 1, max_denominator=10**15))
+    delta = Fraction(data.draw(st.integers(1, 999)), 10 ** data.draw(st.integers(0, 40)))
+    want = oracles.probe_start(profile, family, n_levels, x, delta)
+    assert targets._probe_start(profile, family, n_levels, x, delta) == want
+
+
+def test_probe_start_finds_none(greedy_profile, unnested_profile):
+    """No start point when no level resolves delta, or when the descent from
+    the nearest interval meets one with no children."""
+    c = greedy_profile.level(greedy_profile.n_max).cell_count
+    unresolved = Fraction(1, c)  # below twice every level's period
+    assert targets._probe_start(greedy_profile, "++", greedy_profile.n_max, Fraction(1, 3),
+                                unresolved) is None
+    c1 = unnested_profile.level(1).cell_count
+    assert child_span(unnested_profile, "-+", 1, 0) == (1, 0)
+    assert targets._probe_start(unnested_profile, "-+", 2, Fraction(0), Fraction(2, c1)) is None
+    assert oracles.probe_start(unnested_profile, "-+", 2, Fraction(0), Fraction(2, c1)) is None
+
+
 def test_invalid_path_rejected(greedy_profile):
     lv2 = greedy_profile.level(2)
     bogus = DigitPath(family="++", indices=(0, lv2.cell_count // 2), point=Fraction(0),
@@ -224,8 +264,16 @@ def test_empty_path_is_an_input_error(greedy_profile):
 
 
 def test_depth_guard(greedy_profile):
+    n = greedy_profile.n_max
     with pytest.raises(DepthExceedsProfile):
-        sample_point(greedy_profile, "++", "center", greedy_profile.n_max + 1)
+        sample_point(greedy_profile, "++", "center", n + 1)
+    # a caller's path past the profile is refused once the levels it has pass
+    _, path = sample_point(greedy_profile, "++", "center", n)
+    deeper = replace(path, indices=path.indices + (0,))
+    with pytest.raises(DepthExceedsProfile, match=f"level {n + 1} outside 1..{n}"):
+        sample_point(greedy_profile, "++", deeper)
+    with pytest.raises(IndexOutOfRange, match="at level 2"):
+        sample_point(greedy_profile, "++", replace(deeper, indices=(0, -1, *path.indices[2:], 0)))
 
 
 def test_interval_rows_exact(greedy_profile):
