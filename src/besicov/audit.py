@@ -26,14 +26,17 @@ kernel's (L, weights), the budget's lcm and Lambda sum, and q_N q_{N+1} are
 the constants the ``CocycleSpec`` derived once (``kernel``, ``lam_sum``,
 ``gap``); an audit of depth L < n_levels reads the first L weights.  The
 audited terms are each level's g difference between x and x + m alpha_hat
-over one denominator, and must sum to phi_m.  That identity shares the
-kernel with the terms, so it guards only their slicing into levels, not the
-kernel; ``cocycle.birkhoff``, which sums bump differences along the orbit,
-is the independent route to the same sum.  The mixed audit's ledger (each
-row's bound and verdict, the tail budget and bound sums, head_bound, from the
-head levels' weights) is held over one more denominator.  A scan puts x and
-alpha_hat on one lattice once, so each m costs g(x + m alpha_hat), one bump
-per level.  ``tests/oracles.py`` keeps the Fraction routes as oracles:
+over one denominator, from one pass of the kernel (``cocycle._differences``),
+and their sum is the reported total, phi_m of the depth-L truncation.  A
+second pass of the same kernel could not catch a fault in it, so the total is
+checked by independent routes instead: ``cocycle.birkhoff`` sums bump
+differences along the orbit (``besicov sum`` fails when the two differ), and
+``tests/oracles.audit`` holds every report's terms to the Fraction bump
+route's phi_m.  The mixed audit's ledger (each row's bound and verdict, the
+tail budget and bound sums, head_bound, from the head levels' weights) is
+held over one more denominator.  A scan puts x and alpha_hat on one lattice
+once, so each m costs g(x + m alpha_hat), one bump per level.
+``tests/oracles.py`` keeps the Fraction routes as oracles:
 ``window`` over Fraction edges, ``audit`` with Fraction ledgers, and
 ``discreteness_scan`` with ``window`` and ``phi_m`` for each m.
 
@@ -61,9 +64,8 @@ from math import lcm
 from typing import Iterable, Optional
 
 from .cf import IrrationalSpec, certify_offset, gap_law_offset
-from .cocycle import CocycleSpec, _on_lattice, _potential, phi_m
-from .errors import (BelowFirstWindow, DepthExceedsProfile, InvariantBroken, Result,
-                     WindowBeyondProfile)
+from .cocycle import CocycleSpec, _differences, _on_lattice, _potential
+from .errors import BelowFirstWindow, DepthExceedsProfile, Result, WindowBeyondProfile
 from .levels import LevelParams, Profile
 from .targets import DigitPath, family_kind, member
 
@@ -220,10 +222,9 @@ def _audited_terms(
     only on the main variant), find the window n(m), require depth n(m) + 2
     and membership at every audited level (re-certified on integers, so
     reports stay sound even for hand-built paths), and return the exact terms
-    for l <= L = min(n_levels, depth), their total, phi_m of the depth-L
-    truncation, and the terms' numerators over one denominator ``den`` = 4dK
-    (K the lcm of the cocycle's ``kernel``, whose first L weights they read),
-    once those are shown to sum to the total."""
+    for l <= L = min(n_levels, depth), their total (phi_m of the depth-L
+    truncation), and the terms' numerators over one denominator ``den`` = 4dK
+    (K the lcm of the cocycle's ``kernel``, whose first L weights they read)."""
     if family_kind(path.family) != kind:
         raise ValueError(f"family {path.family} is not {kind}")
     if kind == "aligned" and cspec.variant != "main":
@@ -242,16 +243,10 @@ def _audited_terms(
             f"point {path.point} leaves the {path.family} family at level {res.first_fail}"
         )
     u, s, d = _on_lattice(path.point, cspec.alpha_hat)
-    v = cspec.variant
     big, weights = cspec.kernel
-    weights = weights[:L]
     den = 4 * d * big
-    nums = [after - before for before, after in zip(_potential(weights, u, d, v),
-                                                    _potential(weights, u + m * s, d, v))]
-    total = phi_m(cspec.truncated(L), path.point, m)
-    if sum(nums) * total.denominator != total.numerator * den:
-        raise InvariantBroken(f"audited terms do not sum to phi_m at m={m}")
-    return w, [Fraction(t, den) for t in nums], total, nums, den
+    nums = _differences(weights[:L], cspec.variant, u, m * s, d)
+    return w, [Fraction(t, den) for t in nums], Fraction(sum(nums), den), nums, den
 
 
 def _report(

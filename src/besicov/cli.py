@@ -228,9 +228,7 @@ def _mode(command: str, cfg: RunConfig) -> str:
 
 
 def _emit_csv(rows: list[dict], stream) -> None:
-    if not rows:
-        stream.write("\n")
-        return
+    """``rows`` as CSV under the first row's keys; every subcommand emits at least one row."""
     writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
@@ -482,6 +480,8 @@ def cmd_probe(cfg: RunConfig, stream) -> int:
         if height <= 0:
             raise UsageError(f"--height must be > 0, got {cfg.height!r}")
         box_height = _as_float(height, "--height", cfg.height)
+        if not box_height:
+            raise UsageError(f"--height is too small for a float, got {cfg.height!r}")
         rec = dyn_mod.orbit(
             cspec, x, parse_rational(cfg.t0, "--t0"), steps=cfg.horizon,
             precision_bits=cfg.precision_bits,
@@ -494,15 +494,13 @@ def cmd_probe(cfg: RunConfig, stream) -> int:
             outcome=f"{frac:.6f}",
             error_bound=float(rec.error_bound),
         )
-    elif cfg.kind == "classify":
+    else:  # classify: argparse and --config take only --kind's choices
         label = dyn_mod.classify_orbit(cspec, x, cfg.horizon, precision_bits=cfg.precision_bits)
         res = dyn_mod.ProbeResult(
             kind="classification",
             params={"horizon": cfg.horizon, "x": str(x % 1)},
             outcome=label,
         )
-    else:
-        raise ValueError(f"unknown probe kind {cfg.kind!r}")
     json.dump(res.as_dict(), stream, indent=2, sort_keys=True)
     stream.write("\n")
     return 0

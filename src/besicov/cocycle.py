@@ -18,12 +18,13 @@ g = sum_l f_l: :func:`_weights` gives the lcm L of the levels' peak
 denominators and level l's cell count and weight q_{k_l+1} L / _peak_den(l),
 and :func:`_potential` each level's weighted bump numerator at u/D over 4DL,
 which sum to g(u/D).  The truncated cocycle is the coboundary of g (Gottschalk
-and Hedlund, *Topological Dynamics*, 1955), so :func:`phi_m` is
-g(x + m alpha_hat) - g(x), one Fraction per result; :func:`term` and
-:func:`eval_level` are its one-level cases, and :mod:`besicov.audit` reads the
-same two helpers.  :func:`birkhoff` weights each level's bump differences
-summed along the orbit instead, so the identity phi_m == birkhoff compares two
-routes to the same sum.  The substitution budgets sum Lambda_l over the lcm S
+and Hedlund, *Topological Dynamics*, 1955): :func:`_differences` gives each
+level's part of g(x + m alpha_hat) - g(x) over 4DL, and :func:`phi_m` sums it
+into one Fraction per result; :func:`term` and :func:`eval_level` are the
+one-level cases, and :mod:`besicov.audit` reads the same helpers.
+:func:`birkhoff` weights each level's bump differences summed along the orbit
+instead, so the identity phi_m == birkhoff compares two routes to the same
+sum.  The substitution budgets sum Lambda_l over the lcm S
 of the l^2 (``tests/oracles.py`` keeps per-level Fraction sums as the oracles
 of both).  A :class:`CocycleSpec` derives its integer constants once, as
 cached properties outside its fields: ``kernel``, the (L, weights) of its
@@ -117,17 +118,19 @@ def eval_level(level: LevelParams, variant: str, x: Fraction) -> Fraction:
     return Fraction(_potential(weights, x.numerator, d, variant)[0], 4 * d * big)
 
 
-def _coboundary(kernel: tuple[int, Weights], variant: str, u: int, s: int, d: int) -> Fraction:
-    """g((u + s)/d) - g(u/d) for the potential g of ``kernel`` = (L, weights):
-    one Fraction over 4dL."""
-    big, weights = kernel
-    at_x = sum(_potential(weights, u, d, variant))
-    return Fraction(sum(_potential(weights, u + s, d, variant)) - at_x, 4 * d * big)
+def _differences(weights: Weights, variant: str, u: int, s: int, d: int) -> list[int]:
+    """Each level's weighted bump difference between (u + s)/d and u/d, over
+    4dL: their sum is g((u + s)/d) - g(u/d), the coboundary of the potential g
+    for (L, weights) from :func:`_weights`."""
+    return [after - before for before, after in zip(_potential(weights, u, d, variant),
+                                                    _potential(weights, u + s, d, variant))]
 
 
 def term(level: LevelParams, variant: str, x: Fraction, shift: Fraction) -> Fraction:
     """f_n(x + shift) - f_n(x), exact."""
-    return _coboundary(_weights((level,), variant), variant, *_on_lattice(x, shift))
+    big, weights = _weights((level,), variant)
+    u, s, d = _on_lattice(x, shift)
+    return Fraction(sum(_differences(weights, variant, u, s, d)), 4 * d * big)
 
 
 def _guard_bound(levels: tuple[LevelParams, ...], guard: int) -> int:
@@ -183,14 +186,10 @@ class CocycleSpec:
 
     @cached_property
     def gap(self) -> int:
-        """q_N q_{N+1}: the bracket width's inverse."""
+        """q_N q_{N+1}: the inverse of the bracket width, which bounds
+        |alpha - alpha_hat|."""
         spec, n = self.profile.alpha, self.alpha_depth
         return _q(spec, n) * _q(spec, n + 1)
-
-    @property
-    def alpha_gap_bound(self) -> Fraction:
-        """Exact upper bound on |alpha - alpha_hat|: the bracket width 1/(q_N q_{N+1})."""
-        return Fraction(1, self.gap)
 
     @property
     def tail_bound(self) -> Fraction:
@@ -249,7 +248,8 @@ def phi_m(cspec: CocycleSpec, x: Fraction, m: int) -> Fraction:
     g(x + m alpha_hat) - g(x), exact for any integer m, one Fraction over 4dL
     on the lattice of x and alpha_hat."""
     u, s, d = _on_lattice(x, cspec.alpha_hat)
-    return _coboundary(cspec.kernel, cspec.variant, u, m * s, d)
+    big, weights = cspec.kernel
+    return Fraction(sum(_differences(weights, cspec.variant, u, m * s, d)), 4 * d * big)
 
 
 def walk(cspec: CocycleSpec, x: Fraction, steps: int) -> tuple[int, list[Iterator[int]]]:

@@ -232,11 +232,8 @@ def _t_values(cspec: CocycleSpec, x0: Fraction, steps: int, prec: int):
                 continue
             elif mv << (ev - e512) >= m512 if ev >= e512 else mv >= m512 << (e512 - ev):
                 mb, eb = pm, pe
-            else:
-                if ev >= e12:
-                    mw, ew = _round((mv << (ev - e12)) - m12, e12, prec)
-                else:
-                    mw, ew = _round(mv - (m12 << (e12 - ev)), ev, prec)
+            else:  # u > 1/12 and mv <= 2^prec, so ev >= e12 = -prec - 3
+                mw, ew = _round((mv << (ev - e12)) - m12, e12, prec)
                 mw, ew = _round(3 * mw, ew, prec)
                 mb, eb = _round(pm * mw, pe + ew, prec)
             if not mb:
@@ -550,11 +547,10 @@ def classify_orbit(
     err = float(rec.error_bound)
     ts = rec.ts
     split = int(len(ts) * SETTLE)
+    # horizon >= 4 stores at least 5 values, so neither slice is empty
     head, tailpart = ts[1 : max(2, len(ts) // 4)], ts[split:]
-    if not tailpart:
-        return "undetermined"
     t_min, t_max = min(tailpart), max(tailpart)
-    early = max(abs(v) for v in head) if head else 0.0
+    early = max(abs(v) for v in head)
     if t_min - err > max(ESCAPE_LEVEL, early):
         return "escaping+"
     if t_max + err < -max(ESCAPE_LEVEL, early):

@@ -123,13 +123,9 @@ class MemberResult:
 
 def _lifts(cells: Iterable[int], family: str, a: int, b: int) -> Iterator[Optional[int]]:
     """``_lift`` of x = a/b at the levels of the cell counts ``cells``, from
-    level 1, stopping after the first gap."""
+    level 1, lazily: a caller stops at the first gap."""
     lo, hi = TWELFTHS[family]
-    for c in cells:
-        j_lift = _lift(c, lo, hi, a, b)
-        yield j_lift
-        if j_lift is None:
-            return
+    return (_lift(c, lo, hi, a, b) for c in cells)
 
 
 def member(profile: Profile, family: str, x: Fraction, up_to: int) -> MemberResult:

@@ -187,7 +187,7 @@ MUTANTS = (
         TEST_DYNAMICS,
     ),
     # the potential kernel: the level weights over the lcm of the peak
-    # denominators, and phi_m's base point
+    # denominators, and the per-level differences' base point and order
     Mutant(
         "phi-weight-unreduced",
         COCYCLE,
@@ -212,8 +212,15 @@ MUTANTS = (
     Mutant(
         "phi-base-at-shifted-point",
         COCYCLE,
-        "at_x = sum(_potential(weights, u, d, variant))",
-        "at_x = sum(_potential(weights, u + s, d, variant))",
+        "zip(_potential(weights, u, d, variant),",
+        "zip(_potential(weights, u + s, d, variant),",
+        TEST_COCYCLE,
+    ),
+    Mutant(
+        "differences-before-after-swapped",
+        COCYCLE,
+        "[after - before for before, after in",
+        "[before - after for before, after in",
         TEST_COCYCLE,
     ),
     # the exact audit path on integer numerators: the budgets' bracket width,
@@ -268,8 +275,15 @@ MUTANTS = (
         "pq, pq1 = _q(spec, prev), _q(spec, prev)",
         TEST_LEVELS,
     ),
-    # the scan on one lattice, membership on integers, the aligned
-    # indeterminate branch, the mixed ledger
+    # the audited terms' levels, the scan on one lattice, membership on
+    # integers, the aligned indeterminate branch, the mixed ledger
+    Mutant(
+        "audited-terms-one-level-short",
+        AUDIT,
+        "_differences(weights[:L], cspec.variant",
+        "_differences(weights[:L - 1], cspec.variant",
+        TEST_AUDIT,
+    ),
     Mutant(
         "scan-base-at-shifted-point",
         AUDIT,

@@ -178,7 +178,7 @@ def test_c07_uniform_convergence_bound():
     rng = random.Random(7)
     for l in range(1, 6):
         lv = cs.profile.level(l)
-        budget = lv.lam * cs.alpha_gap_bound
+        budget = lv.lam * Fraction(1, cs.gap)
         for _ in range(100):
             x = Fraction(rng.randint(0, 10**6), rng.randint(1, 10**6))
             t = term(lv, "main", x, cs.alpha_hat)

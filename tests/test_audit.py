@@ -72,6 +72,8 @@ def test_window_errors(tent_cocycle, greedy_cocycle):
         window(tent_cocycle.profile, "mixed", 1)
     with pytest.raises(WindowBeyondProfile):
         window(greedy_cocycle.profile, "aligned", 10**9, n_limit=3)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        window(greedy_cocycle.profile, "tail", 100)
 
 
 def test_aligned_audit_passes(greedy_cocycle):

@@ -326,6 +326,8 @@ def test_recurrence_invariants_random_specs(head, tail, n):
 
 
 def test_invalid_indices(golden):
+    with pytest.raises(ValueError, match="quotient index must be >= 0"):
+        golden.quotient(-1)
     with pytest.raises(ValueError):
         convergent(golden, -1)
     with pytest.raises(ValueError):

@@ -121,6 +121,16 @@ def test_usage_error_is_exit_one(capsys):
 def test_missing_required_flag(capsys):
     code, _, err = run(capsys, "eval")
     assert code == 1 and "--x" in err
+    code, _, err = run(capsys, "sum", "--x", "1/7")
+    assert code == 1 and err == "error: provide --m or --m-range lo:hi\n"
+    code, _, err = run(capsys, "audit", "--m", "0")  # m = 0 alone leaves no m to audit
+    assert code == 1 and err == "error: no nonzero m requested\n"
+
+
+def test_run_config_passes_on_cocycle_errors_that_alpha_depth_did_not_cause():
+    # the CLI refuses --n 0 before this; a RunConfig built in code reaches make_cocycle
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        RunConfig(n=0).cocycle()
 
 
 def test_config_file(tmp_path, capsys):
@@ -187,8 +197,9 @@ def test_failed_gap_check_exits_two_with_its_table(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "module, name, broken, argv",
     [
-        ("besicov.audit", "phi_m", lambda real: lambda cspec, x, m: real(cspec, x, m) + 1,
-         ("audit", "--alpha", "golden", "--family", "pp", "--m", "1")),
+        ("besicov.certlog", "_atanh_ends",
+         lambda real: lambda a, b: (real(a, b)[0], real(a, b)[1] + (1 << 40)),
+         ("dimension", "--n", "3")),
         ("besicov.dimension", "_count_range", lambda real: lambda *args: (0, 10**9),
          ("dimension", "--mode", "measured", "--n", "3")),
     ],
@@ -307,6 +318,8 @@ def test_orbit_json_error_bound(capsys):
         ("--alpha-depth", ("eval", "--x", "1/3", "--alpha-depth", "0")),
         ("--alpha-depth", ("eval", "--x", "1/3", "--alpha-depth", "3")),
         ("--max-rows", ("target", "--n", "2", "--max-rows", "-1")),
+        ("--max-rows", ("target", "--level", "3", "--max-rows", "10")),
+        ("--grid", ("dimension", "--box", "--grid", "2")),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, flag, argv):

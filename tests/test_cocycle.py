@@ -86,7 +86,7 @@ def test_term_period_invariance(greedy_cocycle):
 
 def test_uniform_bound_per_level(greedy_cocycle):
     rng = random.Random(5)
-    gap = greedy_cocycle.alpha_gap_bound
+    gap = Fraction(1, greedy_cocycle.gap)
     for l in range(1, 6):
         lv = greedy_cocycle.profile.level(l)
         budget = lv.lam * gap
@@ -216,6 +216,8 @@ def test_make_cocycle_refuses_level_counts_below_one(golden, count):
         make_cocycle(golden, "greedy", "main", count)
     with pytest.raises(ValueError, match="n_levels must be >= 1"):
         make_cocycle(golden, "greedy", "main", 4, n_levels=count)
+    with pytest.raises(ValueError, match="n_levels must be within the profile's levels"):
+        make_cocycle(golden, "greedy", "main", 4).truncated(count)
 
 
 def test_truncation_is_prefix_sum(greedy_cocycle):

@@ -178,8 +178,13 @@ def test_enclosure_arithmetic():
     assert a.scale(-2).lo == -4
     q = a.div_positive(b)
     assert q.lo == Fraction(1, 4) and q.hi == Fraction(2, 3)
+    assert (-a).div_positive(b) == Enclosure(Fraction(-2, 3), Fraction(-1, 4))
+    assert Enclosure(Fraction(-1), Fraction(2)).div_positive(b) == Enclosure(Fraction(-1, 3),
+                                                                             Fraction(2, 3))
     with pytest.raises(ValueError):
         a.div_positive(Enclosure(Fraction(-1), Fraction(1)))
+    with pytest.raises(ValueError, match="out of order"):
+        Enclosure(Fraction(2), Fraction(1))
 
 
 def test_delta_eps_laws(greedy_profile):
@@ -284,6 +289,16 @@ def test_box_count_cap(greedy_profile):
     assert [g for g, _ in res.counts] == [125_000, 250_000, 500_000, 10**6]
     for g, c in res.counts:
         assert c == dimension._occupied_cells(greedy_profile, "++", 5, g)
+
+
+def test_dimension_refusals(greedy_profile):
+    with pytest.raises(ValueError, match="mode must be"):
+        nesting_stats(greedy_profile, "guess")
+    bounds = falconer_bounds(nesting_stats(greedy_profile, "formula"))
+    with pytest.raises(KeyError):  # the rows start at n = 2
+        bounds.row(1)
+    with pytest.raises(ValueError, match="grid must be >= 3"):
+        box_count(greedy_profile, "++", 2, 2)
 
 
 def test_log_enclosure_domain():

@@ -363,6 +363,8 @@ def test_nonrecurrence_rejects_vacuous_horizon(tent_cocycle):
 def test_orbit_rejects_store_every_below_one(tent_cocycle, store_every):
     with pytest.raises(ValueError, match="store_every must be >= 1"):
         orbit(tent_cocycle, Fraction(1, 3), steps=10, store_every=store_every)
+    with pytest.raises(ValueError, match="steps must be >= 1"):  # nor steps below one
+        orbit(tent_cocycle, Fraction(1, 3), steps=store_every)
 
 
 @pytest.mark.parametrize("box_height", [0.0, -1.0, float("nan")])
@@ -370,13 +372,36 @@ def test_coverage_rejects_empty_box(tent_cocycle, box_height):
     rec = orbit(tent_cocycle, Fraction(1, 7), steps=10)
     with pytest.raises(ValueError, match="box_height must be positive"):
         coverage(rec, box_height, 10)
+    with pytest.raises(ValueError, match="grid must be >= 1"):  # nor a grid of no cells
+        coverage(rec, 1.0, 0)
 
 
 def test_nonrecurrence_refuses_tiny_eps(tent_cocycle):
+    x = Fraction(1, 3)
     with pytest.raises(ErrorBudgetBlown):
         nonrecurrence_test(
-            tent_cocycle, Fraction(1, 3), Fraction(0), Fraction(1, 10**40), 10
+            tent_cocycle, x, Fraction(0), Fraction(1, 10**40), 10
         )
+    with pytest.raises(ValueError, match="eps must be positive"):
+        nonrecurrence_test(tent_cocycle, x, Fraction(0), Fraction(0), 10)
+    # eps at the exact minimum distance, circle distance plus |phi_k|, is
+    # within the error bound of the computed one: neither verdict holds
+    k = nonrecurrence_test(tent_cocycle, x, Fraction(0), Fraction(1, 10), 10).witness["k"]
+    turn = k * tent_cocycle.alpha_hat % 1
+    exact = min(turn, 1 - turn) + abs(phi_m(tent_cocycle, x, k))
+    with pytest.raises(ErrorBudgetBlown, match="minimum distance within error bound of eps"):
+        nonrecurrence_test(tent_cocycle, x, Fraction(0), exact, 10)
+
+
+@pytest.mark.parametrize("delta, message", [
+    (Fraction(0), "delta and eps must be positive"),
+    (Fraction(-1, 1000), "delta and eps must be positive"),
+    # every offset k/2^20 * delta is then a whole turn
+    (Fraction(2**20), "delta must not be a multiple of 2\\^20"),
+])
+def test_sensitivity_refuses_deltas_that_cannot_run(tent_cocycle, delta, message):
+    with pytest.raises(ValueError, match=message):
+        sensitivity_probe(tent_cocycle, Fraction(1, 3), delta, Fraction(1, 10), 10, samples=1)
 
 
 def test_sensitivity_finds_witness(tent_cocycle):

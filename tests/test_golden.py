@@ -48,6 +48,7 @@ ERRORS = {
     "orbit-steps-abc": ["orbit", "--x", "1/7", "--steps", "abc"],
     "levels-upto-not-a-levels-flag": ["levels", "--upto", "3"],
     "probe-coverage-height-1e400": ["probe", "--kind", "coverage", "--height", "1e400"],
+    "probe-coverage-height-1e-400": ["probe", "--kind", "coverage", "--height", "1e-400"],
     "probe-sensitivity-eps-1e400": ["probe", "--kind", "sensitivity", "--eps", "1e400"],
     "probe-nonrecurrence-eps-1e-400": ["probe", "--kind", "nonrecurrence", "--eps", "1e-400"],
 }

@@ -1,21 +1,14 @@
 """Library invariant checks: explicit raises that ``python -O`` keeps."""
 
 import ast
-import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import besicov
-from besicov import audit_aligned, audit_mixed, sample_point
-from besicov.errors import InvariantBroken
 
 SRC = Path(besicov.__file__).parent
-# the package re-exports the function audit() under the submodule's name
-audit_mod = importlib.import_module("besicov.audit")
 
 
 def test_no_bare_assert_in_library():
@@ -70,45 +63,34 @@ def test_child_span_walk_stays_in_targets():
     assert imported == {"_probe_start"}
 
 
-def test_audits_raise_when_master_identity_breaks(greedy_cocycle, tent_cocycle, monkeypatch):
-    real = audit_mod.phi_m
-    monkeypatch.setattr(audit_mod, "phi_m", lambda cspec, x, m: real(cspec, x, m) + 1)
-    _, aligned = sample_point(greedy_cocycle.profile, "++", "center", 5)
-    with pytest.raises(InvariantBroken):
-        audit_aligned(greedy_cocycle, aligned, 1)
-    _, mixed = sample_point(tent_cocycle.profile, "-+", "center", 6)
-    with pytest.raises(InvariantBroken):
-        audit_mixed(tent_cocycle, mixed, 83)
-
-
-#: Run with ``python -O``: exits 0 only if both audits still raise
-#: InvariantBroken when the master identity is broken, i.e. the check is not
-#: an ``assert``.
+#: Run with ``python -O``: exits 0 only if broken invariants still fail
+#: there, i.e. no check is an ``assert``: ``nesting_stats`` raises
+#: InvariantBroken on child counts outside the formula sandwich, and
+#: ``besicov sum`` exits 2 when birkhoff disagrees with phi_m.
 OPTIMIZED_SCRIPT = """
-import importlib, sys
-from besicov import audit_aligned, audit_mixed, make_cocycle, sample_point, IrrationalSpec
+import contextlib, importlib, io, sys
+from besicov import IrrationalSpec, cli, select_levels
 from besicov.errors import InvariantBroken
 
 if __debug__:
     sys.exit("not running under python -O")
-audit_mod = importlib.import_module("besicov.audit")
-real = audit_mod.phi_m
-audit_mod.phi_m = lambda cspec, x, m: real(cspec, x, m) + 1
-golden = IrrationalSpec.from_preset("golden")
-main = make_cocycle(golden, "greedy", "main", 5, n_levels=5)
-tent = make_cocycle(golden, "greedy", "tent", 6, n_levels=6)
-cases = [
-    (audit_aligned, main, sample_point(main.profile, "++", "center", 5)[1], 1),
-    (audit_mixed, tent, sample_point(tent.profile, "-+", "center", 6)[1], 83),
-]
-for check, cspec, path, m in cases:
-    try:
-        check(cspec, path, m)
-    except InvariantBroken as e:
-        if "phi_m" not in str(e):
-            sys.exit(f"{check.__name__} raised the wrong error: {e}")
-    else:
-        sys.exit(f"{check.__name__} accepted a wrong phi_m")
+dim_mod = importlib.import_module("besicov.dimension")
+dim_mod._count_range = lambda *args: (0, 10**9)
+profile = select_levels(IrrationalSpec.from_preset("golden"), "greedy", "main", 3)
+try:
+    dim_mod.nesting_stats(profile, mode="measured")
+except InvariantBroken as e:
+    if "sandwich" not in str(e):
+        sys.exit(f"nesting_stats raised the wrong error: {e}")
+else:
+    sys.exit("nesting_stats accepted counts outside the formula sandwich")
+cocycle_mod = importlib.import_module("besicov.cocycle")
+real = cocycle_mod.birkhoff
+cocycle_mod.birkhoff = lambda cspec, x, m: real(cspec, x, m) + 1
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["sum", "--x", "1/7", "--m", "3"])
+if code != 2:
+    sys.exit(f"besicov sum exited {code} on a broken birkhoff")
 """
 
 

@@ -6,10 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besicov import IrrationalSpec, convergent, select_levels, validate_levels
-from besicov.errors import ValidationFailure
+from besicov.errors import DepthExceedsProfile, ValidationFailure
 from besicov.levels import LevelParams, Profile, profile_to_dict
 
 import oracles
+
+
+@pytest.mark.parametrize("strategy, variant, n_max, message", [
+    ("lazy", "main", 3, "strategy must be one of"),
+    ("greedy", "wave", 3, "variant must be one of"),
+    ("greedy", "main", 0, "n_max must be >= 1"),
+])
+def test_select_levels_refuses_what_it_cannot_build(golden, strategy, variant, n_max, message):
+    with pytest.raises(ValueError, match=message):
+        select_levels(golden, strategy, variant, n_max)
+
+
+def test_profile_has_no_level_zero(greedy_profile):
+    with pytest.raises(DepthExceedsProfile, match="level 0 outside 1..6"):
+        greedy_profile.level(0)
 
 
 def test_fixed_golden_indices(golden):

@@ -257,6 +257,15 @@ def test_invalid_path_rejected(greedy_profile):
         sample_point(greedy_profile, "++", bogus)
 
 
+@pytest.mark.parametrize("family, policy, message", [
+    ("+0", "center", "unknown family"),
+    ("++", "middle", "policy must be"),
+])
+def test_sample_point_refuses_unknown_family_or_policy(greedy_profile, family, policy, message):
+    with pytest.raises(ValueError, match=message):
+        sample_point(greedy_profile, family, policy, 2)
+
+
 def test_empty_path_is_an_input_error(greedy_profile):
     empty = DigitPath(family="++", indices=(), point=Fraction(0), reductions=())
     with pytest.raises(InvalidDigitPath, match="at least one index"):
