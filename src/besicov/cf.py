@@ -156,9 +156,6 @@ class Enclosure:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __add__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo + other.lo, self.hi + other.hi)
-
     def __sub__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo - other.hi, self.hi - other.lo)
 

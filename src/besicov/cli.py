@@ -603,6 +603,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a first argument that names a subcommand is the one argparse runs
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    # Python 3.10.7+ caps int <-> decimal string conversion at 4300 digits,
+    # but flags and outputs are decimal strings of any length: lift the cap
+    # for this call, and restore it for an in-process caller
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits:
+        digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         args = parser.parse_args(argv)
         cfg = config_from_args(args)
@@ -619,6 +626,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (BesicovError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if set_digits:
+            set_digits(digits)
 
 
 if __name__ == "__main__":

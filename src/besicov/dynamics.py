@@ -460,6 +460,10 @@ def sensitivity_probe(
     delta, eps = Fraction(delta), Fraction(eps)
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
+    try:
+        eps_f = float(eps)  # the separations it is compared with are floats
+    except OverflowError:
+        raise ValueError("eps is too large for a float") from None
     scale = 1 << 20
     if (delta / scale).denominator == 1:
         raise ValueError("delta must not be a multiple of 2^20 (each offset is a whole turn)")
@@ -499,11 +503,11 @@ def sensitivity_probe(
     for y in candidates:
         # float subtraction is monotone, so a step clears eps + bound iff the
         # farthest one does: the first such step decides
-        if any(d - bound > float(eps) for _, d in separation(y, precision_bits)):
+        if any(d - bound > eps_f for _, d in separation(y, precision_bits)):
             # max keeps the first of equal distances, the step reported
             k2, d2 = max(separation(y, 2 * precision_bits), key=lambda kd: kd[1])
             bound2 = 2 * float(orbit_error_bound(cspec, 2 * precision_bits))
-            if d2 - bound2 > float(eps):
+            if d2 - bound2 > eps_f:
                 return ProbeResult(
                     kind="sensitivity",
                     params=params,

@@ -15,9 +15,9 @@ intervals is therefore an integer floor or ceil: ``child_span`` gives the
 level-(n+1) children of one interval as a lifted index range, and its span
 formula is the one nesting test; measured nesting counts read it (``_span``)
 over the residues j C' mod C.  One descent (``_descend``) follows the spans
-down, picking a child by policy or checking a caller's index at each level:
-``sample_point`` runs it from level-1 interval 0, by policy or along a digit
-path, and ``_probe_start`` by centers from the interval nearest a point.
+down, picking a child by policy at each level: ``sample_point`` runs it from
+level-1 interval 0, and ``_probe_start`` by centers from the interval nearest
+a point.
 Membership is decided the same way: x = a/b lies in the level-n union when
 it is at most H twelfths of a period past the band start at or below it, one
 floor division (``_lift``).  ``member`` builds no ``Fraction``;
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath, InvariantBroken
 
@@ -186,26 +186,17 @@ def _children(c: int, c1: int, twelfths: tuple[int, int], n: int, j: int) -> tup
 
 
 def _descend(cells: list[int], twelfths: tuple[int, int], n: int, j: int,
-             steps: Iterable[Union[str, int]]) -> list[int]:
-    """The index chain from level-n interval j, one level down per step, as
-    far as the cell counts ``cells`` (from level n on) reach: a policy picks
-    the "leftmost" or "center" child of the span and refuses an empty span; a
-    caller's index is checked to lie in the span."""
-    chain = [_index(j, cells[0], n)]
-    for c, c1, step in zip(cells, cells[1:], steps):
+             policy: str) -> list[int]:
+    """The index chain from level-n interval j down to the last level of the
+    cell counts ``cells`` (from level n on), taking the "leftmost" or "center"
+    child of the span at each level; an empty span is refused."""
+    chain = [j]
+    for c, c1 in zip(cells, cells[1:]):
         jmin, jmax = _children(c, c1, twelfths, n, j)
+        if jmin > jmax:
+            raise InvalidDigitPath(f"no children inside level-{n} interval (invalid profile?)")
         n += 1
-        if isinstance(step, str):
-            if jmin > jmax:
-                raise InvalidDigitPath(
-                    f"no children inside level-{n - 1} interval (invalid profile?)"
-                )
-            j = (jmin if step == "leftmost" else jmin + (jmax - jmin + 1) // 2) % c1
-        else:
-            j = _index(step, c1, n)
-            # j is one of the parent's children when its lift falls in the span
-            if (j - jmin) % c1 > jmax - jmin:
-                raise InvalidDigitPath(f"level {n} interval j={j} not inside level {n - 1}")
+        j = (jmin if policy == "leftmost" else jmin + (jmax - jmin + 1) // 2) % c1
         chain.append(j)
     return chain
 
@@ -219,12 +210,14 @@ def _center(profile: Profile, family: str, n: int, j: int) -> Fraction:
 
 @dataclass(frozen=True)
 class DigitPath:
-    """Nested child choices identifying a depth-N point.
+    """Nested child choices identifying a depth-N point, as ``sample_point``
+    returns them.
 
     ``point`` is the center of the depth-N interval; ``reductions[l-1]`` is
     point - j_l * P_l (lifted), which lies in the family's offset band at
     every level.  The divergence audits read only ``point``, ``indices`` and
-    the depth; the reductions are printed by ``besicov target``.
+    the depth, and re-certify the point's membership; the reductions are
+    printed by ``besicov target``.
     """
 
     family: str
@@ -240,37 +233,25 @@ class DigitPath:
 def sample_point(
     profile: Profile,
     family: str,
-    policy: Union[str, DigitPath] = "center",
+    policy: str = "center",
     depth: int = 1,
 ) -> tuple[Fraction, DigitPath]:
     """Produce a certified point of the depth-``depth`` intersection.
 
-    One descent (``_descend``) builds the index chain.  Policy "center" takes
-    the middle child at every level (keeping audit margins fat), "leftmost"
-    the first in circle order; both are rooted at j_1 = 0.  A DigitPath may
-    be passed instead to reconstruct and re-certify a specific point: the
-    descent then follows its indices, checking each against its parent's
-    span, and ``depth`` is the path's.  On both routes membership of the
-    center at every level up to the depth is verified exactly before
-    returning.
+    One descent (``_descend``) builds the index chain from j_1 = 0.  Policy
+    "center" takes the middle child at every level (keeping audit margins
+    fat), "leftmost" the first in circle order.  Membership of the deepest
+    interval's center at every level up to the depth is verified exactly
+    before returning.
     """
     fam = canonical_family(family)
-    if isinstance(policy, DigitPath):
-        if not policy.indices:
-            raise InvalidDigitPath("a digit path needs at least one index")
-        root, *steps = policy.indices
-        depth = len(policy.indices)
-    else:
-        if policy not in ("center", "leftmost"):
-            raise ValueError("policy must be 'center', 'leftmost', or a DigitPath")
-        if not 1 <= depth <= profile.n_max:
-            raise DepthExceedsProfile(f"depth {depth} outside 1..{profile.n_max}")
-        root, steps = 0, (policy,) * (depth - 1)
+    if policy not in ("center", "leftmost"):
+        raise ValueError("policy must be 'center' or 'leftmost'")
+    if not 1 <= depth <= profile.n_max:
+        raise DepthExceedsProfile(f"depth {depth} outside 1..{profile.n_max}")
     cells = [lv.cell_count for lv in profile.levels[:depth]]
-    idx = tuple(_descend(cells, TWELFTHS[fam], 1, root, steps))
-    if len(idx) < depth:  # a caller's path runs past the profile
-        raise DepthExceedsProfile(f"level {len(idx) + 1} outside 1..{profile.n_max}")
-    x = _center(profile, fam, len(idx), idx[-1])
+    idx = tuple(_descend(cells, TWELFTHS[fam], 1, 0, policy))
+    x = _center(profile, fam, depth, idx[-1])
     a, b = x.numerator, x.denominator
     reductions = []
     for c, j_lift in zip(cells, _lifts(cells, fam, a, b)):
@@ -293,7 +274,7 @@ def _probe_start(profile: Profile, family: str, n_max: int, x: Fraction,
             depth = min(n + 2, n_max)
             try:
                 j = _descend(cells[n - 1 : depth], TWELFTHS[family], n, round(x * c) % c,
-                             ("center",) * (depth - n))[-1]
+                             "center")[-1]
             except InvalidDigitPath:  # an interval with no children
                 return None
             y = _center(profile, family, depth, j)

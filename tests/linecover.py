@@ -11,6 +11,14 @@ change and listed here with the reason it cannot fire.
     python tests/linecover.py            # the whole suite
     python tests/linecover.py -k audit   # extra arguments go to pytest
 
+The program's real traffic is every golden CLI run, the argv digests and
+every benchmark reference request; the library lines it never reaches (most
+of them input checks, verdict branches and guards) are listed by
+
+    python tests/linecover.py -k "test_golden or test_argv_digests or test_bench_reference"
+
+which exits nonzero, as each such line is reported.
+
 Standard library only, but for pytest, which runs in-process so that the
 tracer sees the library; code run in a subprocess is not traced.  Tracing
 makes the suite about three times slower (3 min on 2 vCPUs).

@@ -559,8 +559,8 @@ MUTANTS = (
         "then the ceil gives (12 jmin + L) c >= a and the floor (12 jmax + H) c <= b; the "
         "check only guards the two roundings (child-span-ceil-floored trips it)",
     ),
-    # the one descent through the child spans: a policy's pick, a caller's
-    # path and the sensitivity probe's start point
+    # the one descent through the child spans: a policy's pick, for sampling
+    # and the sensitivity probe's start point
     Mutant(
         "descent-center-pick-low",
         TARGETS,
@@ -569,10 +569,10 @@ MUTANTS = (
         TEST_DESCENT,
     ),
     Mutant(
-        "descent-path-span-check-inclusive",
+        "descent-policy-test-swapped",
         TARGETS,
-        "if (j - jmin) % c1 > jmax - jmin:",
-        "if (j - jmin) % c1 >= jmax - jmin:",
+        'policy == "leftmost"',
+        'policy != "leftmost"',
         TEST_DESCENT,
     ),
     Mutant(

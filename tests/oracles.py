@@ -180,7 +180,8 @@ def log_enclosure(x: Fraction) -> Enclosure:
     elif m < 1:
         e -= 1
         m *= 2
-    return outward(atanh_enclosure((m - 1) / (m + 1)).scale(2) + LN2.scale(e))
+    a, b = atanh_enclosure((m - 1) / (m + 1)).scale(2), LN2.scale(e)
+    return outward(Enclosure(a.lo + b.lo, a.hi + b.hi))
 
 
 def lattice_profile(*cell_counts: int) -> SimpleNamespace:

@@ -50,6 +50,18 @@ def test_levels_fixed_golden(capsys):
     assert ks == ["5", "17", "37"]
 
 
+def test_integers_past_the_str_digit_cap(capsys):
+    """Decimal strings of any length go in and out: ``main`` lifts Python's
+    4300-digit cap on int <-> str conversion for the call, and restores it."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "levels", "--strategy", "fixed", "--n", "75", "--out", "csv")
+    assert code == 0, err
+    assert len(out.strip().splitlines()[-1].split(",")[3]) > 4300  # q of level 75
+    code, _, err = run(capsys, "sum", "--x", f"1/1{'0' * 4398}1", "--m", "1")
+    assert code == 0, err
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
 def test_sum_prints_identical_rationals(capsys):
     code, out, _ = run(
         capsys, "sum", "--alpha", "golden", "--variant", "tent", "--x", "1/7",

@@ -174,7 +174,7 @@ def test_atanh_upper_end_two_cells_up(ab):
 def test_enclosure_arithmetic():
     a = Enclosure(Fraction(1), Fraction(2))
     b = Enclosure(Fraction(3), Fraction(4))
-    assert (a + b).lo == 4 and (a - b).hi == -1
+    assert (a - b).lo == -3 and (a - b).hi == -1
     assert a.scale(-2).lo == -4
     q = a.div_positive(b)
     assert q.lo == Fraction(1, 4) and q.hi == Fraction(2, 3)

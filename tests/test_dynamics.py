@@ -404,6 +404,13 @@ def test_sensitivity_refuses_deltas_that_cannot_run(tent_cocycle, delta, message
         sensitivity_probe(tent_cocycle, Fraction(1, 3), delta, Fraction(1, 10), 10, samples=1)
 
 
+def test_sensitivity_refuses_eps_too_large_for_a_float(tent_cocycle):
+    """The separations are floats, so an eps past the float range is refused
+    rather than left to overflow mid-probe."""
+    with pytest.raises(ValueError, match="eps is too large for a float"):
+        sensitivity_probe(tent_cocycle, Fraction(1, 4), Fraction(1, 1000), Fraction(10**400), 5)
+
+
 def test_sensitivity_finds_witness(tent_cocycle):
     res = sensitivity_probe(
         tent_cocycle,

@@ -1,7 +1,7 @@
 """Integer-lattice counting and sampling against a brute-force Fraction oracle.
 
-``child_span``, measured ``nesting_stats``, box counting and the nesting check
-and center of a sampled digit path work on integer twelfths of a period.  Each
+``child_span``, measured ``nesting_stats``, box counting and the nesting and
+center of a sampled digit path work on integer twelfths of a period.  Each
 is checked here against a scan over ``interval()`` endpoints with the local
 ``_circle_contained``, ``(a + b)/2`` or ``floor(a * g)``, which builds every
 interval as exact rationals and shares none of that arithmetic.  The closed
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besicov import (
-    DigitPath,
     interval,
     member,
     nesting_stats,
@@ -30,7 +29,6 @@ from besicov import (
 )
 from besicov.cli import parse_alpha
 from besicov.dimension import _count_range, _occupied_cells
-from besicov.errors import IndexOutOfRange, InvalidDigitPath
 from besicov.targets import FAMILIES, TWELFTHS, child_span
 
 import oracles
@@ -77,7 +75,7 @@ def test_children_match_full_scan(alpha, variant):
             kids = [k % c2 for k in range(jmin, jmax + 1)]
             assert kids == _oracle_children(profile, family, parent, level2)
             for policy, kid in (("leftmost", kids[0]), ("center", kids[len(kids) // 2])):
-                assert targets._descend([c1, c2], TWELFTHS[family], 1, j, [policy]) == [j, kid]
+                assert targets._descend([c1, c2], TWELFTHS[family], 1, j, policy) == [j, kid]
 
 
 def _oracle_counts(profile, family, n):
@@ -215,29 +213,19 @@ def test_deep_fixed_sampling(alpha, variant, policy):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_digit_path_nesting_and_center_match_oracle(data):
-    """The integer nesting check of a level-1/level-2 digit path agrees with
-    the oracle, out-of-range indices included, and the sampled point is the
-    center of the deepest interval."""
-    alpha, variant, family = (data.draw(st.sampled_from(s)) for s in (ALPHAS, VARIANTS, FAMILIES))
-    profile = _profile(alpha, "greedy", variant, 2)
-    c1, c2 = (lv.cell_count for lv in profile.levels)
-    j = data.draw(st.sampled_from((0, c1 - 1)) | st.integers(0, c1 - 1))  # "++" j = 0 wraps
-    jmin, jmax = child_span(profile, family, 1, j)
-    near = st.integers(jmin - 2, jmax + 2).map(lambda k: k % c2)
-    k = data.draw(near | st.integers(0, c2 - 1) | st.sampled_from((-2, -1, c2, c2 + 1)))
-    parent = interval(profile, family, 1, j)
-    x, _ = sample_point(profile, family, DigitPath(family, (j,), Fraction(0), ()))
-    assert x == _center(parent)
-    path = DigitPath(family, (j, k), Fraction(0), ())
-    if not 0 <= k < c2:
-        with pytest.raises(IndexOutOfRange):
-            sample_point(profile, family, path)
-    elif _circle_contained(child := interval(profile, family, 2, k), parent):
-        x, got = sample_point(profile, family, path)
-        assert x == _center(child) and got.indices == (j, k)
-    else:
-        with pytest.raises(InvalidDigitPath):
-            sample_point(profile, family, path)
+    """Each index of a sampled digit path names an interval the oracle finds
+    inside its parent's, and the sampled point is the center of the deepest
+    interval."""
+    alpha, variant, family, policy = (
+        data.draw(st.sampled_from(s)) for s in (ALPHAS, VARIANTS, FAMILIES, ("center", "leftmost"))
+    )
+    depth = data.draw(st.integers(1, 4))
+    profile = _profile(alpha, "greedy", variant, 4)
+    x, path = sample_point(profile, family, policy, depth)
+    chain = [interval(profile, family, n, j) for n, j in enumerate(path.indices, 1)]
+    assert len(chain) == depth and chain[0].j == 0
+    assert all(_circle_contained(child, parent) for parent, child in zip(chain, chain[1:]))
+    assert x == _center(chain[-1])
 
 
 def test_sampling_builds_no_interval(monkeypatch, tent_cocycle):

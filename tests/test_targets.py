@@ -12,7 +12,6 @@ from besicov import IrrationalSpec, interval, member, sample_point, select_level
 from besicov.errors import DepthExceedsProfile, IndexOutOfRange, InvalidDigitPath
 from besicov.targets import (
     FAMILIES,
-    DigitPath,
     TargetInterval,
     child_span,
     family_kind,
@@ -71,13 +70,14 @@ def test_wrapped_interval_membership(greedy_profile):
     assert member(greedy_profile, "++", near_one, 1).ok
     iv = interval(greedy_profile, "++", 1, 0)
     assert _contains_point(iv, near_one)
-    # the last level-2 interval is a child of level-1 interval 0 across the
-    # wrap, so its center 1 - P_2 reduces to -P_2 at level 1
-    last = greedy_profile.level(2).cell_count - 1
-    wrapped = DigitPath(family="++", indices=(0, last), point=Fraction(0), reductions=())
-    x, path = sample_point(greedy_profile, "++", wrapped)
-    p2 = greedy_profile.level(2).period
-    assert x == 1 - p2 and path.reductions == (-p2, 0)
+    # the leftmost child of level-1 interval 0 lies across the wrap, at a
+    # lifted index jmin < 0, so its center 1 + jmin P_2 reduces to jmin P_2
+    # at level 1
+    jmin, _ = child_span(greedy_profile, "++", 1, 0)
+    x, path = sample_point(greedy_profile, "++", "leftmost", 2)
+    lv2 = greedy_profile.level(2)
+    assert jmin < 0 and path.indices == (0, jmin % lv2.cell_count)
+    assert x == 1 + jmin * lv2.period and path.reductions == (jmin * lv2.period, 0)
 
 
 def test_member_against_brute_scan(greedy_profile):
@@ -163,24 +163,14 @@ def test_distinct_paths_distinct_points(greedy_profile):
     assert x1 != x2
 
 
-def test_path_reconstruction(greedy_profile):
-    x, path = sample_point(greedy_profile, "-+", "center", 3)
-    x2, path2 = sample_point(greedy_profile, "-+", path, depth=3)
-    assert (x2, path2.indices) == (x, path.indices)
-
-
 @pytest.mark.parametrize("policy", ["center", "leftmost"])
 def test_policy_sample_descends_once(monkeypatch, greedy_profile, policy):
     """A depth-D policy sample computes D - 1 child spans through the span
-    formula ``child_span`` shares; a caller's path costs D - 1 more, for its
-    nesting check."""
+    formula ``child_span`` shares."""
     calls = []
     real = targets._children
     monkeypatch.setattr(targets, "_children", lambda *args: calls.append(args) or real(*args))
-    _, path = sample_point(greedy_profile, "++", policy, 5)
-    assert len(calls) == 4
-    calls.clear()
-    sample_point(greedy_profile, "++", path)
+    sample_point(greedy_profile, "++", policy, 5)
     assert len(calls) == 4
 
 
@@ -196,7 +186,7 @@ def unnested_profile(greedy_profile):
 
 def test_unnested_profile_has_no_children(unnested_profile):
     """Both routes to the span formula see the empty span: ``child_span``
-    returns it, and a sample refuses to descend, by policy or by path.  The
+    returns it, and a sample refuses to descend, by either policy.  The
     containment check behind them cannot fire for positive cell counts."""
     c1 = unnested_profile.level(1).cell_count
     assert child_span(unnested_profile, "-+", 1, 0) == (1, 0)
@@ -205,9 +195,6 @@ def test_unnested_profile_has_no_children(unnested_profile):
     for policy in ("center", "leftmost"):
         with pytest.raises(InvalidDigitPath, match="no children inside level-1"):
             sample_point(unnested_profile, "-+", policy, 2)
-    path = DigitPath(family="-+", indices=(0, 0), point=Fraction(0), reductions=())
-    with pytest.raises(InvalidDigitPath, match="not inside level 1"):
-        sample_point(unnested_profile, "-+", path)
 
 
 @cache
@@ -249,40 +236,21 @@ def test_probe_start_finds_none(greedy_profile, unnested_profile):
     assert oracles.probe_start(unnested_profile, "-+", 2, Fraction(0), Fraction(2, c1)) is None
 
 
-def test_invalid_path_rejected(greedy_profile):
-    lv2 = greedy_profile.level(2)
-    bogus = DigitPath(family="++", indices=(0, lv2.cell_count // 2), point=Fraction(0),
-                      reductions=())
-    with pytest.raises(InvalidDigitPath):
-        sample_point(greedy_profile, "++", bogus)
-
-
 @pytest.mark.parametrize("family, policy, message", [
     ("+0", "center", "unknown family"),
     ("++", "middle", "policy must be"),
 ])
 def test_sample_point_refuses_unknown_family_or_policy(greedy_profile, family, policy, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as refused:
         sample_point(greedy_profile, family, policy, 2)
-
-
-def test_empty_path_is_an_input_error(greedy_profile):
-    empty = DigitPath(family="++", indices=(), point=Fraction(0), reductions=())
-    with pytest.raises(InvalidDigitPath, match="at least one index"):
-        sample_point(greedy_profile, "++", empty)
+    assert str(refused.value) in ("unknown family '+0'", "policy must be 'center' or 'leftmost'")
 
 
 def test_depth_guard(greedy_profile):
     n = greedy_profile.n_max
-    with pytest.raises(DepthExceedsProfile):
-        sample_point(greedy_profile, "++", "center", n + 1)
-    # a caller's path past the profile is refused once the levels it has pass
-    _, path = sample_point(greedy_profile, "++", "center", n)
-    deeper = replace(path, indices=path.indices + (0,))
-    with pytest.raises(DepthExceedsProfile, match=f"level {n + 1} outside 1..{n}"):
-        sample_point(greedy_profile, "++", deeper)
-    with pytest.raises(IndexOutOfRange, match="at level 2"):
-        sample_point(greedy_profile, "++", replace(deeper, indices=(0, -1, *path.indices[2:], 0)))
+    for depth in (0, n + 1):
+        with pytest.raises(DepthExceedsProfile, match=f"depth {depth} outside 1..{n}"):
+            sample_point(greedy_profile, "++", "center", depth)
 
 
 def test_interval_rows_exact(greedy_profile):
